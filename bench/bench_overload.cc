@@ -120,7 +120,10 @@ main(int argc, char **argv)
     // Measure single-request service time to calibrate offered load.
     double service_seconds;
     {
-        TuningService probe({/*evalThreads=*/2, /*requestThreads=*/1});
+        ServiceOptions service_options;
+        service_options.evalThreads = 2;
+        service_options.requestThreads = 1;
+        TuningService probe(service_options);
         TuneOptions warm = tune_options;
         warm.explore.seed = seed;
         const double t0 = nowSeconds();

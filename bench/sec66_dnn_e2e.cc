@@ -14,7 +14,9 @@
  * ablation, and `graph` the roofline-guided graph-level partitioner
  * (src/graph/). Traffic accounting — modeled DRAM bytes vs. the
  * epilogue baseline — goes to stdout and to the JSON file for CI
- * tracking.
+ * tracking. Under `--fuse graph` the FlexTensor run also records the
+ * partitioner's wall time (`partition_ms`, from the graph.partition.ns
+ * wall-profile counter) per network.
  *
  * Paper reference (batch 1): FlexTensor is 1.07x faster end-to-end on
  * YOLO-v1 and 1.39x on OverFeat compared to AutoTVM.
@@ -26,6 +28,7 @@
 #include <fstream>
 
 #include "dnn/e2e.h"
+#include "obs/metrics.h"
 
 using namespace ft;
 
@@ -38,6 +41,7 @@ struct NetOutcome
     int64_t batch = 1;
     NetworkReport flex;
     NetworkReport tvm;
+    double partitionMs = 0.0; ///< FlexTensor run's partitionDag wall time
 };
 
 /**
@@ -70,7 +74,14 @@ runNetwork(const Network &net, const Target &target, int64_t batch,
     flex_options.method = Method::QMethod;
     flex_options.explore.trials = trials;
     flex_options.fuse = fuse;
+    MetricsRegistry metrics;
+    flex_options.explore.obs.metrics = &metrics;
+    flex_options.explore.obs.wallProfile = fuse == FuseMode::Graph;
     NetworkReport flex = scheduleNetwork(net, target, flex_options);
+    const double partition_ms =
+        static_cast<double>(
+            metrics.snapshot().counter("graph.partition.ns")) *
+        1e-6;
 
     E2eOptions tvm_options;
     tvm_options.method = Method::AutoTvm;
@@ -106,12 +117,15 @@ runNetwork(const Network &net, const Target &target, int64_t batch,
                 (long long)flex.baselineTrafficBytes,
                 (long long)flex.trafficSavedBytes,
                 (long long)flex.ephemeralBytes);
+    if (fuse == FuseMode::Graph)
+        std::printf("partition: %.3f ms wall\n", partition_ms);
 
     NetOutcome out;
     out.network = net.name;
     out.batch = batch;
     out.flex = std::move(flex);
     out.tvm = std::move(tvm);
+    out.partitionMs = partition_ms;
     return out;
 }
 
@@ -185,8 +199,10 @@ main(int argc, char **argv)
              << o.flex.baselineTrafficBytes << ",\n"
              << "     \"traffic_saved_bytes\": "
              << o.flex.trafficSavedBytes << ",\n"
-             << "     \"ephemeral_bytes\": " << o.flex.ephemeralBytes
-             << "}" << (i + 1 < outcomes.size() ? "," : "") << "\n";
+             << "     \"ephemeral_bytes\": " << o.flex.ephemeralBytes;
+        if (fuse == FuseMode::Graph)
+            json << ",\n     \"partition_ms\": " << o.partitionMs;
+        json << "}" << (i + 1 < outcomes.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
     std::printf("\nbench json -> %s\n", out_path.c_str());

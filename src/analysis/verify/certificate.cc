@@ -617,7 +617,7 @@ certifyPartition(const graph::ComputeDag &dag,
             o.transform = "fusion";
             o.code = kDepFusionIllegal;
             graph::GroupCost cost = graph::rooflineGroupCost(
-                dag, g.members, g.ephemeral, target);
+                dag, consumers, g.members, g.ephemeral, target);
             o.verdict =
                 cost.feasible ? Verdict::Proven : Verdict::Refuted;
             o.detail =

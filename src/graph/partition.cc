@@ -67,8 +67,8 @@ finalizePartition(const ComputeDag &dag, const std::vector<int> &assignment,
                 eph = eph && part.assignment_[c] == part.assignment_[id];
             group.ephemeral[m] = eph;
         }
-        group.cost =
-            rooflineGroupCost(dag, group.members, group.ephemeral, target);
+        group.cost = rooflineGroupCost(dag, consumers, group.members,
+                                       group.ephemeral, target);
         part.totalSeconds += group.cost.seconds;
         part.totalTrafficBytes +=
             group.cost.memInBytes + group.cost.memOutBytes;
@@ -79,11 +79,15 @@ finalizePartition(const ComputeDag &dag, const std::vector<int> &assignment,
 
 namespace {
 
-/** Search state: assignment so far plus its deterministic rank. */
+/**
+ * Search state: assignment so far, the cost of every group label, and
+ * the state's deterministic rank.
+ */
 struct BeamState
 {
     std::vector<int> assignment; ///< node id -> group label, -1 unassigned
-    int numGroups = 0;
+    std::vector<double> labelSeconds;  ///< group label -> modeled seconds
+    std::vector<int64_t> labelTraffic; ///< group label -> DRAM traffic
     double seconds = 0.0;
     int64_t traffic = 0;
 
@@ -98,35 +102,51 @@ struct BeamState
 };
 
 /**
- * Score a partial assignment. All states at one step share the same set
- * of assigned nodes, so the pessimistic ephemeral rule (only nodes whose
- * consumers are all assigned in-group count) ranks them fairly.
+ * Score group `members` (ascending) under a partial assignment. All
+ * states at one step share the same set of assigned nodes, so the
+ * pessimistic ephemeral rule (only nodes whose consumers are all
+ * assigned in-group count) ranks them fairly.
+ */
+GroupCost
+partialGroupCost(const ComputeDag &dag,
+                 const std::vector<std::vector<int>> &consumers,
+                 const Target &target, const std::vector<int> &assignment,
+                 const std::vector<int> &members)
+{
+    std::vector<bool> eph(members.size());
+    for (size_t m = 0; m < members.size(); ++m) {
+        const int id = members[m];
+        bool e = !consumers[id].empty();
+        for (int c : consumers[id])
+            e = e && assignment[c] == assignment[id];
+        eph[m] = e;
+    }
+    return rooflineGroupCost(dag, consumers, members, eph, target);
+}
+
+/**
+ * Record the cost of group `label` after a move into it and re-total.
+ * Assigning node v to a label can only change that label's cost: v's
+ * producers in other groups already had an unassigned (so
+ * out-of-group) consumer, and their groups' members are unchanged. The
+ * totals are re-summed in ascending label order, the order a full
+ * rescore sums them in, so `seconds` is bit-identical to one.
  */
 void
-scorePartial(const ComputeDag &dag,
-             const std::vector<std::vector<int>> &consumers,
-             const Target &target, BeamState &state)
+setLabelCost(BeamState &state, int label, const GroupCost &cost)
 {
-    std::map<int, std::vector<int>> groups;
-    for (size_t i = 0; i < state.assignment.size(); ++i)
-        if (state.assignment[i] >= 0)
-            groups[state.assignment[i]].push_back(static_cast<int>(i));
-
-    state.seconds = 0.0;
-    state.traffic = 0;
-    for (const auto &kv : groups) {
-        std::vector<bool> eph(kv.second.size());
-        for (size_t m = 0; m < kv.second.size(); ++m) {
-            const int id = kv.second[m];
-            bool e = !consumers[id].empty();
-            for (int c : consumers[id])
-                e = e && state.assignment[c] == state.assignment[id];
-            eph[m] = e;
-        }
-        GroupCost cost = rooflineGroupCost(dag, kv.second, eph, target);
-        state.seconds += cost.seconds;
-        state.traffic += cost.memInBytes + cost.memOutBytes;
+    if (label == static_cast<int>(state.labelSeconds.size())) {
+        state.labelSeconds.push_back(0.0);
+        state.labelTraffic.push_back(0);
     }
+    state.labelSeconds[label] = cost.seconds;
+    state.labelTraffic[label] = cost.memInBytes + cost.memOutBytes;
+    state.seconds = 0.0;
+    for (double s : state.labelSeconds)
+        state.seconds += s;
+    state.traffic = 0;
+    for (int64_t t : state.labelTraffic)
+        state.traffic += t;
 }
 
 /**
@@ -189,8 +209,12 @@ partitionDag(const ComputeDag &dag, const Target &target,
             // Move 1: open a new group for v.
             {
                 BeamState s = state;
-                s.assignment[v] = s.numGroups++;
-                scorePartial(dag, consumers, target, s);
+                const int label = static_cast<int>(s.labelSeconds.size());
+                s.assignment[v] = label;
+                setLabelCost(s, label,
+                             partialGroupCost(dag, consumers, target,
+                                              s.assignment,
+                                              {static_cast<int>(v)}));
                 next.push_back(std::move(s));
             }
             // Move 2: sink v into a producer's group (non-heavy only —
@@ -215,14 +239,15 @@ partitionDag(const ComputeDag &dag, const Target &target,
                                       static_cast<int>(v), label))
                     continue;
                 members.push_back(static_cast<int>(v));
-                GroupCost probe = rooflineGroupCost(
-                    dag, members, std::vector<bool>(members.size(), false),
-                    target);
-                if (!probe.feasible)
-                    continue;
                 BeamState s = state;
                 s.assignment[v] = label;
-                scorePartial(dag, consumers, target, s);
+                // Feasibility depends only on the working set, which
+                // ignores ephemeral flags: the one real score decides it.
+                const GroupCost cost = partialGroupCost(
+                    dag, consumers, target, s.assignment, members);
+                if (!cost.feasible)
+                    continue;
+                setLabelCost(s, label, cost);
                 next.push_back(std::move(s));
             }
         }
@@ -400,7 +425,7 @@ checkPartition(const ComputeDag &dag, const Partition &partition,
     // Property 4: every group's working set fits the device.
     for (size_t g = 0; g < numGroups; ++g) {
         GroupCost cost =
-            rooflineGroupCost(dag, partition.groups[g].members,
+            rooflineGroupCost(dag, consumers, partition.groups[g].members,
                               partition.groups[g].ephemeral, target);
         if (!cost.feasible)
             return partitionFail(

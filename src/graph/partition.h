@@ -18,7 +18,9 @@
  * capacity (graph/roofline.h). States are ranked by the deterministic
  * tuple (modeled seconds, DRAM traffic, lexicographic assignment), so
  * compute-bound ties break toward less traffic and the search never
- * depends on container iteration order.
+ * depends on container iteration order. A move can change only the cost
+ * of the group it lands in, so each state keeps per-group costs and a
+ * move rescores that one group.
  *
  * `epiloguePartition` reconstructs the legacy bias/ReLU-into-anchor
  * grouping of dnn/network.h and `nonePartition` the fully unfused one;

@@ -126,14 +126,15 @@ consumerWindowRows(const DagNode &consumer)
 }
 
 GroupCost
-rooflineGroupCost(const ComputeDag &dag, const std::vector<int> &members,
+rooflineGroupCost(const ComputeDag &dag,
+                  const std::vector<std::vector<int>> &consumers,
+                  const std::vector<int> &members,
                   const std::vector<bool> &ephemeral, const Target &target)
 {
     FT_ASSERT(members.size() == ephemeral.size(),
               "ephemeral flags must parallel members");
     GroupCost cost;
     const TierSpec tier = tierSpecFor(target);
-    const auto consumers = dag.consumers();
 
     auto inGroup = [&](int id) {
         return std::binary_search(members.begin(), members.end(), id);

@@ -87,8 +87,10 @@ int64_t consumerWindowRows(const DagNode &consumer);
 /**
  * Score the group formed by `members` (ascending node ids). `ephemeral`
  * flags (parallel to members) mark outputs that stay on chip.
+ * `consumers` is `dag.consumers()`, computed once by the caller.
  */
 GroupCost rooflineGroupCost(const ComputeDag &dag,
+                            const std::vector<std::vector<int>> &consumers,
                             const std::vector<int> &members,
                             const std::vector<bool> &ephemeral,
                             const Target &target);

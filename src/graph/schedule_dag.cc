@@ -1,6 +1,7 @@
 #include "graph/schedule_dag.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "graph/lower.h"
 #include "obs/metrics.h"
@@ -29,7 +30,19 @@ tuneDag(const ComputeDag &dag, const Target &target,
              tint("fingerprint", static_cast<int64_t>(rep.fingerprint))});
         obs.trace->begin("graph.partition", 0.0);
     }
+    // Wall attribution of the partitioner, like the evaluator's eval.*.ns
+    // counters: opt-in, and never written to the sim-clocked trace.
+    Counter *partition_ns = obs.wallProfile
+                                ? maybeCounter(obs.metrics,
+                                               "graph.partition.ns")
+                                : nullptr;
+    const auto t0 = std::chrono::steady_clock::now();
     rep.partition = partitionDag(dag, target, partitionOptions);
+    if (partition_ns)
+        partition_ns->add(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()));
     rep.trafficBytes = rep.partition.totalTrafficBytes;
     rep.ephemeralBytes = rep.partition.ephemeralBytes;
     if (obs.trace) {

@@ -14,7 +14,9 @@
  * Tracing: a `graph_run` meta line, one `graph.partition` span around
  * the search, and one `graph.subgraph` span per group (the per-anchor
  * `run`/`space_build`/`report` events nest inside as usual), so
- * `trace-report` can fold graph runs like any other.
+ * `trace-report` can fold graph runs like any other. With
+ * `ObsContext::wallProfile` the partitioner's wall time is added to the
+ * `graph.partition.ns` counter; the trace itself carries none.
  */
 #ifndef FLEXTENSOR_GRAPH_SCHEDULE_DAG_H
 #define FLEXTENSOR_GRAPH_SCHEDULE_DAG_H

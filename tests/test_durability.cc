@@ -541,8 +541,9 @@ TEST(CostModelDurability, SurvivesEverySeededCrashOffset)
                       static_cast<size_t>(trials))
                 << "seed " << seed << " schedule " << schedule
                 << " crash_at " << crash_at;
-            if (reloaded.ready())
+            if (reloaded.ready()) {
                 EXPECT_TRUE(std::isfinite(reloaded.predict({0.5, 0.5})));
+            }
 
             // The append-after-recovery contract: the repaired file
             // accepts a new trial and stays a valid journal.

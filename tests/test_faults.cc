@@ -413,7 +413,10 @@ TEST(FaultService, DeadlineAndFaultCountersFlowThroughService)
     profile.seed = 5;
     FaultInjector injector(profile);
 
-    TuningService service({/*evalThreads=*/2, /*requestThreads=*/2});
+    ServiceOptions service_options;
+    service_options.evalThreads = 2;
+    service_options.requestThreads = 2;
+    TuningService service(service_options);
     TuneOptions options;
     options.method = Method::PMethod;
     options.explore.trials = 8;

@@ -182,8 +182,9 @@ TEST_P(ScheduleFuzzTest, RandomPointsSatisfyInvariants)
         if (const verify::Diag *e = report.firstError()) {
             EXPECT_EQ(e->message, s.features.invalidReason);
             for (const auto &d : report.diags()) {
-                if (d.severity == verify::Severity::Error)
+                if (d.severity == verify::Severity::Error) {
                     EXPECT_EQ(d.code.rfind("FT-RES-", 0), 0u) << d.code;
+                }
             }
         }
 

@@ -15,11 +15,14 @@
  * The partitioner is property-fuzzed over seeded random DAGs: every
  * compute op in exactly one group, quotient acyclic, ephemeral tensors
  * never escape, and the working-set constraint holds; a violation
- * prints the offending DAG spec for replay.
+ * prints the offending DAG spec for replay. Its incremental beam
+ * scoring must match a full-rescore reference search bit for bit.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -30,6 +33,7 @@
 #include "graph/lower.h"
 #include "graph/partition.h"
 #include "graph/schedule_dag.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "schedule/generator.h"
 #include "space/builder.h"
@@ -453,6 +457,223 @@ TEST(FuzzGraphPartitionTest, RandomDagsFusedMatchesUnfusedBitForBit)
     }
 }
 
+/**
+ * Slow oracle of partitionDag: the same beam search, but every candidate
+ * state is re-scored from scratch — every group, at every step — and a
+ * sink move scores an all-false-ephemeral probe for feasibility before
+ * the full rescore. partitionDag instead rescores only the group a move
+ * lands in; this reference pins that shortcut to the exhaustive
+ * arithmetic bit for bit.
+ */
+namespace reference {
+
+struct State
+{
+    std::vector<int> assignment;
+    int numGroups = 0;
+    double seconds = 0.0;
+    int64_t traffic = 0;
+
+    bool operator<(const State &other) const
+    {
+        if (seconds != other.seconds)
+            return seconds < other.seconds;
+        if (traffic != other.traffic)
+            return traffic < other.traffic;
+        return assignment < other.assignment;
+    }
+};
+
+void
+scoreAllGroups(const ComputeDag &dag,
+               const std::vector<std::vector<int>> &consumers,
+               const Target &target, State &state)
+{
+    std::map<int, std::vector<int>> groups;
+    for (size_t i = 0; i < state.assignment.size(); ++i)
+        if (state.assignment[i] >= 0)
+            groups[state.assignment[i]].push_back(static_cast<int>(i));
+    state.seconds = 0.0;
+    state.traffic = 0;
+    for (const auto &kv : groups) {
+        std::vector<bool> eph(kv.second.size());
+        for (size_t m = 0; m < kv.second.size(); ++m) {
+            const int id = kv.second[m];
+            bool e = !consumers[id].empty();
+            for (int c : consumers[id])
+                e = e && state.assignment[c] == state.assignment[id];
+            eph[m] = e;
+        }
+        GroupCost cost =
+            rooflineGroupCost(dag, consumers, kv.second, eph, target);
+        state.seconds += cost.seconds;
+        state.traffic += cost.memInBytes + cost.memOutBytes;
+    }
+}
+
+bool
+sinkKeepsAcyclic(const ComputeDag &dag, const std::vector<int> &assignment,
+                 int node, int label)
+{
+    std::map<int, std::vector<int>> succ;
+    for (size_t v = 0; v < assignment.size(); ++v) {
+        if (assignment[v] < 0)
+            continue;
+        for (int u : dag.nodes[v].inputs)
+            if (assignment[u] >= 0 && assignment[u] != assignment[v])
+                succ[assignment[u]].push_back(assignment[v]);
+    }
+    std::vector<int> stack = {label}, seen;
+    while (!stack.empty()) {
+        int g = stack.back();
+        stack.pop_back();
+        if (std::find(seen.begin(), seen.end(), g) != seen.end())
+            continue;
+        seen.push_back(g);
+        auto it = succ.find(g);
+        if (it != succ.end())
+            for (int next : it->second)
+                stack.push_back(next);
+    }
+    for (int u : dag.nodes[node].inputs) {
+        if (assignment[u] < 0 || assignment[u] == label)
+            continue;
+        if (std::find(seen.begin(), seen.end(), assignment[u]) != seen.end())
+            return false;
+    }
+    return true;
+}
+
+Partition
+partitionDag(const ComputeDag &dag, const Target &target,
+             const PartitionOptions &options)
+{
+    const auto consumers = dag.consumers();
+    std::vector<State> beam(1);
+    beam[0].assignment.assign(dag.nodes.size(), -1);
+    for (size_t v = 0; v < dag.nodes.size(); ++v) {
+        const DagNode &node = dag.nodes[v];
+        if (node.kind == NodeKind::Input)
+            continue;
+        std::vector<State> next;
+        for (const State &state : beam) {
+            {
+                State s = state;
+                s.assignment[v] = s.numGroups++;
+                scoreAllGroups(dag, consumers, target, s);
+                next.push_back(std::move(s));
+            }
+            if (node.isHeavy())
+                continue;
+            std::vector<int> tried;
+            for (int in : node.inputs) {
+                const int label = state.assignment[in];
+                if (label < 0 ||
+                    std::find(tried.begin(), tried.end(), label) !=
+                        tried.end())
+                    continue;
+                tried.push_back(label);
+                std::vector<int> members;
+                for (size_t i = 0; i < state.assignment.size(); ++i)
+                    if (state.assignment[i] == label)
+                        members.push_back(static_cast<int>(i));
+                if (static_cast<int>(members.size()) >= options.maxGroupSize)
+                    continue;
+                if (!sinkKeepsAcyclic(dag, state.assignment,
+                                      static_cast<int>(v), label))
+                    continue;
+                members.push_back(static_cast<int>(v));
+                GroupCost probe = rooflineGroupCost(
+                    dag, consumers, members,
+                    std::vector<bool>(members.size(), false), target);
+                if (!probe.feasible)
+                    continue;
+                State s = state;
+                s.assignment[v] = label;
+                scoreAllGroups(dag, consumers, target, s);
+                next.push_back(std::move(s));
+            }
+        }
+        std::sort(next.begin(), next.end());
+        if (static_cast<int>(next.size()) > options.beamWidth)
+            next.resize(options.beamWidth);
+        beam = std::move(next);
+    }
+    for (const State &state : beam) {
+        Partition p = finalizePartition(dag, state.assignment, target);
+        if (verify::certifyPartition(dag, p, target).equivalent())
+            return p;
+    }
+    return nonePartition(dag, target);
+}
+
+} // namespace reference
+
+/** Exact (==, not a tolerance) equality of two partitions. */
+void
+expectSamePartition(const Partition &a, const Partition &b,
+                    const std::string &what)
+{
+    ASSERT_EQ(a.groups.size(), b.groups.size()) << what;
+    for (size_t g = 0; g < a.groups.size(); ++g) {
+        EXPECT_EQ(a.groups[g].members, b.groups[g].members)
+            << what << " group " << g;
+        EXPECT_EQ(a.groups[g].ephemeral, b.groups[g].ephemeral)
+            << what << " group " << g;
+        EXPECT_EQ(a.groups[g].cost.seconds, b.groups[g].cost.seconds)
+            << what << " group " << g;
+    }
+    EXPECT_EQ(a.totalSeconds, b.totalSeconds) << what;
+    EXPECT_EQ(a.totalTrafficBytes, b.totalTrafficBytes) << what;
+    EXPECT_EQ(a.ephemeralBytes, b.ephemeralBytes) << what;
+}
+
+TEST(GraphPartitionOracleTest, NetworksMatchFullRescoreBitForBit)
+{
+    // Besides the paper's devices, a V100 whose L2 holds about one conv
+    // row slab, so the capacity bound rejects sink moves.
+    GpuSpec smallL2 = v100();
+    smallL2.name = "V100-64KiB-L2";
+    smallL2.l2Bytes = 64 * 1024;
+    for (const Network &net : {yoloV1(), overFeat()}) {
+        const ComputeDag dag = dagFromNetwork(net);
+        for (const Target &target :
+             {Target::forGpu(v100()), Target::forCpu(xeonE5()),
+              Target::forGpu(smallL2)})
+            for (int beamWidth : {1, 4, 8, 16})
+                for (int maxGroupSize : {2, 8}) {
+                    PartitionOptions options;
+                    options.beamWidth = beamWidth;
+                    options.maxGroupSize = maxGroupSize;
+                    expectSamePartition(
+                        partitionDag(dag, target, options),
+                        reference::partitionDag(dag, target, options),
+                        dag.name + " on " + target.deviceName() +
+                            " beam " + std::to_string(beamWidth) +
+                            " max group " + std::to_string(maxGroupSize));
+                }
+    }
+}
+
+TEST(GraphPartitionOracleTest, RandomDagsMatchFullRescoreBitForBit)
+{
+    const int beamWidths[] = {1, 4, 8, 16};
+    const int maxGroupSizes[] = {2, 8};
+    for (int round = 0; round < 200; ++round) {
+        Rng rng(0xdc80000u + static_cast<uint64_t>(round));
+        const ComputeDag dag = randomDag(rng);
+        const Target target = round % 2 == 0 ? Target::forGpu(v100())
+                                             : Target::forCpu(xeonE5());
+        PartitionOptions options;
+        options.beamWidth = beamWidths[(round / 2) % 4];
+        options.maxGroupSize = maxGroupSizes[(round / 8) % 2];
+        expectSamePartition(partitionDag(dag, target, options),
+                            reference::partitionDag(dag, target, options),
+                            "seed " + std::to_string(round) + "\n" +
+                                dag.spec());
+    }
+}
+
 TEST(GraphScheduleTest, TuneDagStitchesGroupsAndAccountsTraffic)
 {
     const ComputeDag dag = chainDag();
@@ -496,6 +717,76 @@ TEST(GraphScheduleTest, TuneDagStitchesGroupsAndAccountsTraffic)
     EXPECT_EQ(partitionSpans, 1);
     EXPECT_EQ(subgraphSpans,
               static_cast<int>(rep.partition.groups.size()));
+}
+
+/**
+ * Wall attribution of the partitioner: under ObsContext::wallProfile,
+ * tuneDag adds partitionDag's wall time to graph.partition.ns; without
+ * it the counter does not exist. The timing never reaches the
+ * sim-clocked trace: an anchor-free DAG (nothing to tune, so no
+ * evaluator spans) traces byte-identically with profiling on and off,
+ * and with an anchor the only difference is the evaluator's own eval.*
+ * wall spans.
+ */
+TEST(GraphScheduleTest, WallProfileAttributesPartitionTimeOutsideTrace)
+{
+    ComputeDag poolDag;
+    poolDag.name = "pool";
+    const int data = pushInput(poolDag, "data", {1, 4, 8, 8});
+    const int pool = pushPool(poolDag, "pool", data, 2, 2);
+    pushEltwise(poolDag, NodeKind::Relu, "pool.relu", {pool});
+    std::string why;
+    ASSERT_TRUE(poolDag.validate(&why)) << why;
+
+    const Target target = Target::forCpu(xeonE5());
+    auto run = [&](const ComputeDag &dag, bool wallProfile,
+                   uint64_t *partitionNs) {
+        TraceRecorder trace;
+        MetricsRegistry metrics;
+        TuneOptions options;
+        options.method = Method::Random;
+        options.explore.trials = 4;
+        options.explore.warmupPoints = 2;
+        options.explore.seed = 0x6eed;
+        options.explore.obs.trace = &trace;
+        options.explore.obs.metrics = &metrics;
+        options.explore.obs.wallProfile = wallProfile;
+        tuneDag(dag, target, options);
+        const MetricsSnapshot snap = metrics.snapshot();
+        *partitionNs = 0;
+        bool present = false;
+        for (const auto &kv : snap.counters)
+            if (kv.first == "graph.partition.ns") {
+                present = true;
+                *partitionNs = kv.second;
+            }
+        EXPECT_EQ(present, wallProfile);
+        return trace.lines();
+    };
+
+    uint64_t offNs = 0, onNs = 0;
+    EXPECT_EQ(run(poolDag, true, &onNs), run(poolDag, false, &offNs));
+    EXPECT_GT(onNs, 0u);
+
+    // With an anchor: drop the eval.* spans and the event index they
+    // shift; everything else matches byte for byte.
+    auto withoutEvalSpans = [](const std::vector<std::string> &lines) {
+        std::vector<std::string> kept;
+        for (const std::string &line : lines) {
+            auto ev = parseTraceLine(line);
+            EXPECT_TRUE(ev.has_value()) << line;
+            if (ev && ev->name.rfind("eval.", 0) != 0)
+                kept.push_back(line.substr(line.find(',')));
+        }
+        return kept;
+    };
+    const ComputeDag dag = multiConsumerDag();
+    const auto off = run(dag, false, &offNs);
+    const auto on = run(dag, true, &onNs);
+    EXPECT_GT(onNs, 0u);
+    EXPECT_GT(on.size(), off.size());
+    EXPECT_EQ(withoutEvalSpans(off).size(), off.size());
+    EXPECT_EQ(withoutEvalSpans(on), withoutEvalSpans(off));
 }
 
 } // namespace

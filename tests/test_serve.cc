@@ -244,7 +244,10 @@ TEST(ServeDeterminism, AutoTvmParallelEqualsSequential)
 
 TEST(TuningService, CoalescesConcurrentIdenticalRequests)
 {
-    TuningService service({/*evalThreads=*/4, /*requestThreads=*/2});
+    ServiceOptions service_options;
+    service_options.evalThreads = 4;
+    service_options.requestThreads = 2;
+    TuningService service(service_options);
     Tensor out = serveGemm();
     Target target = Target::forGpu(v100());
     TuneOptions options;
@@ -440,7 +443,10 @@ TEST(TuningService, LruEvictsBeyondCapacity)
 
 TEST(TuningService, SubmitRunsRequestsConcurrently)
 {
-    TuningService service({/*evalThreads=*/2, /*requestThreads=*/4});
+    ServiceOptions service_options;
+    service_options.evalThreads = 2;
+    service_options.requestThreads = 4;
+    TuningService service(service_options);
     Target target = Target::forGpu(v100());
     TuneOptions options;
     options.method = Method::Random;
