@@ -15,7 +15,7 @@ run(const Operation &anchor, const ScheduleSpace &space,
     const Target &target, const ExploreOptions &options)
 {
     Evaluator eval(anchor, space, target);
-    return exploreQMethod(eval, options).bestGflops;
+    return explore(Method::QMethod, eval, options).bestGflops;
 }
 
 } // namespace
@@ -49,7 +49,7 @@ main()
         opts.startingPoints = starts;
         opts.trials = 600 / starts; // constant measurement budget
         Evaluator eval(anchor, space, target);
-        ExploreResult r = exploreQMethod(eval, opts);
+        ExploreResult r = explore(Method::QMethod, eval, opts);
         ftbench::row({std::to_string(starts),
                       ftbench::num(r.bestGflops, 0),
                       std::to_string(r.trialsUsed)});

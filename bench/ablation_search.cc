@@ -108,7 +108,7 @@ main()
         ExploreOptions opts;
         opts.trials = kBudget / 4; // ~2 evals per starting point
         opts.seed = seed;
-        double full = exploreQMethod(full_eval, opts).bestGflops;
+        double full = explore(Method::QMethod, full_eval, opts).bestGflops;
 
         double noq = runNoQ(anchor, space, target, seed);
         double nosa = runNoSa(anchor, space, target, seed);
@@ -117,7 +117,8 @@ main()
         ExploreOptions rand_opts;
         rand_opts.trials = kBudget;
         rand_opts.seed = seed;
-        double random = exploreRandom(rand_eval, rand_opts).bestGflops;
+        double random =
+            explore(Method::Random, rand_eval, rand_opts).bestGflops;
 
         rel_noq.push_back(noq / full);
         rel_nosa.push_back(nosa / full);

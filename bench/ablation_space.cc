@@ -26,7 +26,7 @@ tuneOn(const Operation &anchor, const Target &target,
     ExploreOptions opts;
     opts.trials = 150;
     opts.seed = seed;
-    return exploreQMethod(eval, opts).bestGflops;
+    return explore(Method::QMethod, eval, opts).bestGflops;
 }
 
 } // namespace

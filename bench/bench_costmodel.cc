@@ -81,7 +81,7 @@ runOnce(const Workload &w, int trials, uint64_t seed, CostModel *model,
     options.seed = seed;
     options.costModel = model;
     options.prunerKeep = prunerKeep;
-    return exploreQMethod(eval, options);
+    return explore(Method::QMethod, eval, options);
 }
 
 /** Trial index (1-based) at which best-so-far first reaches

@@ -57,18 +57,6 @@ makeOp(const std::string &name)
     return ops::conv2d(in, w);
 }
 
-ExploreResult
-runMethod(Method method, Evaluator &eval, const ExploreOptions &options)
-{
-    switch (method) {
-      case Method::QMethod: return exploreQMethod(eval, options);
-      case Method::PMethod: return explorePMethod(eval, options);
-      case Method::Random: return exploreRandom(eval, options);
-      case Method::AutoTvm: return exploreAutoTvm(eval, options);
-    }
-    return {};
-}
-
 BenchCase
 runCase(const std::string &op_name, const std::string &device,
         Method method, int trials, int reps)
@@ -96,7 +84,7 @@ runCase(const std::string &op_name, const std::string &device,
         // become the "components" map in the JSON output.
         options.obs.wallProfile = true;
         auto t0 = std::chrono::steady_clock::now();
-        ExploreResult r = runMethod(method, eval, options);
+        ExploreResult r = explore(method, eval, options);
         auto t1 = std::chrono::steady_clock::now();
         double ns = static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)

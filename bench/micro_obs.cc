@@ -51,7 +51,7 @@ runOnce(const ObsContext &obs)
     options.seed = 0x0b5;
     options.obs = obs;
     auto start = std::chrono::steady_clock::now();
-    ExploreResult r = exploreQMethod(eval, options);
+    ExploreResult r = explore(Method::QMethod, eval, options);
     auto stop = std::chrono::steady_clock::now();
     if (r.trialsUsed == 0)
         std::printf("warning: empty run\n");

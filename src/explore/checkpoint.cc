@@ -1,5 +1,7 @@
 #include "explore/checkpoint.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,28 +34,14 @@ parseDouble(const std::string &text, double *out)
     return end && *end == '\0';
 }
 
+/** Whole-string decimal integer (no leading space or "+", no tail). */
+template <typename T>
 bool
-parseU64(const std::string &text, uint64_t *out)
+parseInt(const std::string &text, T *out)
 {
-    try {
-        size_t pos = 0;
-        *out = std::stoull(text, &pos);
-        return pos == text.size();
-    } catch (...) {
-        return false;
-    }
-}
-
-bool
-parseInt(const std::string &text, int *out)
-{
-    try {
-        size_t pos = 0;
-        *out = std::stoi(text, &pos);
-        return pos == text.size();
-    } catch (...) {
-        return false;
-    }
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    return ec == std::errc() && ptr == end;
 }
 
 void
@@ -70,19 +58,11 @@ bool
 parseIdx(const std::string &text, std::vector<int64_t> *out)
 {
     out->clear();
-    if (text.empty())
-        return false;
     std::istringstream cells(text);
     std::string cell;
     while (std::getline(cells, cell, ',')) {
-        try {
-            size_t pos = 0;
-            out->push_back(std::stoll(cell, &pos));
-            if (pos != cell.size())
-                return false;
-        } catch (...) {
+        if (!parseInt(cell, &out->emplace_back()))
             return false;
-        }
     }
     return !out->empty();
 }
@@ -111,28 +91,6 @@ keyed(const std::string &field, const char *key, std::string *out)
     return true;
 }
 
-/** v1 quarantine entry: a legacy Point::key() string ("12;0;3;"). */
-bool
-parseLegacyKey(const std::string &text, std::vector<int64_t> *out)
-{
-    out->clear();
-    if (text.empty())
-        return false;
-    std::istringstream cells(text);
-    std::string cell;
-    while (std::getline(cells, cell, ';')) {
-        try {
-            size_t pos = 0;
-            out->push_back(std::stoll(cell, &pos));
-            if (pos != cell.size())
-                return false;
-        } catch (...) {
-            return false;
-        }
-    }
-    return !out->empty();
-}
-
 } // namespace
 
 std::string
@@ -148,8 +106,7 @@ constexpr char kCheckpointKind[] = "ckpt";
 
 /**
  * Render one snapshot as the versioned line-oriented text body (header
- * line through the `end|n=` count footer). This is the exact format the
- * legacy whole-file checkpoints used, now carried as one journal frame.
+ * line through the `end|n=` count footer), carried as one journal frame.
  */
 static std::string
 serializeCheckpointBody(const CheckpointState &state)
@@ -162,7 +119,6 @@ serializeCheckpointBody(const CheckpointState &state)
     };
 
     {
-        // v2: quarantine entries are point coordinates, not string keys.
         std::ostringstream oss;
         oss << "ftckpt|v=2|method=" << state.method
             << "|seed=" << state.seed << "|space=" << state.spaceSig
@@ -207,6 +163,12 @@ serializeCheckpointBody(const CheckpointState &state)
         }
         emit(oss.str());
     }
+    if (!state.gbtModel.empty()) {
+        // One line: the model's newlines become ';' (it has none itself).
+        std::string flat = state.gbtModel;
+        std::replace(flat.begin(), flat.end(), '\n', ';');
+        emit("gbt|" + flat);
+    }
     {
         std::ostringstream oss;
         oss << "stats|" << state.stats.measurements << "|"
@@ -245,13 +207,12 @@ saveCheckpoint(const std::string &path, const CheckpointState &state)
     return journalAppend(path, kCheckpointKind, body);
 }
 
-/** Parse one snapshot body (the legacy file format / one frame). */
+/** Parse one snapshot body (one journal frame). */
 static std::optional<CheckpointState>
 parseCheckpointBody(const std::string &text)
 {
     CheckpointState state;
     bool saw_header = false, saw_end = false, ok = true;
-    int version = 0;
     size_t lines = 0, declared = 0;
     std::string line;
     std::istringstream in(text);
@@ -267,13 +228,10 @@ parseCheckpointBody(const std::string &text)
         std::string value;
         if (tag == "ftckpt") {
             ok = fields.size() == 6 && keyed(fields[1], "v", &value) &&
-                 (value == "1" || value == "2");
-            if (ok)
-                version = value == "1" ? 1 : 2;
-            if (ok)
-                ok = keyed(fields[2], "method", &state.method) &&
+                 value == "2" &&
+                 keyed(fields[2], "method", &state.method) &&
                      keyed(fields[3], "seed", &value) &&
-                     parseU64(value, &state.seed) &&
+                     parseInt(value, &state.seed) &&
                      keyed(fields[4], "space", &state.spaceSig) &&
                      keyed(fields[5], "trial", &value) &&
                      parseInt(value, &state.trial);
@@ -284,7 +242,7 @@ parseCheckpointBody(const std::string &text)
         } else if (tag == "rng") {
             ok = fields.size() == 7;
             for (int i = 0; ok && i < 4; ++i)
-                ok = parseU64(fields[1 + i], &state.rng.s[i]);
+                ok = parseInt(fields[1 + i], &state.rng.s[i]);
             if (ok) {
                 ok = keyed(fields[5], "spare", &value);
                 state.rng.haveSpare = ok && value == "1";
@@ -311,7 +269,7 @@ parseCheckpointBody(const std::string &text)
                 state.replay.push_back(std::move(t));
         } else if (tag == "net") {
             uint64_t count = 0;
-            ok = fields.size() == 3 && parseU64(fields[1], &count);
+            ok = fields.size() == 3 && parseInt(fields[1], &count);
             if (ok) {
                 std::istringstream cells(fields[2]);
                 std::string cell;
@@ -322,23 +280,26 @@ parseCheckpointBody(const std::string &text)
                 }
                 ok = ok && state.netState.size() == count;
             }
+        } else if (tag == "gbt") {
+            ok = fields.size() == 2 && !fields[1].empty();
+            state.gbtModel = fields[1];
+            std::replace(state.gbtModel.begin(), state.gbtModel.end(), ';',
+                         '\n');
         } else if (tag == "stats") {
             ok = fields.size() == 6 &&
-                 parseU64(fields[1], &state.stats.measurements) &&
-                 parseU64(fields[2], &state.stats.failures) &&
-                 parseU64(fields[3], &state.stats.retries) &&
-                 parseU64(fields[4], &state.stats.timeouts) &&
-                 parseU64(fields[5], &state.stats.quarantined);
+                 parseInt(fields[1], &state.stats.measurements) &&
+                 parseInt(fields[2], &state.stats.failures) &&
+                 parseInt(fields[3], &state.stats.retries) &&
+                 parseInt(fields[4], &state.stats.timeouts) &&
+                 parseInt(fields[5], &state.stats.quarantined);
         } else if (tag == "q") {
             Point p;
-            ok = fields.size() == 2 &&
-                 (version == 2 ? parseIdx(fields[1], &p.idx)
-                               : parseLegacyKey(fields[1], &p.idx));
+            ok = fields.size() == 2 && parseIdx(fields[1], &p.idx);
             if (ok)
                 state.quarantine.push_back(std::move(p));
         } else if (tag == "end") {
             ok = fields.size() == 2 && keyed(fields[1], "n", &value) &&
-                 parseU64(value, &declared);
+                 parseInt(value, &declared);
             saw_end = true;
             continue; // the count line does not count itself
         } else {
@@ -356,23 +317,9 @@ parseCheckpointBody(const std::string &text)
 std::optional<CheckpointState>
 loadCheckpoint(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    if (!std::ifstream(path))
         return std::nullopt; // a missing checkpoint is a normal first run
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string bytes = buf.str();
-    in.close();
-
-    if (!looksLikeJournal(bytes)) {
-        // Legacy pre-journal checkpoint: the whole file is one body.
-        auto state = parseCheckpointBody(bytes);
-        if (!state)
-            warn("ignoring truncated or corrupt checkpoint ", path);
-        return state;
-    }
-
-    JournalContents journal = parseJournal(bytes);
+    JournalContents journal = readJournal(path);
     if (!journal.valid || journal.kind != kCheckpointKind) {
         warn("ignoring corrupt checkpoint journal ", path, " (",
              journal.diag.empty() ? "wrong journal kind" : journal.diag,

@@ -6,17 +6,17 @@
  * so the explorers periodically snapshot everything their next step
  * depends on: the evaluated set H with its per-commit simulated clock,
  * the RNG stream position, the resilience counters and quarantine set,
- * and — for the Q-method — the Q-network parameters (values plus AdaDelta
+ * for the Q-method the Q-network parameters (values plus AdaDelta
  * accumulators) and the replay buffer (as point/direction triples; the
- * feature vectors and rewards are recomputed from H on resume).
+ * feature vectors and rewards are recomputed from H on resume), and for
+ * AutoTVM the per-run GBT cost model (its training set is H).
  *
  * Each snapshot is a versioned line-oriented text body (with a trailing
  * record-count line) carried as one CRC32-framed record in a crash-safe
  * journal (support/journal.h): snapshots append a frame, so a crash
  * mid-write can only tear the in-flight frame, and resume recovers the
  * newest intact snapshot — still bit-identical to an uninterrupted run
- * from that point. Legacy whole-file (pre-journal) checkpoints are
- * still read. Floating-point values round-trip exactly (hexfloat),
+ * from that point. Floating-point values round-trip exactly (hexfloat),
  * which is what makes the guarantee hold: a run killed and resumed from
  * its last snapshot produces bit-identical results — history, best
  * point, and simulated clock — to a run that was never interrupted, for
@@ -57,13 +57,14 @@ struct CheckpointState
     std::vector<Evaluated> history;
     std::vector<double> commitSim; ///< simulated clock at each commit
     ResilienceStats stats;
-    /** Quarantined points as space coordinates (format v2 writes them as
-     *  `q|i,i,...`; the legacy v1 `q|<string key>` form is still read). */
+    /** Quarantined points as space coordinates. */
     std::vector<Point> quarantine;
     /** Q-method only: Mlp::checkpointState() of the online network. */
     std::vector<float> netState;
     /** Q-method only: the replay buffer. */
     std::vector<ReplayTransition> replay;
+    /** AutoTVM only: GbtModel::serialize() of the per-run cost model. */
+    std::string gbtModel;
 };
 
 /** Cheap structural identity of a space ("numSubSpaces/numDirections"). */

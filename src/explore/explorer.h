@@ -1,6 +1,11 @@
 /**
  * @file
- * Back-end exploration methods (Section 5.1 and Section 6.5):
+ * Back-end exploration (Section 5.1 and Section 6.5): one search loop
+ * with four proposal policies.
+ *
+ * The loop picks starting points from the evaluated set H, proposes
+ * moves, measures them and learns. The methods differ only in the
+ * proposal step:
  *
  *  - Q-method: the paper's contribution — SA starting points plus a
  *    Q-learning network that predicts the single best direction to try.
@@ -27,6 +32,12 @@
 namespace ft {
 
 class CostModel;
+
+/** Which exploration method to run. */
+enum class Method { QMethod, PMethod, Random, AutoTvm };
+
+/** Human-readable method name. */
+std::string methodName(Method method);
 
 /** Options shared by the exploration methods. */
 struct ExploreOptions
@@ -72,10 +83,10 @@ struct ExploreOptions
     double deadlineSimSeconds = 0.0;
     /**
      * Checkpoint file (empty = disabled). The run snapshots its full
-     * state every checkpointEveryTrials outer trials, and on start
-     * resumes from a compatible snapshot at this path; a resumed run
-     * with the same seed and fault profile is bit-identical to an
-     * uninterrupted one. Not supported by Method::AutoTvm.
+     * state every checkpointEveryTrials outer trials (AutoTVM:
+     * measurement rounds), and on start resumes from a compatible
+     * snapshot at this path; a resumed run with the same seed and fault
+     * profile is bit-identical to an uninterrupted one.
      */
     std::string checkpointPath;
     int checkpointEveryTrials = 10;
@@ -125,21 +136,13 @@ struct ExploreResult
     uint64_t quarantined = 0;
 };
 
-/** Run the paper's Q-learning-guided exploration. */
-ExploreResult exploreQMethod(Evaluator &eval, const ExploreOptions &options);
-
-/** Run the exhaustive-direction P-method. */
-ExploreResult explorePMethod(Evaluator &eval, const ExploreOptions &options);
-
-/** Uniform random search over the space. */
-ExploreResult exploreRandom(Evaluator &eval, const ExploreOptions &options);
-
 /**
- * AutoTVM-style search: GBT cost model ranking random candidates, batched
- * measurement. Intended to be used with a template-restricted space (see
+ * Run one exploration method over `eval`'s space. AutoTVM is intended
+ * to be used with a template-restricted space (see
  * SpaceOptions::templateRestricted).
  */
-ExploreResult exploreAutoTvm(Evaluator &eval, const ExploreOptions &options);
+ExploreResult explore(Method method, Evaluator &eval,
+                      const ExploreOptions &options);
 
 } // namespace ft
 

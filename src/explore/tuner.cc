@@ -40,18 +40,6 @@ attachCertificate(TuneReport &report, const Scheduled &s,
 
 } // namespace
 
-std::string
-methodName(Method method)
-{
-    switch (method) {
-      case Method::QMethod: return "Q-method";
-      case Method::PMethod: return "P-method";
-      case Method::Random: return "random";
-      case Method::AutoTvm: return "AutoTVM";
-    }
-    return "?";
-}
-
 TuneReport
 tuneOp(const Operation &anchor, const Target &target,
        const TuneOptions &options)
@@ -112,21 +100,7 @@ tuneOp(const Operation &anchor, const Target &target,
     }
 
     Evaluator eval(anchor, space, target);
-    ExploreResult result;
-    switch (options.method) {
-      case Method::QMethod:
-        result = exploreQMethod(eval, options.explore);
-        break;
-      case Method::PMethod:
-        result = explorePMethod(eval, options.explore);
-        break;
-      case Method::Random:
-        result = exploreRandom(eval, options.explore);
-        break;
-      case Method::AutoTvm:
-        result = exploreAutoTvm(eval, options.explore);
-        break;
-    }
+    ExploreResult result = explore(options.method, eval, options.explore);
 
     TuneReport report;
     report.config = space.decode(result.bestPoint);

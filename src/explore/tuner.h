@@ -22,12 +22,6 @@ namespace verify {
 struct ScheduleCertificate;
 } // namespace verify
 
-/** Which exploration method to run. */
-enum class Method { QMethod, PMethod, Random, AutoTvm };
-
-/** Human-readable method name. */
-std::string methodName(Method method);
-
 /** Tuning options. */
 struct TuneOptions
 {

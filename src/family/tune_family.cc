@@ -106,31 +106,19 @@ tuneFamily(const ShapeFamily &family, const Target &target,
             instances.emplace_back(value, static_cast<double>(value));
 
         FamilyEvaluator eval(family, generic, space, target, instances);
-        ExploreOptions explore = options.explore;
+        ExploreOptions bucket_explore = options.explore;
         // Decorrelate bucket searches; one family seed still pins the
         // whole run (fixed-seed family runs are bit-identical).
-        explore.seed = options.explore.seed +
-                       static_cast<uint64_t>(bi) * 0x9e3779b97f4a7c15ULL;
-        explore.seedPoints.insert(explore.seedPoints.end(),
-                                  carried.begin(), carried.end());
+        bucket_explore.seed =
+            options.explore.seed +
+            static_cast<uint64_t>(bi) * 0x9e3779b97f4a7c15ULL;
+        bucket_explore.seedPoints.insert(bucket_explore.seedPoints.end(),
+                                         carried.begin(), carried.end());
 
         if (obs.trace)
             obs.trace->begin("family.bucket", report.simSeconds);
-        ExploreResult result;
-        switch (options.method) {
-          case Method::QMethod:
-            result = exploreQMethod(eval, explore);
-            break;
-          case Method::PMethod:
-            result = explorePMethod(eval, explore);
-            break;
-          case Method::Random:
-            result = exploreRandom(eval, explore);
-            break;
-          case Method::AutoTvm:
-            result = exploreAutoTvm(eval, explore);
-            break;
-        }
+        ExploreResult result =
+            explore(options.method, eval, bucket_explore);
 
         FamilyBucketReport bucket_report;
         bucket_report.bucket = bucket;

@@ -511,7 +511,9 @@ int
 pushConv(graph::ComputeDag &dag, const std::string &name, int data,
          int64_t outc, int64_t kernel, int64_t stride, int64_t pad)
 {
-    const auto &in = dag.nodes[static_cast<size_t>(data)].shape;
+    // A copy: the push_back below may reallocate dag.nodes.
+    const std::vector<int64_t> in =
+        dag.nodes[static_cast<size_t>(data)].shape;
     graph::DagNode w;
     w.kind = graph::NodeKind::Input;
     w.name = name + ".w";

@@ -194,7 +194,7 @@ TEST_F(CheckpointDurability, KillThenTornResumeIsBitIdentical)
     options.seed = 0xd00dfeed;
 
     Evaluator ref(out_.op(), space_, target_);
-    ExploreResult uninterrupted = exploreQMethod(ref, options);
+    ExploreResult uninterrupted = explore(Method::QMethod, ref, options);
 
     // "Crashed" run: half the trials, snapshotting every 3 — the
     // journal holds snapshots at trials 3 and 6.
@@ -203,7 +203,7 @@ TEST_F(CheckpointDurability, KillThenTornResumeIsBitIdentical)
     partial.checkpointPath = path;
     partial.checkpointEveryTrials = 3;
     Evaluator killed(out_.op(), space_, target_);
-    exploreQMethod(killed, partial);
+    explore(Method::QMethod, killed, partial);
 
     // Tear the newest frame mid-payload, as a crash during the final
     // snapshot append would.
@@ -222,7 +222,7 @@ TEST_F(CheckpointDurability, KillThenTornResumeIsBitIdentical)
     ExploreOptions resume = partial;
     resume.trials = options.trials;
     Evaluator second(out_.op(), space_, target_);
-    ExploreResult resumed = exploreQMethod(second, resume);
+    ExploreResult resumed = explore(Method::QMethod, second, resume);
     EXPECT_TRUE(resumed.resumed);
     EXPECT_EQ(resumed.bestPoint.key(), uninterrupted.bestPoint.key());
     EXPECT_DOUBLE_EQ(resumed.bestGflops, uninterrupted.bestGflops);
@@ -249,7 +249,7 @@ TEST_F(CheckpointDurability, SeededCrashScheduleNeverLosesOlderSnapshot)
     options.checkpointPath = path;
     options.checkpointEveryTrials = 4;
     Evaluator eval(out_.op(), space_, target_);
-    exploreRandom(eval, options);
+    explore(Method::Random, eval, options);
 
     const std::string bytes = readBytes(path);
     JournalContents journal = parseJournal(bytes);
@@ -284,40 +284,6 @@ TEST_F(CheckpointDurability, SeededCrashScheduleNeverLosesOlderSnapshot)
                                          space_));
     }
     std::remove(path.c_str());
-}
-
-TEST_F(CheckpointDurability, LegacyTextCheckpointIsStillRead)
-{
-    const std::string journal_path =
-        ::testing::TempDir() + "ft_ckpt_legacy_a.ftc";
-    const std::string legacy_path =
-        ::testing::TempDir() + "ft_ckpt_legacy_b.ftc";
-    std::remove(journal_path.c_str());
-
-    ExploreOptions options;
-    options.trials = 6;
-    options.seed = 0xfade;
-    options.checkpointPath = journal_path;
-    options.checkpointEveryTrials = 3;
-    Evaluator eval(out_.op(), space_, target_);
-    exploreRandom(eval, options);
-
-    // Rewrite the newest snapshot as a legacy (pre-journal) whole-file
-    // text checkpoint; the loader must still understand it.
-    JournalContents journal = parseJournal(readBytes(journal_path));
-    ASSERT_TRUE(journal.valid);
-    ASSERT_FALSE(journal.records.empty());
-    writeBytes(legacy_path, journal.records.back());
-
-    auto from_journal = loadCheckpoint(journal_path);
-    auto from_legacy = loadCheckpoint(legacy_path);
-    ASSERT_TRUE(from_journal.has_value());
-    ASSERT_TRUE(from_legacy.has_value());
-    EXPECT_EQ(from_legacy->trial, from_journal->trial);
-    EXPECT_EQ(from_legacy->history.size(), from_journal->history.size());
-    EXPECT_DOUBLE_EQ(from_legacy->simSeconds, from_journal->simSeconds);
-    std::remove(journal_path.c_str());
-    std::remove(legacy_path.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -131,13 +131,13 @@ TEST(Explore, QMethodImprovesOverWarmup)
     Evaluator warm(out.op(), space, target);
     ExploreOptions warm_opts;
     warm_opts.trials = 8;
-    exploreRandom(warm, warm_opts);
+    explore(Method::Random, warm, warm_opts);
 
     Evaluator eval(out.op(), space, target);
     ExploreOptions opts;
     opts.trials = 60;
     opts.seed = warm_opts.seed;
-    ExploreResult r = exploreQMethod(eval, opts);
+    ExploreResult r = explore(Method::QMethod, eval, opts);
     EXPECT_GT(r.bestGflops, warm.best());
     EXPECT_GT(r.trialsUsed, 8);
 }
@@ -151,7 +151,7 @@ TEST(Explore, PMethodEvaluatesNeighborhoods)
     ExploreOptions opts;
     opts.trials = 3;
     opts.startingPoints = 1;
-    ExploreResult r = explorePMethod(eval, opts);
+    ExploreResult r = explore(Method::PMethod, eval, opts);
     // Each step measures up to numDirections neighbors.
     EXPECT_GT(r.trialsUsed, 20);
     EXPECT_GT(r.bestGflops, kInvalidGflops);
@@ -166,7 +166,7 @@ TEST(Explore, TargetGflopsStopsEarly)
     ExploreOptions opts;
     opts.trials = 1000;
     opts.targetGflops = 1.0; // trivially reachable
-    ExploreResult r = exploreQMethod(eval, opts);
+    ExploreResult r = explore(Method::QMethod, eval, opts);
     EXPECT_LT(r.trialsUsed, 100);
 }
 
@@ -180,7 +180,7 @@ TEST(Explore, AutoTvmRunsOnTemplateSpace)
     Evaluator eval(out.op(), space, target);
     ExploreOptions opts;
     opts.trials = 48;
-    ExploreResult r = exploreAutoTvm(eval, opts);
+    ExploreResult r = explore(Method::AutoTvm, eval, opts);
     EXPECT_GE(r.trialsUsed, 40);
     EXPECT_GT(r.bestGflops, kInvalidGflops);
     EXPECT_GT(r.simSeconds, 0.0);
@@ -195,8 +195,8 @@ TEST(Explore, DeterministicForFixedSeed)
     opts.trials = 25;
     Evaluator e1(out.op(), space, target);
     Evaluator e2(out.op(), space, target);
-    ExploreResult r1 = exploreQMethod(e1, opts);
-    ExploreResult r2 = exploreQMethod(e2, opts);
+    ExploreResult r1 = explore(Method::QMethod, e1, opts);
+    ExploreResult r2 = explore(Method::QMethod, e2, opts);
     EXPECT_DOUBLE_EQ(r1.bestGflops, r2.bestGflops);
     EXPECT_EQ(r1.trialsUsed, r2.trialsUsed);
 }

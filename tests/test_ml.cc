@@ -400,7 +400,7 @@ TEST(CostModel, ExplorerRecordsTrialsAndWarmStartsWhenReady)
     options.warmupPoints = 6;
     options.seed = 0xd5eed;
     options.costModel = &model;
-    ExploreResult first = exploreQMethod(eval1, options);
+    ExploreResult first = explore(Method::QMethod, eval1, options);
     EXPECT_GT(first.bestGflops, 0.0);
     EXPECT_GT(model.numTrials(), 0u);
     ASSERT_TRUE(model.ready());
@@ -409,7 +409,7 @@ TEST(CostModel, ExplorerRecordsTrialsAndWarmStartsWhenReady)
     ScheduleSpace space2 = buildSpace(out.op(), target);
     Evaluator eval2(out.op(), space2, target);
     options.prunerKeep = 0.5;
-    ExploreResult second = exploreQMethod(eval2, options);
+    ExploreResult second = explore(Method::QMethod, eval2, options);
     EXPECT_GT(second.bestGflops, 0.0);
     EXPECT_GT(second.trialsUsed, 0);
 }

@@ -158,7 +158,7 @@ TEST(Trace, ObservationDoesNotChangeResults)
         options.warmupPoints = 8;
         options.seed = 0xabc;
         options.obs = obs;
-        return exploreQMethod(eval, options);
+        return explore(Method::QMethod, eval, options);
     };
     TraceRecorder rec;
     MetricsRegistry reg;

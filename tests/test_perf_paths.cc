@@ -13,7 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
+#include <cstdio>
 #include <vector>
 
 #include "explore/checkpoint.h"
@@ -179,28 +179,6 @@ TEST(PerfPaths, CheckpointV2QuarantineRoundTrip)
     ASSERT_EQ(loaded->quarantine.size(), 2u);
     EXPECT_EQ(loaded->quarantine[0].idx, (std::vector<int64_t>{12, 0, 3, 1, 9}));
     EXPECT_EQ(loaded->quarantine[1].idx, (std::vector<int64_t>{0, 0, 0, 0, 0}));
-    std::remove(path.c_str());
-}
-
-TEST(PerfPaths, CheckpointV1LegacyQuarantineStillLoads)
-{
-    // A v1 file written by the pre-overhaul code stored quarantine
-    // entries as legacy string keys ("12;0;3;"). The v2 loader must
-    // still parse them into point coordinates.
-    const std::string path = ::testing::TempDir() + "/ckpt_v1_quarantine";
-    {
-        std::ofstream out(path);
-        out << "ftckpt|v=1|method=q|seed=77|space=3/6|trial=2\n"
-            << "clock|sim=0x0p+0\n"
-            << "rng|1|2|3|4|spare=0|sparev=0x0p+0\n"
-            << "stats|0|0|0|0|0\n"
-            << "q|12;0;3;\n"
-            << "end|n=5\n";
-    }
-    auto loaded = loadCheckpoint(path);
-    ASSERT_TRUE(loaded.has_value());
-    ASSERT_EQ(loaded->quarantine.size(), 1u);
-    EXPECT_EQ(loaded->quarantine[0].idx, (std::vector<int64_t>{12, 0, 3}));
     std::remove(path.c_str());
 }
 

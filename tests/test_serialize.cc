@@ -219,7 +219,7 @@ TEST(Explore, SeedPointsEnterHistory)
     ExploreOptions options;
     options.trials = 10;
     options.seedPoints = {*seed_point};
-    ExploreResult result = exploreQMethod(eval, options);
+    ExploreResult result = explore(Method::QMethod, eval, options);
     // The seed was evaluated, so the best is at least its value.
     double expert_gflops = eval.evaluate(*seed_point);
     EXPECT_GE(result.bestGflops, expert_gflops);

@@ -189,13 +189,13 @@ TEST(ServeDeterminism, PMethodParallelEqualsSequential)
     seq_opts.startingPoints = 2;
     seq_opts.seed = 0xbeef;
     Evaluator seq(out.op(), space, target);
-    ExploreResult rs = explorePMethod(seq, seq_opts);
+    ExploreResult rs = explore(Method::PMethod, seq, seq_opts);
 
     ThreadPool pool(4);
     ExploreOptions par_opts = seq_opts;
     par_opts.evalPool = &pool;
     Evaluator par(out.op(), space, target);
-    ExploreResult rp = explorePMethod(par, par_opts);
+    ExploreResult rp = explore(Method::PMethod, par, par_opts);
 
     EXPECT_EQ(rp.bestPoint.key(), rs.bestPoint.key());
     EXPECT_DOUBLE_EQ(rp.bestGflops, rs.bestGflops);
@@ -208,7 +208,7 @@ TEST(ServeDeterminism, PMethodParallelEqualsSequential)
 
     // And a parallel run is reproducible, clock included.
     Evaluator par2(out.op(), space, target);
-    ExploreResult rp2 = explorePMethod(par2, par_opts);
+    ExploreResult rp2 = explore(Method::PMethod, par2, par_opts);
     EXPECT_EQ(rp2.bestPoint.key(), rp.bestPoint.key());
     EXPECT_DOUBLE_EQ(rp2.bestGflops, rp.bestGflops);
     EXPECT_DOUBLE_EQ(rp2.simSeconds, rp.simSeconds);
@@ -226,13 +226,13 @@ TEST(ServeDeterminism, AutoTvmParallelEqualsSequential)
     seq_opts.trials = 32;
     seq_opts.seed = 0xfeed;
     Evaluator seq(out.op(), space, target);
-    ExploreResult rs = exploreAutoTvm(seq, seq_opts);
+    ExploreResult rs = explore(Method::AutoTvm, seq, seq_opts);
 
     ThreadPool pool(4);
     ExploreOptions par_opts = seq_opts;
     par_opts.evalPool = &pool;
     Evaluator par(out.op(), space, target);
-    ExploreResult rp = exploreAutoTvm(par, par_opts);
+    ExploreResult rp = explore(Method::AutoTvm, par, par_opts);
 
     EXPECT_EQ(rp.bestPoint.key(), rs.bestPoint.key());
     EXPECT_DOUBLE_EQ(rp.bestGflops, rs.bestGflops);
