@@ -8,6 +8,9 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/flextensor.h"
 #include "ml/gbt.h"
 #include "nn/mlp.h"
@@ -136,28 +139,76 @@ BM_EvaluatorThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_EvaluatorThroughput);
 
+/** The largest Q-network the explorers build (conv2d on the GPU
+ *  model): 40 features, three hidden layers of 64, 70 directions. */
+const std::vector<int> kQDims = {40, 64, 64, 64, 70};
+
+/** `m` row-major feature rows in [-1, 1). */
+std::vector<float>
+qFeatures(int m, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<float> x(static_cast<size_t>(m) * kQDims.front());
+    for (float &v : x)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return x;
+}
+
+/** Network construction plus the target-network copy, as QPolicy's
+ *  initNets() does once per run. */
+void
+BM_QNetworkInit(benchmark::State &state)
+{
+    Rng rng(5);
+    for (auto _ : state) {
+        std::optional<Mlp> x, y;
+        x.emplace(kQDims, rng);
+        y = x;
+        benchmark::DoNotOptimize(y);
+    }
+}
+BENCHMARK(BM_QNetworkInit);
+
+/** Batched inference over `m` rows: 4 is one propose step (one row
+ *  per starting point), 32 the target-network pass of a training round. */
 void
 BM_QNetworkForward(benchmark::State &state)
 {
     Rng rng(5);
-    Mlp net({48, 64, 64, 64, 40}, rng);
-    std::vector<float> x(48, 0.3f);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(net.forward(x));
+    Mlp net(kQDims, rng);
+    const int m = static_cast<int>(state.range(0));
+    std::vector<float> x = qFeatures(m, 6);
+    MlpScratch scratch;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(net.forwardBatch(x.data(), m, scratch));
+        benchmark::ClobberMemory();
+    }
 }
-BENCHMARK(BM_QNetworkForward);
+BENCHMARK(BM_QNetworkForward)->Arg(4)->Arg(32);
 
+/** One training round on a full 32-sample replay batch: batched
+ *  gradient accumulation plus the AdaDelta step. */
 void
 BM_QNetworkTrainStep(benchmark::State &state)
 {
     Rng rng(6);
-    Mlp net({48, 64, 64, 64, 40}, rng);
-    std::vector<float> x(48, 0.3f);
+    Mlp net(kQDims, rng);
+    const int m = 32;
+    std::vector<float> x = qFeatures(m, 7);
+    std::vector<int> actions(m);
+    std::vector<float> targets(m);
+    for (int s = 0; s < m; ++s) {
+        actions[s] = static_cast<int>(rng.index(kQDims.back()));
+        targets[s] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    MlpScratch scratch;
     AdaDeltaOptions opt;
     for (auto _ : state) {
         net.zeroGrad();
-        net.accumulateGrad(x, 7, 1.0f);
+        benchmark::DoNotOptimize(net.accumulateGradBatch(
+            x.data(), m, actions.data(), targets.data(), scratch));
         net.step(opt);
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(BM_QNetworkTrainStep);

@@ -256,6 +256,14 @@ wallNsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/** A wall-time counter, or null unless the run profiles wall time. */
+Counter *
+wallCounter(const SearchRun &run, const char *name)
+{
+    return run.options.obs.wallProfile ? maybeCounter(run.metrics, name)
+                                       : nullptr;
+}
+
 /**
  * SA starting points, then one direction per start chosen by a
  * Q-learning network trained online from a replay buffer against a
@@ -272,10 +280,9 @@ class QPolicy final : public SearchPolicy
           order_(numDirs_),
           forwardCounter_(maybeCounter(run.metrics, "q.forward_passes")),
           trainCounter_(maybeCounter(run.metrics, "q.train_rounds")),
-          forwardNsCounter_(run.options.obs.wallProfile
-                                ? maybeCounter(run.metrics,
-                                               "q.forward_batch.ns")
-                                : nullptr)
+          forwardNsCounter_(wallCounter(run, "q.forward_batch.ns")),
+          initNsCounter_(wallCounter(run, "q.init.ns")),
+          trainNsCounter_(wallCounter(run, "q.train.ns"))
     {
         // At most one transition lands per start per trial; cap the
         // reserve so a huge trial budget cannot pre-claim unbounded
@@ -349,11 +356,14 @@ class QPolicy final : public SearchPolicy
      *  updates. Y starts from X's initial parameters. */
     void initNets()
     {
+        const auto t0 = std::chrono::steady_clock::now();
         const int hidden = run_.options.hidden;
         netX_.emplace(std::vector<int>{featureDim_, hidden, hidden, hidden,
                                        numDirs_},
                       run_.rng);
         netY_ = netX_;
+        if (initNsCounter_)
+            initNsCounter_->add(static_cast<uint64_t>(wallNsSince(t0)));
     }
 
     /** Batched direction inference: every start's feature row is
@@ -496,6 +506,7 @@ class QPolicy final : public SearchPolicy
     {
         if (run_.trace)
             run_.trace->begin("q_train", run_.eval.simulatedSeconds());
+        const auto t0 = std::chrono::steady_clock::now();
         netX_->zeroGrad();
         const int batch = std::min<int>(run_.options.replayBatch,
                                         static_cast<int>(replay_.size()));
@@ -546,9 +557,17 @@ class QPolicy final : public SearchPolicy
                                    targets.data(), netScratch_);
         netX_->step(adadelta_);
         netY_->copyValuesFrom(*netX_);
+        if (trainNsCounter_)
+            trainNsCounter_->add(static_cast<uint64_t>(wallNsSince(t0)));
         if (run_.trace) {
-            run_.trace->end("q_train", run_.eval.simulatedSeconds(),
-                            {tint("batch", batch)});
+            if (run_.options.obs.wallProfile) {
+                run_.trace->end("q_train", run_.eval.simulatedSeconds(),
+                                {tint("batch", batch),
+                                 tint("ns", wallNsSince(t0))});
+            } else {
+                run_.trace->end("q_train", run_.eval.simulatedSeconds(),
+                                {tint("batch", batch)});
+            }
         }
         if (trainCounter_)
             trainCounter_->add();
@@ -575,7 +594,10 @@ class QPolicy final : public SearchPolicy
 
     Counter *forwardCounter_;
     Counter *trainCounter_;
+    // Wall-time counters (null unless obs.wallProfile).
     Counter *forwardNsCounter_;
+    Counter *initNsCounter_;
+    Counter *trainNsCounter_;
 };
 
 // ---------------------------------------------------------------------

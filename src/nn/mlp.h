@@ -36,11 +36,10 @@ struct AdaDeltaOptions
 struct MlpScratch
 {
     std::vector<float> a, b;              ///< ping-pong activation planes
-    std::vector<std::vector<float>> acts; ///< per-layer inputs (backward)
-    std::vector<float> dy, dx;            ///< backward gradient buffers
-    std::vector<float> xt;  ///< transposed input plane (batched passes)
-    std::vector<float> out; ///< row-major batch output
-    std::vector<float> col; ///< one sample's activations (batch backward)
+    std::vector<std::vector<float>> acts; ///< per-layer activations (backward)
+    std::vector<float> dy, dx;            ///< backward gradient planes
+    std::vector<const float *> rows;      ///< nonzero-gradient rows
+    std::vector<float> gains;             ///< their gradient values
 };
 
 /** A parameter tensor with gradient and AdaDelta accumulators. */
@@ -61,7 +60,15 @@ struct Param
     void step(const AdaDeltaOptions &opt);
 };
 
-/** One fully-connected layer: y = W x + b. */
+/**
+ * One fully-connected layer: y = W x + b.
+ *
+ * The row-major W (`params()`) is the source of truth and the checkpoint
+ * layout. forwardBatch() reads a packed transposed copy instead (in x
+ * outputs padded to a multiple of 8, zero-filled, with the bias padded
+ * the same way), refreshed wherever the values change: construction,
+ * step(), copyValuesFrom() and restoreState().
+ */
 class Linear
 {
   public:
@@ -70,37 +77,47 @@ class Linear
     int inDim() const { return inDim_; }
     int outDim() const { return outDim_; }
 
-    /** Forward pass; caches nothing (caller keeps activations). */
+    /**
+     * Scalar forward pass; caches nothing (caller keeps activations).
+     * Each output accumulates from the bias, then i ascending, one
+     * separate multiply and add per step. This is the reference order
+     * every batched path reproduces bit for bit.
+     */
     std::vector<float> forward(const std::vector<float> &x) const;
 
+    /** forward() into a caller-owned buffer (y: outDim floats). */
+    void forwardInto(const float *x, float *y) const;
+
     /**
-     * Blocked batch forward: `x` is m row-major samples (m x inDim),
-     * `y` receives m x outDim. Each weight row is streamed across the
-     * whole batch (SIMD/cache friendly), and every sample's dot product
-     * accumulates in the same order as forward(), so row s of the
-     * result is bit-identical to forward(sample s).
+     * Register-blocked batch forward: `x` is m row-major samples
+     * (m x inDim), `y` receives m x outDim. A tile keeps 4 samples x 16
+     * outputs in registers, 8 output lanes per SIMD register, so 8
+     * independent add chains run at once. Every lane still starts from
+     * the bias and walks i ascending with a separate multiply and add,
+     * so row s of the result is bit-identical to forward(sample s).
      */
     void forwardBatch(const float *x, int m, float *y) const;
 
     /**
-     * forwardBatch() on transposed planes: `xT` is inDim x m (sample s
-     * is column s), `yT` receives outDim x m. The inner loop runs
-     * across the m sample lanes — contiguous loads, no loop-carried
-     * dependency — so it vectorizes, while each sample's accumulation
-     * still walks i in ascending order from the bias: column s equals
-     * forward(sample s) bit for bit.
-     */
-    void forwardBatchT(const float *xT, int m, float *yT) const;
-
-    /**
-     * Backward pass: given dL/dy and the forward input, accumulate
-     * parameter gradients and return dL/dx.
+     * Scalar backward pass: given dL/dy and the forward input,
+     * accumulate parameter gradients and return dL/dx.
      */
     std::vector<float> backward(const std::vector<float> &dy,
                                 const std::vector<float> &x);
 
-    /** backward() into a caller-owned buffer (dx: inDim floats). */
+    /** backward() into a caller-owned buffer (dx: inDim floats, or
+     *  null when no caller reads dL/dx). */
     void backwardInto(const float *dy, const float *x, float *dx);
+
+    /**
+     * backwardInto() over m row-major samples (dy: m x outDim, x: m x
+     * inDim, dx: m x inDim or null), vectorized across the input index.
+     * Every gradient element sees the same sequence of adds as m
+     * successive backwardInto() calls: samples ascending for the
+     * parameter gradients, outputs ascending for dL/dx.
+     */
+    void backwardBatch(const float *dy, const float *x, int m, float *dx,
+                       MlpScratch &scratch);
 
     void zeroGrad();
     void step(const AdaDeltaOptions &opt);
@@ -109,13 +126,25 @@ class Linear
     void copyValuesFrom(const Linear &other);
 
     /** Raw parameter tensors {weights, bias} for checkpointing. */
-    std::array<Param *, 2> params() { return {&w_, &b_}; }
     std::array<const Param *, 2> params() const { return {&w_, &b_}; }
 
+    /**
+     * Overwrite every parameter's values and AdaDelta accumulators from
+     * `src`, in params() order (value, E[g^2], E[dx^2] per tensor).
+     * Returns the number of floats consumed.
+     */
+    std::size_t restoreState(const float *src);
+
   private:
+    /** Rebuild the packed transposed copy from w_ and b_. */
+    void repack();
+
     int inDim_, outDim_;
-    Param w_; ///< row-major (out x in)
+    int outPad_; ///< outDim rounded up to a multiple of 8
+    Param w_;    ///< row-major (out x in)
     Param b_;
+    std::vector<float> packedW_; ///< transposed (in x outPad), zero pad
+    std::vector<float> packedB_; ///< bias padded to outPad
 };
 
 /**
@@ -130,7 +159,8 @@ class Mlp
     int inputDim() const;
     int outputDim() const;
 
-    /** Forward pass returning the output vector. */
+    /** Scalar forward pass (Linear::forward per layer) returning the
+     *  output vector. */
     std::vector<float> forward(const std::vector<float> &x) const;
 
     /**
@@ -144,7 +174,9 @@ class Mlp
 
     /**
      * Accumulate gradients for a single (input, action, target) sample:
-     * loss = (output[action] - target)^2. Returns the loss.
+     * loss = (output[action] - target)^2. Returns the loss. Runs the
+     * scalar forward/backward passes: the reference accumulateGradBatch()
+     * reproduces.
      */
     double accumulateGrad(const std::vector<float> &x, int action,
                           float target);
@@ -156,10 +188,11 @@ class Mlp
     /**
      * accumulateGrad() over a whole batch: `x` is m row-major samples,
      * `actions`/`targets` hold one entry per sample. The forward pass
-     * runs once, batched across the sample lanes; gradients then
-     * accumulate sample by sample in index order, so the parameter
-     * gradients (and the returned summed loss) are bit-identical to m
-     * successive accumulateGrad() calls.
+     * runs once through forwardBatch(), then backpropagation runs layer
+     * by layer over the whole batch through backwardBatch(). Every
+     * gradient element receives its per-sample contributions in sample
+     * order, so the parameter gradients (and the returned summed loss)
+     * are bit-identical to m successive accumulateGrad() calls.
      */
     double accumulateGradBatch(const float *x, int m, const int *actions,
                                const float *targets, MlpScratch &scratch);

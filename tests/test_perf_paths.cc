@@ -14,6 +14,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "explore/checkpoint.h"
@@ -109,6 +112,208 @@ TEST(PerfPaths, AccumulateGradScratchMatchesLegacy)
     std::vector<float> out_b = scratched.forward(probe);
     for (size_t i = 0; i < out_a.size(); ++i)
         EXPECT_EQ(out_a[i], out_b[i]);
+}
+
+/** Q-network shapes the explorers build, {features, 64, 64, 64,
+ *  directions}: conv2d on the GPU and CPU models, gemm on the GPU. */
+const std::vector<std::vector<int>> kQShapes = {
+    {40, 64, 64, 64, 70}, {35, 64, 64, 64, 38}, {22, 64, 64, 64, 34}};
+
+/** Batch sizes around the kernels' 4-sample and 16-output tiles,
+ *  including the propose batch (4) and the train batch (<= 32). */
+const int kBatchSizes[] = {1, 2, 3, 4, 5, 8, 17, 20, 32};
+
+/** Index of the first float whose bit pattern differs, or -1. */
+long
+firstBitMismatch(const float *a, const float *b, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0)
+            return static_cast<long>(i);
+    }
+    return -1;
+}
+
+long
+firstBitMismatch(const std::vector<float> &a, const std::vector<float> &b)
+{
+    if (a.size() != b.size())
+        return 0;
+    return firstBitMismatch(a.data(), b.data(), a.size());
+}
+
+/** Every row of a forwardBatch() over `x` equals the scalar forward(). */
+void
+expectBatchMatchesScalar(const Mlp &net, const std::vector<float> &x, int m,
+                         const std::string &what)
+{
+    const int in = net.inputDim();
+    const int out = net.outputDim();
+    MlpScratch scratch;
+    const float *y = net.forwardBatch(x.data(), m, scratch);
+    for (int s = 0; s < m; ++s) {
+        std::vector<float> row(x.begin() + static_cast<size_t>(s) * in,
+                               x.begin() + static_cast<size_t>(s + 1) * in);
+        std::vector<float> want = net.forward(row);
+        EXPECT_EQ(firstBitMismatch(want.data(),
+                                   y + static_cast<size_t>(s) * out, out),
+                  -1)
+            << what << " m=" << m << " sample=" << s;
+    }
+}
+
+TEST(PerfPaths, MlpForwardBatchMatchesScalarAtQShapes)
+{
+    Rng rng(606);
+    for (const auto &dims : kQShapes) {
+        Mlp net(dims, rng);
+        for (int m : kBatchSizes) {
+            std::vector<float> x = randomVec(rng, dims.front() * m);
+            expectBatchMatchesScalar(net, x, m,
+                                     "in=" + std::to_string(dims.front()));
+        }
+    }
+}
+
+TEST(PerfPaths, LinearBackwardBatchMatchesScalarExactly)
+{
+    // Odd shapes exercise the 32-, 8- and 1-wide tails; zeros in dy
+    // exercise the skipped (sample, output) pairs.
+    Rng rng(707);
+    for (auto [in, out] : {std::pair<int, int>{1, 1},
+                           {3, 5},
+                           {22, 34},
+                           {35, 38},
+                           {40, 64},
+                           {64, 70}}) {
+        for (int m : kBatchSizes) {
+            Rng init_a(in * 1000 + out), init_b(in * 1000 + out);
+            Linear scalar(in, out, init_a);
+            Linear batched(in, out, init_b);
+            std::vector<float> x = randomVec(rng, in * m);
+            std::vector<float> dy = randomVec(rng, out * m);
+            for (size_t i = 0; i < dy.size(); i += 3)
+                dy[i] = 0.0f;
+            std::vector<float> dx_want(static_cast<size_t>(in) * m);
+            for (int s = 0; s < m; ++s) {
+                scalar.backwardInto(dy.data() + static_cast<size_t>(s) * out,
+                                    x.data() + static_cast<size_t>(s) * in,
+                                    dx_want.data() +
+                                        static_cast<size_t>(s) * in);
+            }
+            std::vector<float> dx_got(dx_want.size(), -7.0f);
+            MlpScratch scratch;
+            batched.backwardBatch(dy.data(), x.data(), m, dx_got.data(),
+                                  scratch);
+            EXPECT_EQ(firstBitMismatch(dx_want, dx_got), -1)
+                << "dx in=" << in << " out=" << out << " m=" << m;
+            for (int p = 0; p < 2; ++p) {
+                EXPECT_EQ(firstBitMismatch(scalar.params()[p]->grad,
+                                           batched.params()[p]->grad),
+                          -1)
+                    << "param " << p << " in=" << in << " out=" << out
+                    << " m=" << m;
+            }
+        }
+    }
+}
+
+TEST(PerfPaths, AccumulateGradBatchStepMatchesScalarAtQShapes)
+{
+    // m scalar accumulateGrad() calls then step() versus one
+    // accumulateGradBatch() then step(): same loss, and the same
+    // values and AdaDelta state afterwards. Two rounds, so the second
+    // batch runs on weights the first step changed (the packed copy
+    // must have been refreshed).
+    Rng rng(808);
+    AdaDeltaOptions opt;
+    int seed = 1;
+    for (const auto &dims : kQShapes) {
+        for (int m : kBatchSizes) {
+            Rng init_a(seed), init_b(seed);
+            ++seed;
+            Mlp scalar(dims, init_a);
+            Mlp batched(dims, init_b);
+            MlpScratch scratch;
+            for (int round = 0; round < 2; ++round) {
+                std::vector<float> x = randomVec(rng, dims.front() * m);
+                std::vector<int> actions(m);
+                std::vector<float> targets(m);
+                for (int s = 0; s < m; ++s) {
+                    actions[s] = static_cast<int>(rng.index(dims.back()));
+                    targets[s] = static_cast<float>(rng.uniform(-1.0, 1.0));
+                }
+                scalar.zeroGrad();
+                batched.zeroGrad();
+                double loss_want = 0.0;
+                for (int s = 0; s < m; ++s) {
+                    std::vector<float> row(
+                        x.begin() + static_cast<size_t>(s) * dims.front(),
+                        x.begin() +
+                            static_cast<size_t>(s + 1) * dims.front());
+                    loss_want +=
+                        scalar.accumulateGrad(row, actions[s], targets[s]);
+                }
+                double loss_got = batched.accumulateGradBatch(
+                    x.data(), m, actions.data(), targets.data(), scratch);
+                EXPECT_EQ(loss_want, loss_got)
+                    << "in=" << dims.front() << " m=" << m
+                    << " round=" << round;
+                scalar.step(opt);
+                batched.step(opt);
+                EXPECT_EQ(firstBitMismatch(scalar.checkpointState(),
+                                           batched.checkpointState()),
+                          -1)
+                    << "in=" << dims.front() << " m=" << m
+                    << " round=" << round;
+            }
+            std::vector<float> probe = randomVec(rng, dims.front() * m);
+            expectBatchMatchesScalar(batched, probe, m, "after step");
+        }
+    }
+}
+
+TEST(PerfPaths, PackedWeightsFollowCopyAndRestore)
+{
+    // Train a network so its values differ from any fresh init, then
+    // move them into fresh networks through both value paths. Batched
+    // forwards read the packed copy, so they only agree with the
+    // trained network's scalar forward if each path refreshed it.
+    Rng rng(909);
+    AdaDeltaOptions opt;
+    for (const auto &dims : kQShapes) {
+        Mlp trained(dims, rng);
+        MlpScratch scratch;
+        const int m = 20;
+        std::vector<float> x = randomVec(rng, dims.front() * m);
+        std::vector<int> actions(m);
+        std::vector<float> targets(m, 0.5f);
+        for (int s = 0; s < m; ++s)
+            actions[s] = s % dims.back();
+        for (int round = 0; round < 3; ++round) {
+            trained.zeroGrad();
+            trained.accumulateGradBatch(x.data(), m, actions.data(),
+                                        targets.data(), scratch);
+            trained.step(opt);
+        }
+        const float *y = trained.forwardBatch(x.data(), m, scratch);
+        std::vector<float> want(y, y + static_cast<size_t>(m) * dims.back());
+
+        Mlp copied(dims, rng);
+        copied.copyValuesFrom(trained);
+        Mlp restored(dims, rng);
+        ASSERT_TRUE(restored.restoreCheckpointState(trained.checkpointState()));
+        for (const Mlp *net : {&copied, &restored}) {
+            MlpScratch own;
+            const float *got = net->forwardBatch(x.data(), m, own);
+            EXPECT_EQ(firstBitMismatch(want.data(), got, want.size()), -1)
+                << "in=" << dims.front()
+                << (net == &copied ? " copyValuesFrom" : " restore");
+            expectBatchMatchesScalar(*net, x, m,
+                                     net == &copied ? "copyValuesFrom"
+                                                    : "restore");
+        }
+    }
 }
 
 TEST(PerfPaths, PointKeyPinnedConstants)
