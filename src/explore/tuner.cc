@@ -53,19 +53,12 @@ tuneOp(const Operation &anchor, const Target &target,
              tstr("method", methodName(options.method)),
              tint("seed", static_cast<int64_t>(options.explore.seed)),
              tint("trials", options.explore.trials)});
-        // The space is built before any measurement: sim clock is 0.
-        obs.trace->begin("space_build", 0.0);
     }
     SpaceOptions space_options;
     space_options.templateRestricted =
         options.templateRestricted || options.method == Method::AutoTvm;
-    ScheduleSpace space = buildSpace(anchor, target, space_options);
-    if (obs.trace) {
-        obs.trace->end("space_build", 0.0,
-                       {treal("size", space.size()),
-                        tint("dims", space.numSubSpaces()),
-                        tint("directions", space.numDirections())});
-    }
+    ScheduleSpace space =
+        buildSpaceObserved(anchor, target, space_options, obs);
     if (obs.metrics)
         obs.metrics->counter("tuner.runs").add();
 

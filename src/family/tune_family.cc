@@ -52,7 +52,6 @@ tuneFamily(const ShapeFamily &family, const Target &target,
              tint("seed", static_cast<int64_t>(options.explore.seed)),
              tint("buckets", static_cast<int64_t>(buckets.size())),
              tint("lo", family.var.lo), tint("hi", family.var.hi)});
-        obs.trace->begin("space_build", 0.0);
     }
 
     // One shape-generic space built from the padded upper bound serves
@@ -68,14 +67,9 @@ tuneFamily(const ShapeFamily &family, const Target &target,
         space_options.spatialExtentOverride.resize(family.dynamicAxis + 1, 0);
     space_options.spatialExtentOverride[family.dynamicAxis] =
         nextPow2(family.var.hi);
-    ScheduleSpace space = buildSpace(generic, target, space_options);
+    ScheduleSpace space =
+        buildSpaceObserved(generic, target, space_options, obs);
 
-    if (obs.trace) {
-        obs.trace->end("space_build", 0.0,
-                       {treal("size", space.size()),
-                        tint("dims", space.numSubSpaces()),
-                        tint("directions", space.numDirections())});
-    }
     if (obs.metrics)
         obs.metrics->counter("family.runs").add();
     // Every bucket's ExploreOptions copy carries the same CostModel

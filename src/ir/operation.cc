@@ -57,8 +57,14 @@ ComputeOp::ComputeOp(std::string name, std::vector<IterVar> axis,
         FT_ASSERT(iv->kind == IterKind::Reduce,
                   "reduce axis of ", name_, " must have reduce kind");
     }
-    for (const auto &src : collectSources(body_))
-        inputs_.push_back(Tensor(src));
+    std::unordered_set<const OperationNode *> seen;
+    visitExpr(body_, [&](const ExprNode &n) {
+        if (n.kind != ExprKind::Access)
+            return;
+        accesses_.push_back(&n);
+        if (seen.insert(n.source.get()).second)
+            inputs_.push_back(Tensor(n.source));
+    });
 }
 
 std::vector<Tensor>

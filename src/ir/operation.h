@@ -131,11 +131,21 @@ class ComputeOp : public OperationNode
     /** Scalar body computed (and summed, if reducing) at each point. */
     const Expr &body() const { return body_; }
 
+    /**
+     * Every Access node of the body in visitExpr pre-order (repeats
+     * included), collected once at construction; the body is immutable.
+     */
+    const std::vector<const ExprNode *> &accesses() const
+    {
+        return accesses_;
+    }
+
   private:
     std::vector<IterVar> axis_;
     std::vector<IterVar> reduceAxis_;
     Expr body_;
     std::vector<Tensor> inputs_; ///< cached distinct input tensors
+    std::vector<const ExprNode *> accesses_; ///< cached body accesses
 };
 
 /** Create a placeholder tensor. */

@@ -250,8 +250,7 @@ Linear::Linear(int in_dim, int out_dim, Rng &rng)
     w_.resize(static_cast<size_t>(in_dim) * out_dim);
     b_.resize(static_cast<size_t>(out_dim));
     const double scale = std::sqrt(2.0 / in_dim); // He init for ReLU nets
-    for (auto &v : w_.value)
-        v = static_cast<float>(rng.normal(0.0, scale));
+    rng.fillNormal(w_.value.data(), w_.value.size(), 0.0, scale);
     repack();
 }
 

@@ -31,7 +31,8 @@ struct PhaseBreakdown
     double simSeconds = 0.0; ///< sum of span durations on the sim clock
     /** Sum of wall nanoseconds carried on end events (`ns` attribute;
      *  emitted by wall-profiled runs for `eval.decode`, `eval.lower`,
-     *  and `q_forward_batch`). Zero for unprofiled traces. */
+     *  `q_forward_batch`, `q_train` and `space_build`). Zero for
+     *  unprofiled traces. */
     uint64_t wallNs = 0;
 };
 

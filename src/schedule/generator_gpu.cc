@@ -193,7 +193,7 @@ generateGpuInto(const Operation &anchor, const OpConfig &config,
         op->axis().empty() ? nullptr : op->axis().back().get();
     if (inner_thread_axis) {
         int total = 0, good = 0;
-        for (const ExprNode *acc : gen::bodyAccesses(op)) {
+        for (const ExprNode *acc : op->accesses()) {
             ++total;
             if (acc->indices.empty())
                 continue;

@@ -7,17 +7,6 @@
 namespace ft {
 namespace gen {
 
-std::vector<const ExprNode *>
-bodyAccesses(const ComputeOp *op)
-{
-    std::vector<const ExprNode *> out;
-    visitExpr(op->body(), [&](const ExprNode &n) {
-        if (n.kind == ExprKind::Access)
-            out.push_back(&n);
-    });
-    return out;
-}
-
 VarRanges
 rangesWithFree(const ComputeOp *op, const std::vector<SubLoop> &loops,
                const std::function<bool(const SubLoop &)> &isFree)
@@ -41,7 +30,7 @@ std::vector<InputFootprint>
 inputFootprints(const ComputeOp *op, const VarRanges &ranges)
 {
     std::vector<InputFootprint> out;
-    for (const ExprNode *acc : bodyAccesses(op))
+    for (const ExprNode *acc : op->accesses())
         out.push_back({acc, accessFootprint(*acc, ranges)});
     return out;
 }

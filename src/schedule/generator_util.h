@@ -15,9 +15,6 @@
 namespace ft {
 namespace gen {
 
-/** Distinct tensor-access nodes in the body of a compute op. */
-std::vector<const ExprNode *> bodyAccesses(const ComputeOp *op);
-
 /**
  * Build variable ranges where sub-loops satisfying `isFree` span their full
  * range and all others are pinned to zero. The range of an original

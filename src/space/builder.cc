@@ -1,5 +1,9 @@
 #include "space/builder.h"
 
+#include <chrono>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "schedule/generator.h"
 #include "support/logging.h"
 
@@ -80,6 +84,36 @@ buildSpace(const Operation &anchor, const Target &target,
         space.add(std::make_unique<ChoiceSubSpace>(
             KnobRole::FpgaPartition, "partition",
             std::vector<int64_t>{1, 2, 4, 8}));
+    }
+    return space;
+}
+
+ScheduleSpace
+buildSpaceObserved(const Operation &anchor, const Target &target,
+                   const SpaceOptions &options, const ObsContext &obs)
+{
+    if (obs.trace)
+        obs.trace->begin("space_build", 0.0);
+    const auto t0 = std::chrono::steady_clock::now();
+    ScheduleSpace space = buildSpace(anchor, target, options);
+    const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+    if (obs.wallProfile) {
+        if (Counter *c = maybeCounter(obs.metrics, "space.build.ns"))
+            c->add(static_cast<uint64_t>(ns));
+    }
+    if (obs.trace && obs.wallProfile) {
+        obs.trace->end("space_build", 0.0,
+                       {treal("size", space.size()),
+                        tint("dims", space.numSubSpaces()),
+                        tint("directions", space.numDirections()),
+                        tint("ns", ns)});
+    } else if (obs.trace) {
+        obs.trace->end("space_build", 0.0,
+                       {treal("size", space.size()),
+                        tint("dims", space.numSubSpaces()),
+                        tint("directions", space.numDirections())});
     }
     return space;
 }

@@ -11,6 +11,7 @@
 #define FLEXTENSOR_SPACE_BUILDER_H
 
 #include "analysis/static_analyzer.h"
+#include "obs/obs.h"
 #include "sim/hw_spec.h"
 #include "space/space.h"
 
@@ -57,6 +58,18 @@ struct SpaceOptions
 /** Build the schedule space of one compute node for a target. */
 ScheduleSpace buildSpace(const Operation &anchor, const Target &target,
                          const SpaceOptions &options = {});
+
+/**
+ * buildSpace inside a `space_build` trace span at sim time 0 (the space
+ * is built before any measurement); the span's end carries the space's
+ * size, dims and directions. Under obs.wallProfile the build's wall
+ * nanoseconds also go to the `space.build.ns` counter and onto the
+ * span's end as `ns`.
+ */
+ScheduleSpace buildSpaceObserved(const Operation &anchor,
+                                 const Target &target,
+                                 const SpaceOptions &options,
+                                 const ObsContext &obs);
 
 } // namespace ft
 

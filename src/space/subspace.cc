@@ -1,6 +1,6 @@
 #include "space/subspace.h"
 
-#include <sstream>
+#include <algorithm>
 
 #include "support/logging.h"
 #include "support/math_util.h"
@@ -30,17 +30,6 @@ SplitSubSpace::SplitSubSpace(KnobRole role, int axis, int64_t extent,
         entries_.push_back(std::move(f));
     }
     FT_ASSERT(!entries_.empty(), "split sub-space is empty");
-    for (size_t i = 0; i < entries_.size(); ++i)
-        index_[keyOf(entries_[i])] = static_cast<int64_t>(i);
-}
-
-std::string
-SplitSubSpace::keyOf(const std::vector<int64_t> &factors)
-{
-    std::ostringstream oss;
-    for (int64_t f : factors)
-        oss << f << ",";
-    return oss.str();
 }
 
 int64_t
@@ -76,9 +65,8 @@ SplitSubSpace::move(int64_t idx, int dir) const
     std::vector<int64_t> g = f;
     g[i] *= t;
     g[j] /= t;
-    auto it = index_.find(keyOf(g));
     // Pruned spaces (e.g. power-of-two templates) may lack the neighbor.
-    return it == index_.end() ? -1 : it->second;
+    return indexOf(g);
 }
 
 void
@@ -104,15 +92,17 @@ SplitSubSpace::indexOfTrivial(int part) const
 {
     std::vector<int64_t> f(parts_, 1);
     f[part] = extent_;
-    auto it = index_.find(keyOf(f));
-    return it == index_.end() ? 0 : it->second;
+    const int64_t idx = indexOf(f);
+    return idx < 0 ? 0 : idx;
 }
 
 int64_t
 SplitSubSpace::indexOf(const std::vector<int64_t> &factors) const
 {
-    auto it = index_.find(keyOf(factors));
-    return it == index_.end() ? -1 : it->second;
+    auto it = std::lower_bound(entries_.begin(), entries_.end(), factors);
+    if (it == entries_.end() || *it != factors)
+        return -1;
+    return static_cast<int64_t>(it - entries_.begin());
 }
 
 ChoiceSubSpace::ChoiceSubSpace(KnobRole role, std::string name,

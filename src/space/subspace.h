@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "schedule/config.h"
@@ -100,7 +99,11 @@ class SplitSubSpace : public SubSpace
      */
     int64_t indexOfTrivial(int part) const;
 
-    /** Index of the given factor tuple; -1 if not present. */
+    /**
+     * Index of the given factor tuple; -1 if not present (wrong length,
+     * not a factorization of the extent, or pruned). A binary search
+     * over the sorted entries.
+     */
     int64_t indexOf(const std::vector<int64_t> &factors) const;
 
     int parts() const { return parts_; }
@@ -108,10 +111,10 @@ class SplitSubSpace : public SubSpace
   private:
     int64_t extent_;
     int parts_;
+    /** Factor tuples in ascending lexicographic order, the order
+     *  factorizations() produces (pruning keeps it); indexOf relies on
+     *  it. */
     std::vector<std::vector<int64_t>> entries_;
-    std::unordered_map<std::string, int64_t> index_;
-
-    static std::string keyOf(const std::vector<int64_t> &factors);
 };
 
 /** A scalar knob over an explicit list of values; directions are +/-1. */

@@ -25,8 +25,16 @@ divisorsOf(int64_t n)
 
 namespace {
 
+/**
+ * Emit every factorization of n into `parts` factors drawn from `divs`
+ * (the ascending divisors of the top-level extent, a superset of the
+ * divisors of every n reached here). Taking the divisors of n in
+ * ascending order at every level yields the tuples in ascending
+ * lexicographic order.
+ */
 void
-factorizeRec(int64_t n, int parts, std::vector<int64_t> &cur,
+factorizeRec(int64_t n, int parts, const std::vector<int64_t> &divs,
+             std::vector<int64_t> &cur,
              std::vector<std::vector<int64_t>> &out)
 {
     if (parts == 1) {
@@ -35,9 +43,13 @@ factorizeRec(int64_t n, int parts, std::vector<int64_t> &cur,
         cur.pop_back();
         return;
     }
-    for (int64_t d : divisorsOf(n)) {
+    for (int64_t d : divs) {
+        if (d > n)
+            break;
+        if (n % d != 0)
+            continue;
         cur.push_back(d);
-        factorizeRec(n / d, parts - 1, cur, out);
+        factorizeRec(n / d, parts - 1, divs, cur, out);
         cur.pop_back();
     }
 }
@@ -51,7 +63,8 @@ factorizations(int64_t n, int parts)
               "factorizations requires n >= 1 and parts >= 1");
     std::vector<std::vector<int64_t>> out;
     std::vector<int64_t> cur;
-    factorizeRec(n, parts, cur, out);
+    cur.reserve(static_cast<size_t>(parts));
+    factorizeRec(n, parts, divisorsOf(n), cur, out);
     return out;
 }
 

@@ -23,6 +23,10 @@ std::vector<int64_t> divisorsOf(int64_t n);
  * "divisible split" enumeration the paper uses to prune the split-factor
  * parameter space. The count grows with the number of divisors, so callers
  * should keep `parts` small (the paper uses at most 4).
+ *
+ * The tuples come back in ascending lexicographic order (divisors are
+ * taken in ascending order at every level). SplitSubSpace::indexOf
+ * binary-searches its entries and relies on this order.
  */
 std::vector<std::vector<int64_t>> factorizations(int64_t n, int parts);
 

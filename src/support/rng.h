@@ -57,6 +57,15 @@ class Rng
     /** Normal sample with the given mean and standard deviation. */
     double normal(double mean, double stddev);
 
+    /**
+     * Fill out[0..n) with normal samples. Equivalent to the scalar loop
+     *     for (i = 0; i < n; ++i) out[i] = float(normal(mean, stddev));
+     * bit for bit, and leaves the same state() afterwards (a banked
+     * spare is consumed first; an odd tail banks one). It only batches
+     * the polar method: all pairs are drawn first, then transformed.
+     */
+    void fillNormal(float *out, std::size_t n, double mean, double stddev);
+
     /** Bernoulli trial with probability p of returning true. */
     bool chance(double p);
 

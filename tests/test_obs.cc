@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "explore/tuner.h"
+#include "family/tune_family.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_report.h"
@@ -234,6 +235,63 @@ TEST(TraceReport, FoldsPhasesAndCurve)
     EXPECT_NE(renderTraceReport(report).find("Fig. 7"), std::string::npos);
     EXPECT_NE(traceReportJson(report).find("\"curve\""),
               std::string::npos);
+}
+
+TEST(Trace, WallProfileAttributesSpaceBuild)
+{
+    // tuneOp and tuneFamily time buildSpace only under wallProfile: the
+    // `space.build.ns` counter and the span's `ns` appear together, and
+    // an unprofiled trace carries neither.
+    Tensor out = obsGemm();
+    const Target target = Target::forGpu(v100());
+    ShapeVar batch;
+    batch.name = "batch";
+    batch.lo = 1;
+    batch.hi = 8;
+    const ShapeFamily family = gemmOverM(64, 64, batch);
+    for (bool family_run : {false, true}) {
+        for (bool profile : {false, true}) {
+            TraceRecorder rec;
+            MetricsRegistry metrics;
+            ExploreOptions explore;
+            explore.trials = 4;
+            explore.warmupPoints = 2;
+            explore.obs = {&rec, &metrics, profile};
+            if (family_run) {
+                FamilyTuneOptions options;
+                options.method = Method::Random;
+                options.explore = explore;
+                tuneFamily(family, target, options);
+            } else {
+                TuneOptions options;
+                options.method = Method::Random;
+                options.explore = explore;
+                tuneOp(out.op(), target, options);
+            }
+            bool counted = false;
+            for (const auto &[name, value] : metrics.snapshot().counters) {
+                if (name == "space.build.ns") {
+                    counted = true;
+                    EXPECT_GT(value, 0u);
+                }
+            }
+            EXPECT_EQ(counted, profile) << "family=" << family_run;
+            int ends = 0;
+            for (const auto &line : rec.lines()) {
+                auto e = parseTraceLine(line);
+                ASSERT_TRUE(e.has_value()) << line;
+                if (e->name != "space_build" || e->type != 'E')
+                    continue;
+                ++ends;
+                EXPECT_TRUE(e->has("size") && e->has("directions"));
+                EXPECT_EQ(e->has("ns"), profile) << line;
+                if (profile) {
+                    EXPECT_GT(e->integer("ns"), 0) << line;
+                }
+            }
+            EXPECT_EQ(ends, 1) << "family=" << family_run;
+        }
+    }
 }
 
 TEST(TraceReport, JsonOmitsEmptySections)

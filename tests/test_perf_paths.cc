@@ -12,17 +12,25 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "dnn/models.h"
 #include "explore/checkpoint.h"
+#include "graph/lower.h"
 #include "nn/mlp.h"
 #include "ops/ops.h"
 #include "space/builder.h"
+#include "support/math_util.h"
 #include "support/rng.h"
 
 namespace ft {
@@ -385,6 +393,216 @@ TEST(PerfPaths, CheckpointV2QuarantineRoundTrip)
     EXPECT_EQ(loaded->quarantine[0].idx, (std::vector<int64_t>{12, 0, 3, 1, 9}));
     EXPECT_EQ(loaded->quarantine[1].idx, (std::vector<int64_t>{0, 0, 0, 0, 0}));
     std::remove(path.c_str());
+}
+
+/**
+ * Every anchor the Section 6.6 deployment tunes: the heavy (conv and
+ * dense) nodes of YOLO-v1 and OverFeat, lowered exactly as tuneDag
+ * lowers them. The mini-graphs are returned so the anchors stay alive.
+ */
+std::vector<MiniGraph>
+sec66AnchorGraphs()
+{
+    std::vector<MiniGraph> out;
+    for (const Network &net : {yoloV1(), overFeat()}) {
+        const graph::ComputeDag dag = graph::dagFromNetwork(net);
+        for (size_t id = 0; id < dag.nodes.size(); ++id) {
+            if (dag.nodes[id].isHeavy())
+                out.emplace_back(
+                    graph::lowerAnchor(dag, static_cast<int>(id)).output);
+        }
+    }
+    return out;
+}
+
+/** The string key the split index used before it became a search. */
+std::string
+factorKey(const std::vector<int64_t> &factors)
+{
+    std::ostringstream oss;
+    for (int64_t f : factors)
+        oss << f << ",";
+    return oss.str();
+}
+
+/**
+ * Check one split sub-space against a string-keyed reference index:
+ * indexOf of every entry, every move (same direction decoding and
+ * smallest-prime step as SplitSubSpace::move), indexOfTrivial, and -1
+ * for tuples the space lacks.
+ */
+void
+checkSplitAgainstOracle(const SplitSubSpace &split, int64_t extent,
+                        bool pow2)
+{
+    const int parts = split.parts();
+    std::unordered_map<std::string, int64_t> ref;
+    for (int64_t i = 0; i < split.size(); ++i)
+        ref.emplace(factorKey(split.entry(i)), i);
+    ASSERT_EQ(static_cast<int64_t>(ref.size()), split.size());
+    auto refIndex = [&](const std::vector<int64_t> &f) {
+        auto it = ref.find(factorKey(f));
+        return it == ref.end() ? int64_t{-1} : it->second;
+    };
+    const std::string where = split.name() + " extent=" +
+                              std::to_string(extent) + " parts=" +
+                              std::to_string(parts) +
+                              (pow2 ? " pow2" : "");
+
+    for (int64_t idx = 0; idx < split.size(); ++idx) {
+        const std::vector<int64_t> &f = split.entry(idx);
+        ASSERT_EQ(split.indexOf(f), idx) << where;
+        for (int dir = 0; dir < split.numDirections(); ++dir) {
+            int i = dir / (parts - 1);
+            int j = dir % (parts - 1);
+            if (j >= i)
+                ++j;
+            int64_t want = -1;
+            if (f[j] != 1) {
+                int64_t t = 2;
+                while (f[j] % t != 0)
+                    ++t;
+                std::vector<int64_t> g = f;
+                g[i] *= t;
+                g[j] /= t;
+                want = refIndex(g);
+            }
+            ASSERT_EQ(split.move(idx, dir), want)
+                << where << " idx=" << idx << " dir=" << dir;
+        }
+        // Wrong length: one part more and one part fewer.
+        std::vector<int64_t> longer = f;
+        longer.push_back(1);
+        EXPECT_EQ(split.indexOf(longer), -1) << where;
+        std::vector<int64_t> shorter(f.begin(), f.end() - 1);
+        EXPECT_EQ(split.indexOf(shorter), -1) << where;
+    }
+    for (int part = 0; part < parts; ++part) {
+        std::vector<int64_t> trivial(parts, 1);
+        trivial[part] = extent;
+        const int64_t want = refIndex(trivial);
+        EXPECT_EQ(split.indexOfTrivial(part), want < 0 ? 0 : want)
+            << where << " part=" << part;
+    }
+    // Non-divisors of the extent are never entries.
+    std::vector<int64_t> nondiv(parts, 1);
+    nondiv[0] = extent + 1;
+    EXPECT_EQ(split.indexOf(nondiv), -1) << where;
+    nondiv[0] = 1;
+    nondiv[parts - 1] = 2 * extent;
+    EXPECT_EQ(split.indexOf(nondiv), -1) << where;
+    EXPECT_EQ(split.indexOf({}), -1) << where;
+    // Every factorization is found exactly when the space kept it.
+    int64_t kept = 0;
+    for (const auto &f : factorizations(extent, parts)) {
+        const int64_t want = refIndex(f);
+        EXPECT_EQ(split.indexOf(f), want) << where;
+        kept += want >= 0;
+    }
+    EXPECT_EQ(kept, split.size()) << where;
+}
+
+TEST(PerfPaths, SplitIndexMatchesStringKeyOracle)
+{
+    const std::vector<Target> targets = {Target::forGpu(v100()),
+                                         Target::forCpu(xeonE5())};
+    // Identical (extent, parts, pow2) sub-spaces are checked once.
+    std::set<std::tuple<int64_t, int, bool>> seen;
+    int pruned = 0;
+    for (const MiniGraph &g : sec66AnchorGraphs()) {
+        const Operation anchor = anchorOp(g);
+        const auto *op = static_cast<const ComputeOp *>(anchor.get());
+        for (const Target &target : targets) {
+            for (bool pow2 : {false, true}) {
+                SpaceOptions options;
+                options.templateRestricted = pow2;
+                const ScheduleSpace space =
+                    buildSpace(anchor, target, options);
+                for (int s = 0; s < space.numSubSpaces(); ++s) {
+                    const auto *split = dynamic_cast<const SplitSubSpace *>(
+                        &space.sub(s));
+                    if (!split)
+                        continue;
+                    const auto &axes = split->role() ==
+                                               KnobRole::SpatialSplit
+                                           ? op->axis()
+                                           : op->reduceAxis();
+                    const int64_t extent = axes[split->axis()]->extent;
+                    if (!seen.emplace(extent, split->parts(), pow2).second)
+                        continue;
+                    pruned += static_cast<int64_t>(
+                                  factorizations(extent, split->parts())
+                                      .size()) != split->size();
+                    checkSplitAgainstOracle(*split, extent, pow2);
+                }
+            }
+        }
+    }
+    EXPECT_GT(seen.size(), 10u);
+    EXPECT_GT(pruned, 0); // the pow2 spaces really prune tuples
+}
+
+TEST(PerfPaths, FillNormalMatchesScalarLoop)
+{
+    const double scale = std::sqrt(2.0 / 40.0);
+    for (size_t n : {0, 1, 2, 3, 127, 128, 129, 257, 15232}) {
+        for (bool spare : {false, true}) {
+            for (auto [mean, stddev] :
+                 {std::pair<double, double>{0.0, scale}, {0.5, 3.0}}) {
+                Rng batched(0xfeed + n), scalar(0xfeed + n);
+                if (spare) {
+                    batched.normal();
+                    scalar.normal();
+                    ASSERT_TRUE(batched.state().haveSpare);
+                }
+                std::vector<float> got(n + 1, -9.0f);
+                batched.fillNormal(got.data(), n, mean, stddev);
+                for (size_t i = 0; i < n; ++i) {
+                    const float want =
+                        static_cast<float>(scalar.normal(mean, stddev));
+                    ASSERT_EQ(std::memcmp(&got[i], &want, sizeof want), 0)
+                        << "n=" << n << " spare=" << spare << " i=" << i;
+                }
+                EXPECT_EQ(got[n], -9.0f) << "wrote past n=" << n;
+                const RngState a = batched.state(), b = scalar.state();
+                for (int w = 0; w < 4; ++w)
+                    EXPECT_EQ(a.s[w], b.s[w]) << "n=" << n;
+                EXPECT_EQ(a.haveSpare, b.haveSpare) << "n=" << n;
+                EXPECT_EQ(std::memcmp(&a.spare, &b.spare, sizeof a.spare), 0)
+                    << "n=" << n << " spare=" << spare;
+            }
+        }
+    }
+}
+
+TEST(PerfPaths, ComputeOpAccessesMatchVisitExpr)
+{
+    // The Section 6.6 anchors access each tensor once; add a body that
+    // reads one tensor three times, once inside another access's index.
+    Tensor x = placeholder("X", {16});
+    Tensor idx = placeholder("Idx", {8});
+    std::vector<MiniGraph> graphs = sec66AnchorGraphs();
+    auto body = [&](const std::vector<Expr> &i) {
+        return add(mul(x({i[0]}), x({add(i[0], intImm(8))})),
+                   idx({x({i[0]})}));
+    };
+    graphs.emplace_back(compute("repeat", {8}, body));
+    int ops = 0;
+    for (const MiniGraph &g : graphs) {
+        for (const Operation &node : g.computeOps()) {
+            const auto *op = static_cast<const ComputeOp *>(node.get());
+            std::vector<const ExprNode *> want;
+            visitExpr(op->body(), [&](const ExprNode &n) {
+                if (n.kind == ExprKind::Access)
+                    want.push_back(&n);
+            });
+            EXPECT_FALSE(want.empty()) << op->name();
+            EXPECT_EQ(op->accesses(), want) << op->name();
+            ++ops;
+        }
+    }
+    EXPECT_GT(ops, 35);
+    EXPECT_EQ(graphs.back().root().op()->inputs().size(), 2u);
 }
 
 } // namespace

@@ -123,6 +123,9 @@ TEST_P(FactorizationTest, EveryTupleMultipliesToN)
         unique.insert(f);
     }
     EXPECT_EQ(unique.size(), fs.size()) << "duplicate factorizations";
+    // SplitSubSpace::indexOf binary-searches tuples in this order.
+    EXPECT_TRUE(std::is_sorted(fs.begin(), fs.end()))
+        << "not in ascending lexicographic order";
 }
 
 INSTANTIATE_TEST_SUITE_P(
