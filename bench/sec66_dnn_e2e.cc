@@ -16,7 +16,8 @@
  * epilogue baseline — goes to stdout and to the JSON file for CI
  * tracking. Under `--fuse graph` the FlexTensor run also records the
  * partitioner's wall time (`partition_ms`, from the graph.partition.ns
- * wall-profile counter) per network.
+ * wall-profile counter) and the groups that reused an earlier group's
+ * anchor report (`reused_anchors`) per network.
  *
  * Paper reference (batch 1): FlexTensor is 1.07x faster end-to-end on
  * YOLO-v1 and 1.39x on OverFeat compared to AutoTVM.
@@ -118,7 +119,8 @@ runNetwork(const Network &net, const Target &target, int64_t batch,
                 (long long)flex.trafficSavedBytes,
                 (long long)flex.ephemeralBytes);
     if (fuse == FuseMode::Graph)
-        std::printf("partition: %.3f ms wall\n", partition_ms);
+        std::printf("partition: %.3f ms wall, %d reused anchors\n",
+                    partition_ms, flex.reusedAnchors);
 
     NetOutcome out;
     out.network = net.name;
@@ -201,7 +203,8 @@ main(int argc, char **argv)
              << o.flex.trafficSavedBytes << ",\n"
              << "     \"ephemeral_bytes\": " << o.flex.ephemeralBytes;
         if (fuse == FuseMode::Graph)
-            json << ",\n     \"partition_ms\": " << o.partitionMs;
+            json << ",\n     \"partition_ms\": " << o.partitionMs
+                 << ",\n     \"reused_anchors\": " << o.flex.reusedAnchors;
         json << "}" << (i + 1 < outcomes.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";

@@ -75,6 +75,7 @@ scheduleNetwork(const Network &net, const Target &target,
             layer.gflops = sub.tuned ? sub.report.gflops : 0.0;
             layer.tuned = sub.tuned;
             report.layers.push_back(std::move(layer));
+            report.reusedAnchors += sub.reusedFrom >= 0;
         }
         return report;
     }

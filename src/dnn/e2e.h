@@ -51,6 +51,8 @@ struct NetworkReport
     int64_t trafficSavedBytes = 0;
     /** Intermediate bytes kept on chip by the chosen partition. */
     int64_t ephemeralBytes = 0;
+    /** Graph mode: groups that reused an earlier group's anchor report. */
+    int reusedAnchors = 0;
     std::vector<LayerReport> layers;
 };
 

@@ -282,6 +282,7 @@ class QPolicy final : public SearchPolicy
           trainCounter_(maybeCounter(run.metrics, "q.train_rounds")),
           forwardNsCounter_(wallCounter(run, "q.forward_batch.ns")),
           initNsCounter_(wallCounter(run, "q.init.ns")),
+          initReusedCounter_(wallCounter(run, "q.init.reused")),
           trainNsCounter_(wallCounter(run, "q.train.ns"))
     {
         // At most one transition lands per start per trial; cap the
@@ -353,17 +354,22 @@ class QPolicy final : public SearchPolicy
   private:
     /** Section 5.1: four fully-connected layers with ReLU, online
      *  training with AdaDelta, and a target network Y stabilizing the
-     *  updates. Y starts from X's initial parameters. */
+     *  updates. Y starts from X's initial parameters. Runs of one
+     *  request often reach this point in the same generator state with
+     *  the same dims; the init memo then skips the draws. */
     void initNets()
     {
         const auto t0 = std::chrono::steady_clock::now();
         const int hidden = run_.options.hidden;
-        netX_.emplace(std::vector<int>{featureDim_, hidden, hidden, hidden,
+        bool reused = false;
+        netX_.emplace(initMlpMemoized({featureDim_, hidden, hidden, hidden,
                                        numDirs_},
-                      run_.rng);
+                                      run_.rng, &reused));
         netY_ = netX_;
         if (initNsCounter_)
             initNsCounter_->add(static_cast<uint64_t>(wallNsSince(t0)));
+        if (initReusedCounter_ && reused)
+            initReusedCounter_->add();
     }
 
     /** Batched direction inference: every start's feature row is
@@ -597,6 +603,7 @@ class QPolicy final : public SearchPolicy
     // Wall-time counters (null unless obs.wallProfile).
     Counter *forwardNsCounter_;
     Counter *initNsCounter_;
+    Counter *initReusedCounter_;
     Counter *trainNsCounter_;
 };
 

@@ -40,6 +40,18 @@ attachCertificate(TuneReport &report, const Scheduled &s,
 
 } // namespace
 
+void
+certifyReport(TuneReport &report, const Tensor &output, const Target &target,
+              const TuneOptions &options, double sim)
+{
+    if (!options.certify)
+        return;
+    MiniGraph graph(output);
+    attachCertificate(report,
+                      generate(anchorOp(graph), report.config, target),
+                      target, options, sim);
+}
+
 TuneReport
 tuneOp(const Operation &anchor, const Target &target,
        const TuneOptions &options)

@@ -80,6 +80,17 @@ TuneReport tune(const Tensor &output, const Target &target,
 TuneReport tuneOp(const Operation &anchor, const Target &target,
                   const TuneOptions &options = {});
 
+/**
+ * Certify `report.config` on the anchor of the mini-graph rooted at
+ * `output` and attach the certificate, as tune() does for its own
+ * reports: a no-op unless TuneOptions::certify, with a "certificate"
+ * trace point at simulated time `sim` when a trace sink is attached.
+ * For callers that answer a request without running tune().
+ */
+void certifyReport(TuneReport &report, const Tensor &output,
+                   const Target &target, const TuneOptions &options,
+                   double sim);
+
 /** Per-node results of whole-graph scheduling. */
 struct GraphTuneReport
 {

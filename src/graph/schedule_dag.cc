@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <unordered_map>
 
 #include "graph/lower.h"
 #include "obs/metrics.h"
@@ -10,6 +11,37 @@
 
 namespace ft {
 namespace graph {
+
+namespace {
+
+/**
+ * True when tune() is a pure function of (anchor OpKey, target,
+ * options): no learned cost model, checkpoint file or tuning cache
+ * carries state from one run into the next.
+ */
+bool
+searchIsPure(const TuneOptions &options)
+{
+    return options.explore.costModel == nullptr &&
+           options.explore.checkpointPath.empty() &&
+           options.cache == nullptr;
+}
+
+/** What a tuning-cache hit in tuneOp reports, taken from `first`. */
+TuneReport
+reusedReport(const TuneReport &first)
+{
+    TuneReport report;
+    report.config = first.config;
+    report.gflops = first.gflops;
+    report.kernelSeconds = first.kernelSeconds;
+    report.spaceSize = first.spaceSize;
+    report.device = first.device;
+    report.fromCache = true;
+    return report;
+}
+
+} // namespace
 
 DagTuneReport
 tuneDag(const ComputeDag &dag, const Target &target,
@@ -72,7 +104,14 @@ tuneDag(const ComputeDag &dag, const Target &target,
     }
     if (obs.metrics)
         obs.metrics->counter("graph.runs").add();
+    Counter *anchors_reused = obs.wallProfile
+                                  ? maybeCounter(obs.metrics,
+                                                 "graph.anchors_reused")
+                                  : nullptr;
 
+    // OpKey of each searched anchor -> index of its group.
+    std::unordered_map<OpKey, int> searched;
+    const bool memoize = searchIsPure(options);
     double sim = 0.0;
     for (const FusionGroup &group : rep.partition.groups) {
         SubgraphReport sub;
@@ -92,7 +131,27 @@ tuneDag(const ComputeDag &dag, const Target &target,
 
         if (sub.anchor >= 0) {
             LoweredAnchor lowered = lowerAnchor(dag, sub.anchor);
-            sub.report = tune(lowered.output, target, options);
+            const OpKey key = lowered.output.op()->key();
+            auto first = memoize ? searched.find(key) : searched.end();
+            if (first != searched.end()) {
+                sub.reusedFrom = first->second;
+                sub.report = reusedReport(rep.groups[first->second].report);
+                if (obs.trace) {
+                    obs.trace->point("report", 0.0,
+                                     {treal("best", sub.report.gflops),
+                                      tint("trials", 0),
+                                      tbool("cached", true),
+                                      tint("reused_from", sub.reusedFrom)});
+                }
+                if (anchors_reused)
+                    anchors_reused->add();
+                certifyReport(sub.report, lowered.output, target, options,
+                              0.0);
+            } else {
+                sub.report = tune(lowered.output, target, options);
+                if (memoize)
+                    searched.emplace(key, static_cast<int>(rep.groups.size()));
+            }
             sub.tuned = true;
             // The explorers model the anchor's compute; the roofline
             // owns the group's memory side. Charge the binding one.

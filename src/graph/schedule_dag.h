@@ -11,12 +11,25 @@
  * max(tuned compute, roofline memory). Anchor-free groups (standalone
  * pooling) are bandwidth-bound and take their roofline seconds directly.
  *
+ * Repeated anchors are tuned once per call. A search is a pure function
+ * of the anchor's OpKey, the target and the options unless it carries
+ * state between runs (a learned cost model, a checkpoint file or a
+ * tuning cache), so without those a group whose lowered anchor keys
+ * like an earlier group's reuses that report the way a tuning-cache hit
+ * answers tuneOp: same config, gflops, kernelSeconds, spaceSize and
+ * device, fromCache set, no trials, curve or simulated explore time.
+ * Trials and simExploreSeconds therefore count only searches that ran.
+ * With certify, a reused group still certifies its own lowered anchor.
+ *
  * Tracing: a `graph_run` meta line, one `graph.partition` span around
  * the search, and one `graph.subgraph` span per group (the per-anchor
  * `run`/`space_build`/`report` events nest inside as usual), so
- * `trace-report` can fold graph runs like any other. With
- * `ObsContext::wallProfile` the partitioner's wall time is added to the
- * `graph.partition.ns` counter; the trace itself carries none.
+ * `trace-report` can fold graph runs like any other. A reused group's
+ * span holds one `report` point with `cached: true` and `reused_from`
+ * (the group index) instead of a run. With `ObsContext::wallProfile`
+ * the partitioner's wall time is added to the `graph.partition.ns`
+ * counter and each reused group to `graph.anchors_reused`; the trace
+ * itself carries neither.
  */
 #ifndef FLEXTENSOR_GRAPH_SCHEDULE_DAG_H
 #define FLEXTENSOR_GRAPH_SCHEDULE_DAG_H
@@ -36,8 +49,10 @@ struct SubgraphReport
     std::string name;         ///< anchor name, or first member's name
     std::vector<int> members; ///< DAG node ids in the group
     int anchor = -1;          ///< heavy node id, -1 if bandwidth-only
-    bool tuned = false;       ///< anchor went through an explorer
+    bool tuned = false;       ///< anchor has a report (searched or reused)
     TuneReport report;        ///< valid when tuned
+    /** Index of the earlier group whose report this repeats, or -1. */
+    int reusedFrom = -1;
     GroupCost cost;           ///< roofline score of the group
     double seconds = 0.0;     ///< charged group time
 };

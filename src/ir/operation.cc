@@ -1,10 +1,43 @@
 #include "ir/operation.h"
 
+#include <cstring>
 #include <unordered_set>
 
 #include "support/logging.h"
 
 namespace ft {
+
+namespace {
+
+/** FNV-1a over the little-endian bytes of 64-bit words (OpKey). */
+class KeyHasher
+{
+  public:
+    void mix(uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h_ ^= (v >> (b * 8)) & 0xffu;
+            h_ *= 1099511628211ULL;
+        }
+    }
+
+    void mixShape(const std::vector<int64_t> &shape)
+    {
+        mix(shape.size());
+        for (int64_t d : shape)
+            mix(static_cast<uint64_t>(d));
+    }
+
+    OpKey key() const { return h_; }
+
+  private:
+    uint64_t h_ = 1469598103934665603ULL;
+};
+
+/** Kind tags, so a placeholder never keys like a same-shaped constant. */
+enum : uint64_t { kPlaceholderTag = 1, kConstantTag, kComputeTag };
+
+} // namespace
 
 const std::vector<int64_t> &
 Tensor::shape() const
@@ -57,20 +90,74 @@ ComputeOp::ComputeOp(std::string name, std::vector<IterVar> axis,
         FT_ASSERT(iv->kind == IterKind::Reduce,
                   "reduce axis of ", name_, " must have reduce kind");
     }
+    KeyHasher hasher;
+    hasher.mix(kComputeTag);
+    for (const auto *axes : {&axis_, &reduceAxis_}) {
+        hasher.mix(axes->size());
+        for (const auto &iv : *axes)
+            hasher.mix(static_cast<uint64_t>(iv->extent));
+    }
+    // A Var keys as (0 spatial / 1 reduce, position).
+    auto mixVar = [&](const IterVarNode *v) {
+        for (uint64_t kind = 0; kind < 2; ++kind) {
+            const auto &axes = kind == 0 ? axis_ : reduceAxis_;
+            for (size_t pos = 0; pos < axes.size(); ++pos) {
+                if (axes[pos].get() == v) {
+                    hasher.mix(kind);
+                    hasher.mix(pos);
+                    return;
+                }
+            }
+        }
+        FT_ASSERT(false, "body of ", name_, " reads ", v->name,
+                  ", which is none of its axes");
+    };
+    // One pre-order walk collects the accesses and keys the body: every
+    // kind has a fixed arity except Access, whose index count is mixed,
+    // so the hashed sequence determines the tree.
     std::unordered_set<const OperationNode *> seen;
     visitExpr(body_, [&](const ExprNode &n) {
-        if (n.kind != ExprKind::Access)
+        hasher.mix(static_cast<uint64_t>(n.kind));
+        switch (n.kind) {
+          case ExprKind::IntImm:
+            hasher.mix(static_cast<uint64_t>(n.intValue));
             return;
+          case ExprKind::FloatImm: {
+            uint64_t bits;
+            std::memcpy(&bits, &n.floatValue, sizeof bits);
+            hasher.mix(bits);
+            return;
+          }
+          case ExprKind::Var:
+            mixVar(n.var.get());
+            return;
+          case ExprKind::Access:
+            break;
+          default:
+            return;
+        }
+        hasher.mix(n.source->key());
+        hasher.mix(n.indices.size());
         accesses_.push_back(&n);
         if (seen.insert(n.source.get()).second)
             inputs_.push_back(Tensor(n.source));
     });
+    key_ = hasher.key();
 }
 
 std::vector<Tensor>
 ComputeOp::inputs() const
 {
     return inputs_;
+}
+
+PlaceholderOp::PlaceholderOp(std::string name, std::vector<int64_t> shape)
+    : OperationNode(std::move(name), std::move(shape))
+{
+    KeyHasher hasher;
+    hasher.mix(kPlaceholderTag);
+    hasher.mixShape(shape_);
+    key_ = hasher.key();
 }
 
 Tensor
@@ -91,6 +178,15 @@ ConstantOp::ConstantOp(std::string name, std::vector<int64_t> shape,
         n *= d;
     FT_ASSERT(static_cast<int64_t>(data_.size()) == n,
               "constant ", name_, " data size mismatch");
+    KeyHasher hasher;
+    hasher.mix(kConstantTag);
+    hasher.mixShape(shape_);
+    for (float v : data_) {
+        uint32_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        hasher.mix(bits);
+    }
+    key_ = hasher.key();
 }
 
 Tensor

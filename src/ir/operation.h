@@ -25,6 +25,19 @@ class OperationNode;
 using Operation = std::shared_ptr<OperationNode>;
 
 /**
+ * Structural key of the mini-graph an operation roots: a 64-bit FNV-1a
+ * hash of everything the tuner sees and nothing it ignores. A compute
+ * node contributes its kind tag, its axis and reduce extents and its
+ * body tree, with each Var hashed by its axis/reduce position and each
+ * Access by its index expressions and its source's key (so a pad
+ * producer is covered). A placeholder contributes only its shape, a
+ * constant its shape and data bits. Tensor, placeholder and axis names
+ * never enter the key: two separately built, structurally equal
+ * operators get equal keys. Computed once, at construction.
+ */
+using OpKey = uint64_t;
+
+/**
  * A tensor handle: the output of an operation.
  *
  * Tensors are pure edges; all state lives in the producing operation. The
@@ -84,6 +97,9 @@ class OperationNode : public std::enable_shared_from_this<OperationNode>
     /** The tensor produced by this node. */
     Tensor output() { return Tensor(shared_from_this()); }
 
+    /** Structural key of the mini-graph rooted here (see OpKey). */
+    OpKey key() const { return key_; }
+
   protected:
     OperationNode(std::string name, std::vector<int64_t> shape)
         : name_(std::move(name)), shape_(std::move(shape))
@@ -91,15 +107,14 @@ class OperationNode : public std::enable_shared_from_this<OperationNode>
 
     std::string name_;
     std::vector<int64_t> shape_;
+    OpKey key_ = 0; ///< set by each subclass constructor
 };
 
 /** A graph leaf: externally supplied dense data of a known shape. */
 class PlaceholderOp : public OperationNode
 {
   public:
-    PlaceholderOp(std::string name, std::vector<int64_t> shape)
-        : OperationNode(std::move(name), std::move(shape))
-    {}
+    PlaceholderOp(std::string name, std::vector<int64_t> shape);
 
     std::vector<Tensor> inputs() const override { return {}; }
     bool isPlaceholder() const override { return true; }

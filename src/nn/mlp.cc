@@ -441,6 +441,59 @@ Mlp::Mlp(const std::vector<int> &dims, Rng &rng)
         layers_.emplace_back(dims[i], dims[i + 1], rng);
 }
 
+namespace {
+
+/** One memoized He-init: its key (dims, state before) and outcome. */
+struct InitMemoEntry
+{
+    std::vector<int> dims;
+    RngState before;
+    RngState after;
+    Mlp net;
+};
+
+/** Bitwise state equality: a spare differing in any bit is a miss. */
+bool
+sameState(const RngState &a, const RngState &b)
+{
+    return std::memcmp(a.s, b.s, sizeof a.s) == 0 &&
+           a.haveSpare == b.haveSpare &&
+           std::memcmp(&a.spare, &b.spare, sizeof a.spare) == 0;
+}
+
+constexpr size_t kInitMemoEntries = 8;
+
+} // namespace
+
+Mlp
+initMlpMemoized(const std::vector<int> &dims, Rng &rng, bool *reused)
+{
+    // Per thread, so concurrent searches share neither entries nor a
+    // lock; full, it overwrites its oldest entry.
+    thread_local std::vector<InitMemoEntry> memo;
+    thread_local size_t oldest = 0;
+    const RngState before = rng.state();
+    for (const InitMemoEntry &entry : memo) {
+        if (entry.dims == dims && sameState(entry.before, before)) {
+            rng.setState(entry.after);
+            if (reused)
+                *reused = true;
+            return entry.net;
+        }
+    }
+    Mlp net(dims, rng);
+    InitMemoEntry entry{dims, before, rng.state(), net};
+    if (memo.size() < kInitMemoEntries) {
+        memo.push_back(std::move(entry));
+    } else {
+        memo[oldest] = std::move(entry);
+        oldest = (oldest + 1) % kInitMemoEntries;
+    }
+    if (reused)
+        *reused = false;
+    return net;
+}
+
 int
 Mlp::inputDim() const
 {

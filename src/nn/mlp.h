@@ -217,6 +217,18 @@ class Mlp
     std::vector<Linear> layers_;
 };
 
+/**
+ * Mlp(dims, rng) through a small, bounded, per-thread memo. He-init
+ * output is a pure function of the dims and the complete generator
+ * state (the four words, the banked-spare flag and the spare's bits),
+ * so a repeat of a memoized (dims, state) pair copies the stored
+ * network and sets `rng` to the state the first init left: values,
+ * packed copies and the stream continue bit-identically to a fresh
+ * init. `*reused` (when non-null) reports whether the memo answered.
+ */
+Mlp initMlpMemoized(const std::vector<int> &dims, Rng &rng,
+                    bool *reused = nullptr);
+
 } // namespace ft
 
 #endif // FLEXTENSOR_NN_MLP_H

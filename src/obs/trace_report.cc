@@ -112,6 +112,12 @@ foldTrace(const std::vector<ParsedTraceEvent> &events)
                 double best = e.real("best");
                 out.bestGflops = std::max(out.bestGflops, best);
                 out.curve.emplace_back(out.trials, best);
+            } else if (e.name == "report" && e.has("reused_from") &&
+                       !out.graph.subgraphs.empty()) {
+                // A reused anchor: folded like a cached report, inside
+                // its group's span.
+                out.graph.subgraphs.back().reusedFrom =
+                    e.integer("reused_from");
             } else if (e.name == "verify.reject") {
                 ++rejects[e.str("code")];
             } else if (e.name == "admission.admit") {
@@ -308,14 +314,28 @@ renderTraceReport(const TraceReport &report, int curvePoints)
                           "ephemeral-B");
             oss << buf;
             for (const GraphSubgraph &sub : g.subgraphs) {
+                // A reused group shows the group it repeats: "#3".
+                char tuned[24];
+                if (sub.reusedFrom >= 0)
+                    std::snprintf(tuned, sizeof(tuned), "#%lld",
+                                  (long long)sub.reusedFrom);
+                else
+                    std::snprintf(tuned, sizeof(tuned), "%s",
+                                  sub.tuned ? "yes" : "no");
                 std::snprintf(buf, sizeof(buf),
                               "  %-14s %7lld %6s %12.3e %14lld %12lld\n",
                               sub.name.c_str(), (long long)sub.members,
-                              sub.tuned ? "yes" : "no", sub.seconds,
+                              tuned, sub.seconds,
                               (long long)sub.trafficBytes,
                               (long long)sub.ephemeralBytes);
                 oss << buf;
             }
+            const bool anyReused = std::any_of(
+                g.subgraphs.begin(), g.subgraphs.end(),
+                [](const GraphSubgraph &sub) { return sub.reusedFrom >= 0; });
+            if (anyReused)
+                oss << "  (#N: reused the report of group N, counted "
+                       "from 0)\n";
         }
     }
 
@@ -447,8 +467,10 @@ traceReportJson(const TraceReport &report)
                 oss << ",";
             oss << "{\"name\":\"" << sub.name
                 << "\",\"members\":" << sub.members
-                << ",\"tuned\":" << (sub.tuned ? "true" : "false")
-                << ",\"seconds\":" << formatTraceDouble(sub.seconds)
+                << ",\"tuned\":" << (sub.tuned ? "true" : "false");
+            if (sub.reusedFrom >= 0)
+                oss << ",\"reusedFrom\":" << sub.reusedFrom;
+            oss << ",\"seconds\":" << formatTraceDouble(sub.seconds)
                 << ",\"trafficBytes\":" << sub.trafficBytes
                 << ",\"ephemeralBytes\":" << sub.ephemeralBytes << "}";
         }

@@ -62,7 +62,9 @@ struct GraphSubgraph
 {
     std::string name; ///< anchor (or first member) name
     int64_t members = 0;
-    bool tuned = false;   ///< went through an explorer (has an anchor)
+    bool tuned = false;   ///< has an anchor (searched or reused)
+    /** Group whose report this one repeats (`reused_from`), or -1. */
+    int64_t reusedFrom = -1;
     double seconds = 0.0; ///< stitched group estimate
     int64_t trafficBytes = 0;
     int64_t ephemeralBytes = 0;

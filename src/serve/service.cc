@@ -104,18 +104,11 @@ TuningService::requestFingerprint(const Operation &anchor,
                                   const TuneOptions &options)
 {
     FT_ASSERT(!anchor->isPlaceholder(), "request fingerprint of placeholder");
-    const auto *c = static_cast<const ComputeOp *>(anchor.get());
     const ExploreOptions &e = options.explore;
     uint64_t h = kFnvOffset;
-    // Operator + shape + device: the tuningKeyFor() fields, hashed from
-    // the raw values instead of an assembled string.
-    fnvStr(h, anchor->name());
-    fnvU64(h, c->axis().size());
-    for (const auto &iv : c->axis())
-        fnvU64(h, static_cast<uint64_t>(iv->extent));
-    fnvU64(h, c->reduceAxis().size());
-    for (const auto &iv : c->reduceAxis())
-        fnvU64(h, static_cast<uint64_t>(iv->extent));
+    // Operator + device: the anchor's structural OpKey covers its input
+    // shapes, strides and index expressions, and no names.
+    fnvU64(h, anchor->key());
     fnvStr(h, target.deviceName());
     // The options that shape the result.
     fnvU64(h, static_cast<uint64_t>(options.method));
@@ -152,7 +145,8 @@ TuningService::requestIdentity(const Operation &anchor, const Target &target,
 {
     std::ostringstream oss;
     const ExploreOptions &e = options.explore;
-    oss << tuningKeyFor(anchor, target.deviceName()) << "#"
+    oss << "op=" << std::hex << anchor->key() << std::dec << "@"
+        << target.deviceName() << "#"
         << methodName(options.method)
         << "|trials=" << e.trials
         << "|starts=" << e.startingPoints

@@ -355,7 +355,10 @@ class TuningService
                                        const Target &target,
                                        const TuneOptions &options);
 
-    /** Full request identity: tuning key + the options that shape it. */
+    /**
+     * Full request identity: the anchor's OpKey and device plus the
+     * options that shape the result.
+     */
     static std::string requestIdentity(const Operation &anchor,
                                        const Target &target,
                                        const TuneOptions &options);

@@ -17,6 +17,10 @@
  * never escape, and the working-set constraint holds; a violation
  * prints the offending DAG spec for replay. Its incremental beam
  * scoring must match a full-rescore reference search bit for bit.
+ *
+ * tuneDag's anchor memo is checked against independent tune() calls of
+ * every lowered anchor, and the OpKey it keys on against the printed
+ * mini-graphs of every Section 6.6 anchor.
  */
 #include <gtest/gtest.h>
 
@@ -33,8 +37,10 @@
 #include "graph/lower.h"
 #include "graph/partition.h"
 #include "graph/schedule_dag.h"
+#include "ir/printer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "obs/trace_report.h"
 #include "schedule/generator.h"
 #include "space/builder.h"
 #include "support/rng.h"
@@ -799,6 +805,231 @@ TEST(GraphScheduleTest, WallProfileAttributesPartitionTimeOutsideTrace)
     EXPECT_EQ(wallSpans, 0);
     EXPECT_EQ(withoutWall(on), withoutWall(off));
     EXPECT_EQ(wallSpans, 1);
+}
+
+/** The paper's Section 6.6 networks as DAGs, on both devices. */
+struct Sec66Job
+{
+    ComputeDag dag;
+    Target target;
+};
+
+std::vector<Sec66Job>
+sec66Jobs()
+{
+    std::vector<Sec66Job> jobs;
+    for (const Network &net : {yoloV1(1), overFeat(1)})
+        for (const Target &target :
+             {Target::forGpu(v100()), Target::forCpu(xeonE5())})
+            jobs.push_back({dagFromNetwork(net), target});
+    return jobs;
+}
+
+/** Exact equality of everything a searched TuneReport carries. */
+void
+expectSameSearch(const TuneReport &got, const TuneReport &want,
+                 const std::string &what)
+{
+    EXPECT_EQ(serializeConfig(got.config), serializeConfig(want.config))
+        << what;
+    EXPECT_EQ(got.gflops, want.gflops) << what;
+    EXPECT_EQ(got.kernelSeconds, want.kernelSeconds) << what;
+    EXPECT_EQ(got.simExploreSeconds, want.simExploreSeconds) << what;
+    EXPECT_EQ(got.trials, want.trials) << what;
+    EXPECT_EQ(got.spaceSize, want.spaceSize) << what;
+    EXPECT_EQ(got.device, want.device) << what;
+    EXPECT_EQ(got.curve, want.curve) << what;
+    EXPECT_EQ(got.fromCache, want.fromCache) << what;
+    EXPECT_EQ(got.degraded, want.degraded) << what;
+}
+
+/**
+ * The anchor memo against its oracle: every group's lowered anchor is
+ * also tuned on its own with the same options. A searched group must
+ * match that run byte for byte; a reused group must carry its config,
+ * gflops and kernelSeconds with no trials, curve or simulated explore
+ * time, flagged fromCache. The stitched total equals the total built
+ * from the independent runs, and the number of reused groups is pinned:
+ * 9 of YOLO-v1's anchors per device repeat an earlier one, none of
+ * OverFeat's.
+ */
+TEST(GraphScheduleTest, AnchorMemoMatchesIndependentTunes)
+{
+    for (const Sec66Job &job : sec66Jobs()) {
+        for (uint64_t seed : {0x3a7ull, 0x51ull, 0xbeefull}) {
+            TuneOptions options;
+            options.explore.trials = 8;
+            options.explore.seed = seed;
+            const DagTuneReport rep = tuneDag(job.dag, job.target, options);
+            const std::string where = job.dag.name + " on " +
+                                      rep.device + " seed " +
+                                      std::to_string(seed);
+            int reused = 0;
+            double total = 0.0;
+            for (size_t g = 0; g < rep.groups.size(); ++g) {
+                const SubgraphReport &sub = rep.groups[g];
+                const std::string what = where + " group " +
+                                         std::to_string(g) + " " + sub.name;
+                if (sub.anchor < 0) {
+                    EXPECT_EQ(sub.reusedFrom, -1) << what;
+                    total += sub.cost.seconds;
+                    continue;
+                }
+                const TuneReport solo =
+                    tune(lowerAnchor(job.dag, sub.anchor).output,
+                         job.target, options);
+                if (sub.reusedFrom < 0) {
+                    expectSameSearch(sub.report, solo, what);
+                } else {
+                    ++reused;
+                    ASSERT_LT(sub.reusedFrom, static_cast<int>(g)) << what;
+                    EXPECT_EQ(rep.groups[sub.reusedFrom].reusedFrom, -1)
+                        << what;
+                    EXPECT_EQ(serializeConfig(sub.report.config),
+                              serializeConfig(solo.config))
+                        << what;
+                    EXPECT_EQ(sub.report.gflops, solo.gflops) << what;
+                    EXPECT_EQ(sub.report.kernelSeconds, solo.kernelSeconds)
+                        << what;
+                    EXPECT_EQ(sub.report.spaceSize, solo.spaceSize) << what;
+                    EXPECT_EQ(sub.report.trials, 0) << what;
+                    EXPECT_EQ(sub.report.simExploreSeconds, 0.0) << what;
+                    EXPECT_TRUE(sub.report.curve.empty()) << what;
+                    EXPECT_TRUE(sub.report.fromCache) << what;
+                }
+                total += std::max(solo.kernelSeconds, sub.cost.memSeconds);
+            }
+            EXPECT_EQ(rep.totalSeconds, total) << where;
+            EXPECT_EQ(reused, job.dag.name == "YOLO-v1" ? 9 : 0) << where;
+        }
+    }
+}
+
+/**
+ * A reused group's span holds one cached `report` point naming the
+ * group it repeats, and no run; with certify it still certifies its own
+ * anchor. Under wallProfile the reuse is counted in
+ * graph.anchors_reused and the init memo's hits in q.init.reused.
+ */
+TEST(GraphScheduleTest, ReusedGroupTracesCachedReport)
+{
+    const Sec66Job job = sec66Jobs().front(); // YOLO-v1 on V100
+    TraceRecorder trace;
+    MetricsRegistry metrics;
+    TuneOptions options;
+    options.explore.trials = 8;
+    options.certify = true;
+    options.explore.obs.trace = &trace;
+    options.explore.obs.metrics = &metrics;
+    options.explore.obs.wallProfile = true;
+    const DagTuneReport rep = tuneDag(job.dag, job.target, options);
+
+    int runs = 0, reusedPoints = 0, certificates = 0;
+    int group = -1;
+    for (const std::string &line : trace.lines()) {
+        auto ev = parseTraceLine(line);
+        ASSERT_TRUE(ev.has_value()) << line;
+        if (ev->name == "graph.subgraph" && ev->type == 'B')
+            ++group;
+        if (ev->name == "run" && ev->type == 'M') {
+            ++runs;
+            EXPECT_EQ(rep.groups[group].reusedFrom, -1);
+        }
+        if (ev->name == "certificate" && ev->type == 'P')
+            ++certificates;
+        if (ev->name == "report" && ev->has("reused_from")) {
+            ++reusedPoints;
+            const SubgraphReport &sub = rep.groups[group];
+            EXPECT_EQ(ev->integer("reused_from"), sub.reusedFrom);
+            EXPECT_EQ(ev->str("cached"), "true");
+            EXPECT_EQ(ev->integer("trials"), 0);
+            ASSERT_NE(sub.report.certificate, nullptr) << sub.name;
+            EXPECT_TRUE(sub.report.certificate->equivalent()) << sub.name;
+        }
+    }
+    int tuned = 0;
+    for (const SubgraphReport &sub : rep.groups)
+        tuned += sub.tuned;
+    EXPECT_EQ(reusedPoints, 9);
+    EXPECT_EQ(runs, tuned - 9);
+    // One per tuned group plus the partition certificate.
+    EXPECT_EQ(certificates, tuned + 1);
+
+    const MetricsSnapshot snap = metrics.snapshot();
+    EXPECT_EQ(snap.counter("graph.anchors_reused"), 9u);
+    EXPECT_EQ(snap.counter("tuner.runs"), static_cast<uint64_t>(runs));
+    EXPECT_GT(snap.counter("q.init.reused"), 0u);
+
+    const TraceReport folded = foldTrace([&] {
+        std::vector<ParsedTraceEvent> events;
+        for (const std::string &line : trace.lines())
+            events.push_back(*parseTraceLine(line));
+        return events;
+    }());
+    ASSERT_EQ(folded.graph.subgraphs.size(), rep.groups.size());
+    for (size_t g = 0; g < rep.groups.size(); ++g)
+        EXPECT_EQ(folded.graph.subgraphs[g].reusedFrom,
+                  rep.groups[g].reusedFrom);
+}
+
+/**
+ * Runs that carry state between anchors are not pure functions of the
+ * OpKey, so with a tuning cache attached every anchor goes through
+ * tune() as before.
+ */
+TEST(GraphScheduleTest, AnchorMemoOffWithTuningCache)
+{
+    const Sec66Job job = sec66Jobs().front();
+    TuningCache cache;
+    TuneOptions options;
+    options.explore.trials = 4;
+    options.cache = &cache;
+    const DagTuneReport rep = tuneDag(job.dag, job.target, options);
+    for (const SubgraphReport &sub : rep.groups)
+        EXPECT_EQ(sub.reusedFrom, -1) << sub.name;
+}
+
+/**
+ * OpKey over every Section 6.6 anchor, lowered exactly as tuneDag
+ * lowers it on both devices: two anchors key equal exactly when their
+ * printed mini-graphs match once every DAG name is replaced by one
+ * placeholder name. YOLO-v1's conv22 (14x14 input, stride 2) and conv23
+ * (7x7, stride 1) share output and reduce extents but not keys.
+ */
+TEST(GraphOpKeyTest, KeysEqualExactlyWhenMiniGraphsMatch)
+{
+    std::vector<std::pair<OpKey, std::string>> anchors;
+    std::map<std::string, OpKey> yoloKeys;
+    for (const Sec66Job &job : sec66Jobs()) {
+        ComputeDag renamed = job.dag;
+        for (DagNode &node : renamed.nodes)
+            node.name = "t";
+        const Partition part = partitionDag(job.dag, job.target);
+        for (const FusionGroup &group : part.groups) {
+            const int anchor = group.anchor(job.dag);
+            if (anchor < 0)
+                continue;
+            const OpKey key = lowerAnchor(job.dag, anchor).output.op()->key();
+            const std::string printed =
+                toString(MiniGraph(lowerAnchor(renamed, anchor).output));
+            anchors.emplace_back(key, printed);
+            if (job.dag.name == "YOLO-v1")
+                yoloKeys[job.dag.nodes[anchor].name] = key;
+        }
+    }
+    ASSERT_GT(anchors.size(), 60u);
+    int equalPairs = 0;
+    for (size_t a = 0; a < anchors.size(); ++a) {
+        for (size_t b = a + 1; b < anchors.size(); ++b) {
+            const bool sameKey = anchors[a].first == anchors[b].first;
+            EXPECT_EQ(sameKey, anchors[a].second == anchors[b].second)
+                << anchors[a].second << "\nvs\n" << anchors[b].second;
+            equalPairs += sameKey;
+        }
+    }
+    EXPECT_GT(equalPairs, 0);
+    ASSERT_TRUE(yoloKeys.count("conv22") && yoloKeys.count("conv23"));
+    EXPECT_NE(yoloKeys["conv22"], yoloKeys["conv23"]);
 }
 
 } // namespace

@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for the tensor-expression IR: construction, traversal, printing,
- * graph structure, and the pad/dilate helper nodes (checked semantically
- * through the reference executor).
+ * graph structure, the pad/dilate helper nodes (checked semantically
+ * through the reference executor), and the structural OpKey.
  */
 #include <gtest/gtest.h>
 
 #include "exec/reference.h"
 #include "ir/graph.h"
 #include "ir/printer.h"
+#include "ops/ops.h"
 #include "support/rng.h"
 
 namespace ft {
@@ -230,6 +231,73 @@ TEST(Eval, SelectShortCircuitsOutOfRangeAccess)
     runGraphReference(g, buffers);
     const Buffer &out = buffers.at(s.op().get());
     EXPECT_FLOAT_EQ(out.at({3}), -1.0f);
+}
+
+/** A 2D conv over an (1, 8, hw, hw) input and 3x3 weights. */
+OpKey
+convKey(int64_t hw, int64_t stride, int64_t padding,
+        const std::string &data = "data", const std::string &weight = "w")
+{
+    ops::ConvParams p;
+    p.stride = stride;
+    p.padding = padding;
+    return ops::conv2d(placeholder(data, {1, 8, hw, hw}),
+                       placeholder(weight, {16, 8, 3, 3}), p)
+        .op()
+        ->key();
+}
+
+/** O[i] = sum_k A[coeff * i + k], named after `tag`. */
+OpKey
+stridedSumKey(int64_t coeff, const std::string &tag)
+{
+    Tensor a = placeholder(tag + ".A", {64});
+    IterVar k = makeIterVar(tag + ".k", 4, IterKind::Reduce);
+    return compute(tag, {8},
+                   [&](const std::vector<Expr> &iv) {
+                       return a({add(mul(iv[0], intImm(coeff)),
+                                     varRef(k))});
+                   },
+                   {k})
+        .op()
+        ->key();
+}
+
+TEST(OpKey, NamesNeverEnterTheKey)
+{
+    // Separately built, differently named, structurally equal: the pad
+    // node is named after its input, the axes after their op.
+    EXPECT_EQ(convKey(14, 1, 1), convKey(14, 1, 1, "conv3.relu", "conv4.w"));
+    EXPECT_EQ(stridedSumKey(2, "left"), stridedSumKey(2, "right"));
+    Tensor a = placeholder("A", {16, 16}), b = placeholder("B", {16, 16});
+    Tensor x = placeholder("X", {16, 16}), y = placeholder("Y", {16, 16});
+    EXPECT_EQ(ops::gemm(a, b).op()->key(), ops::gemm(x, y).op()->key());
+    EXPECT_EQ(a.op()->key(), x.op()->key());
+}
+
+TEST(OpKey, StructuralChangesChangeTheKey)
+{
+    // Every pair below has equal output and reduce extents, so a key of
+    // name + extents could not tell them apart.
+    const OpKey base = convKey(7, 1, 1);
+    EXPECT_NE(base, convKey(14, 2, 1)) << "stride (YOLO-v1 conv22/conv23)";
+    EXPECT_NE(base, convKey(9, 1, 0)) << "padding";
+    EXPECT_NE(stridedSumKey(2, "s"), stridedSumKey(3, "s"))
+        << "one access coefficient";
+    EXPECT_NE(placeholder("A", {4, 8}).op()->key(),
+              placeholder("A", {8, 4}).op()->key())
+        << "placeholder shape";
+    Tensor sq = placeholder("S", {8, 8});
+    auto copyKey = [&](bool transpose) {
+        return compute("copy", {8, 8},
+                       [&](const std::vector<Expr> &iv) {
+                           return transpose ? sq({iv[1], iv[0]})
+                                            : sq({iv[0], iv[1]});
+                       })
+            .op()
+            ->key();
+    };
+    EXPECT_NE(copyKey(false), copyKey(true)) << "axis positions";
 }
 
 } // namespace

@@ -324,6 +324,99 @@ TEST(PerfPaths, PackedWeightsFollowCopyAndRestore)
     }
 }
 
+/** Bitwise RngState equality (the spare compared by its bits). */
+void
+expectSameState(const RngState &a, const RngState &b, const std::string &what)
+{
+    for (int w = 0; w < 4; ++w)
+        EXPECT_EQ(a.s[w], b.s[w]) << what;
+    EXPECT_EQ(a.haveSpare, b.haveSpare) << what;
+    EXPECT_EQ(std::memcmp(&a.spare, &b.spare, sizeof a.spare), 0) << what;
+}
+
+/** `got` equals `want`: values and optimizer state, packed copy (through
+ *  the batched forward) and the scalar/batched agreement. */
+void
+expectSameNet(const Mlp &got, const Mlp &want, const std::vector<float> &x,
+              int m, const std::string &what)
+{
+    EXPECT_EQ(firstBitMismatch(got.checkpointState(), want.checkpointState()),
+              -1)
+        << what;
+    MlpScratch a, b;
+    const float *yGot = got.forwardBatch(x.data(), m, a);
+    const float *yWant = want.forwardBatch(x.data(), m, b);
+    EXPECT_EQ(firstBitMismatch(yGot, yWant,
+                               static_cast<size_t>(m) * want.outputDim()),
+              -1)
+        << what;
+    expectBatchMatchesScalar(got, x, m, what);
+}
+
+TEST(PerfPaths, InitMemoMatchesFreshInit)
+{
+    // The memo answers a repeated (dims, full state) pair with a copy
+    // of the first init and the state that init left behind; a state
+    // differing only in the banked spare's bits, or one evicted from
+    // the bounded memo, is drawn afresh.
+    const int m = 5;
+    for (const auto &dims : kQShapes) {
+        for (bool spare : {false, true}) {
+            const std::string what = "in=" + std::to_string(dims.front()) +
+                                     (spare ? " spare" : "");
+            Rng origin(0x1417 + dims.front() * 2 + spare);
+            if (spare)
+                origin.normal();
+            ASSERT_EQ(origin.state().haveSpare, spare);
+            Rng fresh = origin;
+            const Mlp want(dims, fresh);
+            Rng probe(7);
+            const std::vector<float> x = randomVec(probe, dims.front() * m);
+
+            bool reused = true;
+            Rng miss = origin;
+            const Mlp first = initMlpMemoized(dims, miss, &reused);
+            EXPECT_FALSE(reused) << what;
+            expectSameNet(first, want, x, m, what + " miss");
+            expectSameState(miss.state(), fresh.state(), what + " miss");
+
+            Rng hit = origin;
+            const Mlp second = initMlpMemoized(dims, hit, &reused);
+            EXPECT_TRUE(reused) << what;
+            expectSameNet(second, want, x, m, what + " hit");
+            expectSameState(hit.state(), fresh.state(), what + " hit");
+            EXPECT_EQ(hit.next(), Rng(fresh).next()) << what;
+
+            if (spare) {
+                RngState other = origin.state();
+                other.spare = std::nextafter(other.spare, 1e9);
+                Rng a, b;
+                a.setState(other);
+                b.setState(other);
+                const Mlp wantOther(dims, a);
+                const Mlp got = initMlpMemoized(dims, b, &reused);
+                EXPECT_FALSE(reused) << what << " other spare";
+                expectSameNet(got, wantOther, x, m, what + " other spare");
+                expectSameState(b.state(), a.state(), what + " other spare");
+            }
+        }
+    }
+    // Bounded: after enough distinct inits the oldest entry is gone.
+    const std::vector<int> dims = kQShapes.back();
+    Rng origin(0xb0b);
+    Rng first = origin;
+    bool reused = true;
+    initMlpMemoized(dims, first, &reused);
+    EXPECT_FALSE(reused);
+    for (uint64_t seed = 1; seed <= 64; ++seed) {
+        Rng other(0xb0b0000 + seed);
+        initMlpMemoized(dims, other);
+    }
+    Rng again = origin;
+    initMlpMemoized(dims, again, &reused);
+    EXPECT_FALSE(reused);
+}
+
 TEST(PerfPaths, PointKeyPinnedConstants)
 {
     // These values are persisted in caches and coalescing maps; changing

@@ -312,6 +312,39 @@ TEST(TuningService, ResultCacheServesRepeatedRequests)
     EXPECT_GT(stats.evaluations, 0u);
 }
 
+/**
+ * YOLO-v1's conv22 (14x14 input, stride 2) and conv23 (7x7, stride 1)
+ * share name, output and reduce extents. The service keys requests by
+ * the structural OpKey, so conv23 after conv22 is a fresh search whose
+ * report equals a direct tune of conv23, not conv22's cached answer.
+ */
+TEST(TuningService, StructurallyDifferentLayersDoNotShareReports)
+{
+    Tensor conv22, conv23;
+    for (const FusedOp &op : partitionAndFuse(yoloV1(1))) {
+        if (op.name == "conv22")
+            conv22 = op.output;
+        if (op.name == "conv23")
+            conv23 = op.output;
+    }
+    ASSERT_TRUE(conv22.defined() && conv23.defined());
+    ASSERT_EQ(conv22.shape(), conv23.shape());
+    Target target = Target::forGpu(v100());
+    TuneOptions options;
+    options.explore.trials = 10;
+
+    TuningService service;
+    service.tune(conv22, target, options);
+    TuneReport served = service.tune(conv23, target, options);
+    TuneReport direct = ft::tune(conv23, target, options);
+    EXPECT_FALSE(served.fromCache);
+    EXPECT_EQ(serializeConfig(served.config), serializeConfig(direct.config));
+    EXPECT_EQ(served.gflops, direct.gflops);
+    EXPECT_EQ(served.kernelSeconds, direct.kernelSeconds);
+    EXPECT_EQ(served.trials, direct.trials);
+    EXPECT_EQ(service.stats().resultCacheHits, 0u);
+}
+
 TEST(TuningService, CostModelLifecycleAndStats)
 {
     const std::string path =
