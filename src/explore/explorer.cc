@@ -694,7 +694,8 @@ class AutoTvmPolicy final : public SearchPolicy
   public:
     explicit AutoTvmPolicy(SearchRun &run)
         : SearchPolicy(run),
-          fitCounter_(maybeCounter(run.metrics, "autotvm.model_fits"))
+          fitCounter_(maybeCounter(run.metrics, "autotvm.model_fits")),
+          fitNsCounter_(wallCounter(run, "autotvm.fit.ns"))
     {}
 
     /** AutoTVM measures from its first round: no warmup, no seeds. */
@@ -786,7 +787,10 @@ class AutoTvmPolicy final : public SearchPolicy
                               {tint("samples", static_cast<int64_t>(
                                                    trainX_.size()))});
         }
+        const auto t0 = std::chrono::steady_clock::now();
         model_.fit(trainX_, trainY_, gbtOptions_, run_.rng);
+        if (fitNsCounter_)
+            fitNsCounter_->add(static_cast<uint64_t>(wallNsSince(t0)));
         run_.eval.chargeOverhead(kModelOverhead);
         if (run_.trace)
             run_.trace->end("model_fit", run_.eval.simulatedSeconds());
@@ -813,6 +817,7 @@ class AutoTvmPolicy final : public SearchPolicy
     DecodeScratch decodeScratch_;
     std::vector<double> feat_;
     Counter *fitCounter_;
+    Counter *fitNsCounter_; ///< null unless obs.wallProfile
 };
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/logging.h"
+
 namespace ft {
 
 std::string
@@ -127,6 +129,26 @@ TraceRecorder::point(std::string_view name, double sim,
                      std::initializer_list<TraceField> fields)
 {
     emit('P', name, &sim, fields);
+}
+
+void
+TraceRecorder::append(const TraceRecorder &other)
+{
+    FT_ASSERT(&other != this, "appending a trace recorder to itself");
+    const std::vector<std::string> events = other.lines();
+    std::lock_guard<std::mutex> lock(mu_);
+    constexpr std::string_view prefix = "{\"i\":";
+    for (const std::string &event : events) {
+        // Every line starts {"i":<index>,...; keep what follows the index.
+        const size_t rest = event.find(',', prefix.size());
+        FT_ASSERT(event.compare(0, prefix.size(), prefix) == 0 &&
+                      rest != std::string::npos,
+                  "not a trace event line: ", event);
+        std::string line(prefix);
+        line += std::to_string(lines_.size());
+        line.append(event, rest, std::string::npos);
+        lines_.push_back(std::move(line));
+    }
 }
 
 uint64_t

@@ -16,8 +16,8 @@
  * round-trips (std::to_chars), which is also byte-stable.
  *
  * The recorder buffers serialized lines in memory (a full tuning run is
- * a few thousand events) and writes the file once at the end; append is
- * mutex-protected so concurrent scoring threads may emit safely.
+ * a few thousand events) and writes the file once at the end; emitting
+ * is mutex-protected so concurrent scoring threads may emit safely.
  */
 #ifndef FLEXTENSOR_OBS_TRACE_H
 #define FLEXTENSOR_OBS_TRACE_H
@@ -71,6 +71,14 @@ class TraceRecorder
     /** Instantaneous event. */
     void point(std::string_view name, double sim,
                std::initializer_list<TraceField> fields = {});
+
+    /**
+     * Append every event of `other`, in order, renumbering its `"i"`
+     * indices to continue this recorder's. A concurrent search records
+     * into its own recorder and is spliced into the parent timeline
+     * where a sequential run would have written it.
+     */
+    void append(const TraceRecorder &other);
 
     uint64_t eventCount() const;
 

@@ -249,6 +249,9 @@ renderTraceReport(const TraceReport &report, int curvePoints)
         }
         oss << "\n";
     }
+    if (any_wall && !report.graph.subgraphs.empty())
+        oss << "(wall-ms sums every anchor search; a graph run searches "
+               "concurrently, so it can exceed the run's wall time)\n";
 
     if (!report.verifyRejects.empty()) {
         oss << "\nverifier rejections by code:\n";

@@ -32,7 +32,8 @@ struct PhaseBreakdown
     /** Sum of wall nanoseconds carried on end events (`ns` attribute;
      *  emitted by wall-profiled runs for `eval.decode`, `eval.lower`,
      *  `q_forward_batch`, `q_train` and `space_build`). Zero for
-     *  unprofiled traces. */
+     *  unprofiled traces. Concurrent searches (graph::tuneDag) each add
+     *  their own, so a graph trace's sums can exceed its wall time. */
     uint64_t wallNs = 0;
 };
 

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "explore/evaluator.h"
-#include "serve/thread_pool.h"
+#include "support/thread_pool.h"
 
 namespace ft {
 

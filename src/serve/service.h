@@ -44,7 +44,7 @@
 #include "ml/costmodel.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
-#include "serve/thread_pool.h"
+#include "support/thread_pool.h"
 #include "support/thread_annotations.h"
 
 namespace ft {

@@ -18,10 +18,12 @@
 #include <sstream>
 #include <string>
 
+#include "dnn/models.h"
 #include "explore/tuner.h"
 #include "family/tune_family.h"
-#include "ml/costmodel.h"
+#include "graph/dag.h"
 #include "graph/schedule_dag.h"
+#include "ml/costmodel.h"
 #include "obs/trace.h"
 #include "ops/ops.h"
 #include "space/builder.h"
@@ -301,6 +303,48 @@ TEST(DeterminismGraphTest, FixedSeedGraphRunReproducesRecordedDigest)
     EXPECT_EQ(first, 9943629917423740432ULL)
         << "graph tuning no longer reproduces the recorded run "
         << "(actual digest " << first << "ULL)";
+}
+
+/**
+ * Multi-anchor graph runs are pinned by the full JSONL text of their
+ * trace, not only its event count: every `graph.subgraph` span, the
+ * `run`/`space_build`/`report` events nested inside it, their order and
+ * their `"i"` numbering. The values were recorded from the sequential
+ * per-group loop, so a concurrent search of the anchors must splice each
+ * search's events back exactly where the loop emitted them. The YOLO-v1
+ * run certifies and repeats anchors, which pins where a reused group's
+ * cached report and certificate land.
+ */
+uint64_t
+graphTraceDigest(const Network &net, const Target &target, int trials,
+                 bool certify)
+{
+    TuneOptions options;
+    options.explore.trials = trials;
+    options.explore.seed = 0x7ace;
+    options.certify = certify;
+    TraceRecorder trace;
+    options.explore.obs.trace = &trace;
+    graph::tuneDag(graph::dagFromNetwork(net), target, options);
+    return fnv1a(trace.toJsonl());
+}
+
+TEST(DeterminismGraphTest, MultiAnchorTraceTextReproducesRecordedDigest)
+{
+    const uint64_t overfeat =
+        graphTraceDigest(overFeat(1), Target::forCpu(xeonE5()), 4, false);
+    EXPECT_EQ(overfeat, graphTraceDigest(overFeat(1),
+                                         Target::forCpu(xeonE5()), 4, false))
+        << "two same-seed OverFeat graph traces diverged in-process";
+    EXPECT_EQ(overfeat, 6746426746598029705ULL)
+        << "the OverFeat/Xeon graph trace no longer reproduces the "
+        << "recorded text (actual digest " << overfeat << "ULL)";
+
+    const uint64_t yolo =
+        graphTraceDigest(yoloV1(1), Target::forGpu(v100()), 3, true);
+    EXPECT_EQ(yolo, 13662664878674516088ULL)
+        << "the YOLO-v1/V100 graph trace no longer reproduces the "
+        << "recorded text (actual digest " << yolo << "ULL)";
 }
 
 /**

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dnn/models.h"
@@ -727,8 +728,9 @@ TEST(GraphScheduleTest, TuneDagStitchesGroupsAndAccountsTraffic)
 
 /**
  * Wall attribution of the partitioner: under ObsContext::wallProfile,
- * tuneDag adds partitionDag's wall time to graph.partition.ns; without
- * it the counter does not exist. The timing never reaches the
+ * tuneDag adds partitionDag's wall time to graph.partition.ns and the
+ * concurrent anchor searches' to graph.search.ns; without it neither
+ * counter exists. The timing never reaches the
  * sim-clocked trace: an anchor-free DAG (nothing to tune, so no
  * evaluator spans) traces byte-identically with profiling on and off,
  * and with an anchor the only difference is the evaluator's own eval.*
@@ -745,6 +747,7 @@ TEST(GraphScheduleTest, WallProfileAttributesPartitionTimeOutsideTrace)
     ASSERT_TRUE(poolDag.validate(&why)) << why;
 
     const Target target = Target::forCpu(xeonE5());
+    uint64_t searchNs = 0;
     auto run = [&](const ComputeDag &dag, bool wallProfile,
                    uint64_t *partitionNs) {
         TraceRecorder trace;
@@ -759,14 +762,13 @@ TEST(GraphScheduleTest, WallProfileAttributesPartitionTimeOutsideTrace)
         options.explore.obs.wallProfile = wallProfile;
         tuneDag(dag, target, options);
         const MetricsSnapshot snap = metrics.snapshot();
-        *partitionNs = 0;
-        bool present = false;
+        *partitionNs = snap.counter("graph.partition.ns");
+        searchNs = snap.counter("graph.search.ns");
+        int present = 0;
         for (const auto &kv : snap.counters)
-            if (kv.first == "graph.partition.ns") {
-                present = true;
-                *partitionNs = kv.second;
-            }
-        EXPECT_EQ(present, wallProfile);
+            present += kv.first == "graph.partition.ns" ||
+                       kv.first == "graph.search.ns";
+        EXPECT_EQ(present, wallProfile ? 2 : 0);
         return trace.lines();
     };
 
@@ -800,6 +802,7 @@ TEST(GraphScheduleTest, WallProfileAttributesPartitionTimeOutsideTrace)
     const auto off = run(dag, false, &offNs);
     const auto on = run(dag, true, &onNs);
     EXPECT_GT(onNs, 0u);
+    EXPECT_GT(searchNs, 0u);
     EXPECT_GT(on.size(), off.size());
     EXPECT_EQ(withoutWall(off).size(), off.size());
     EXPECT_EQ(wallSpans, 0);
@@ -987,6 +990,46 @@ TEST(GraphScheduleTest, AnchorMemoOffWithTuningCache)
     const DagTuneReport rep = tuneDag(job.dag, job.target, options);
     for (const SubgraphReport &sub : rep.groups)
         EXPECT_EQ(sub.reusedFrom, -1) << sub.name;
+}
+
+/**
+ * Two threads tuning the same DAG at once share the process-wide search
+ * pool; each gets the report and trace text of a call made alone.
+ */
+TEST(GraphScheduleTest, ConcurrentCallsMatchASoloCall)
+{
+    const Sec66Job job = sec66Jobs().front(); // YOLO-v1 on V100
+    auto call = [&job](std::string *jsonl) {
+        TraceRecorder trace;
+        TuneOptions options;
+        options.explore.trials = 4;
+        options.explore.seed = 0xc0c;
+        options.explore.obs.trace = &trace;
+        DagTuneReport rep = tuneDag(job.dag, job.target, options);
+        *jsonl = trace.toJsonl();
+        return rep;
+    };
+    std::string soloTrace, otherTrace, mainTrace;
+    const DagTuneReport solo = call(&soloTrace);
+    DagTuneReport other;
+    std::thread thread([&] { other = call(&otherTrace); });
+    DagTuneReport mine = call(&mainTrace);
+    thread.join();
+
+    for (const DagTuneReport *rep : {&other, &mine}) {
+        ASSERT_EQ(rep->groups.size(), solo.groups.size());
+        for (size_t g = 0; g < solo.groups.size(); ++g) {
+            const SubgraphReport &got = rep->groups[g];
+            const SubgraphReport &want = solo.groups[g];
+            EXPECT_EQ(got.reusedFrom, want.reusedFrom) << want.name;
+            EXPECT_EQ(got.seconds, want.seconds) << want.name;
+            expectSameSearch(got.report, want.report, want.name);
+        }
+        EXPECT_EQ(rep->totalSeconds, solo.totalSeconds);
+        EXPECT_EQ(rep->simExploreSeconds, solo.simExploreSeconds);
+    }
+    EXPECT_EQ(otherTrace, soloTrace);
+    EXPECT_EQ(mainTrace, soloTrace);
 }
 
 /**

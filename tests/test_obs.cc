@@ -119,6 +119,25 @@ TEST(Trace, EventsRoundTripThroughParser)
     EXPECT_FALSE(parseTraceLine("not json").has_value());
 }
 
+TEST(Trace, AppendRenumbersSplicedEvents)
+{
+    TraceRecorder parent;
+    parent.begin("outer", 0.0);
+    TraceRecorder child;
+    child.meta("run", {tstr("op", "gemm")});
+    child.point("report", 1.5, {tint("trials", 3)});
+    parent.append(child);
+    parent.end("outer", 1.5);
+
+    TraceRecorder direct;
+    direct.begin("outer", 0.0);
+    direct.meta("run", {tstr("op", "gemm")});
+    direct.point("report", 1.5, {tint("trials", 3)});
+    direct.end("outer", 1.5);
+    EXPECT_EQ(parent.toJsonl(), direct.toJsonl());
+    EXPECT_EQ(child.eventCount(), 2u); // the source is left as it was
+}
+
 TEST(Trace, DoubleFormattingRoundTrips)
 {
     for (double v : {0.0, 1.0, 0.1, 123.456, 1e-9, 6.02e23, 257.0,
@@ -292,6 +311,36 @@ TEST(Trace, WallProfileAttributesSpaceBuild)
             EXPECT_EQ(ends, 1) << "family=" << family_run;
         }
     }
+}
+
+TEST(Metrics, WallProfileAttributesAutoTvmFits)
+{
+    // Each AutoTVM round's GBT refit adds its wall time to
+    // `autotvm.fit.ns` under wallProfile only; the fit count is kept
+    // either way and the search itself does not change.
+    Tensor out = obsGemm();
+    const Target target = Target::forGpu(v100());
+    std::string best[2];
+    for (bool profile : {false, true}) {
+        MetricsRegistry metrics;
+        TuneOptions options;
+        options.method = Method::AutoTvm;
+        options.explore.trials = 16;
+        options.explore.obs = {nullptr, &metrics, profile};
+        best[profile] =
+            serializeConfig(tuneOp(out.op(), target, options).config);
+        const MetricsSnapshot snap = metrics.snapshot();
+        EXPECT_GT(snap.counter("autotvm.model_fits"), 0u);
+        bool counted = false;
+        for (const auto &[name, value] : snap.counters) {
+            if (name == "autotvm.fit.ns") {
+                counted = true;
+                EXPECT_GT(value, 0u);
+            }
+        }
+        EXPECT_EQ(counted, profile);
+    }
+    EXPECT_EQ(best[0], best[1]);
 }
 
 TEST(TraceReport, JsonOmitsEmptySections)

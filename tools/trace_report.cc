@@ -10,6 +10,12 @@
  * The human-readable report goes to stdout; --json additionally writes
  * the machine-readable report (with the full, unsampled curve) so the
  * Fig. 7 plot can be regenerated from it.
+ *
+ * Wall columns of a wall-profiled trace sum per-phase `ns` over every
+ * search in it. graph::tuneDag runs a DAG's anchor searches
+ * concurrently, so in a graph trace the `eval.*` and `q_*` wall sums
+ * (like the `eval.*.ns` and `q.*.ns` counters) add up across workers
+ * and can exceed the call's wall time.
  */
 #include <cstdio>
 #include <cstring>
