@@ -8,6 +8,7 @@
 #include "ml/features.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "support/hash.h"
 #include "support/logging.h"
 
 namespace ft {
@@ -52,40 +53,6 @@ constexpr const char *kGatingCodes[] = {
     verify::kResBramBudget,
 };
 
-/** FNV-1a workload fingerprint: operator, shape, device. */
-uint64_t
-workloadKeyFor(const Operation &anchor, const Target &target)
-{
-    constexpr uint64_t kOffset = 1469598103934665603ULL;
-    constexpr uint64_t kPrime = 1099511628211ULL;
-    uint64_t h = kOffset;
-    auto mixU64 = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i, v >>= 8) {
-            h ^= v & 0xff;
-            h *= kPrime;
-        }
-    };
-    auto mixStr = [&](const std::string &s) {
-        mixU64(s.size());
-        for (unsigned char c : s) {
-            h ^= c;
-            h *= kPrime;
-        }
-    };
-    mixStr(anchor->name());
-    if (!anchor->isPlaceholder()) {
-        const auto *c = static_cast<const ComputeOp *>(anchor.get());
-        mixU64(c->axis().size());
-        for (const auto &iv : c->axis())
-            mixU64(static_cast<uint64_t>(iv->extent));
-        mixU64(c->reduceAxis().size());
-        for (const auto &iv : c->reduceAxis())
-            mixU64(static_cast<uint64_t>(iv->extent));
-    }
-    mixStr(target.deviceName());
-    return h;
-}
-
 } // namespace
 
 Evaluator::Evaluator(Operation anchor, const ScheduleSpace &space,
@@ -95,7 +62,8 @@ Evaluator::Evaluator(Operation anchor, const ScheduleSpace &space,
       target_(target),
       measureCost_(defaultMeasureCost(target))
 {
-    workloadKey_ = workloadKeyFor(anchor_, target_);
+    workloadKey_ =
+        Fnv1a().word(anchor_->key()).bytes(target_.deviceName()).value();
     // Typical tuning budgets are a few hundred to a few thousand trials;
     // pre-sizing keeps the per-commit push_back off the allocator.
     history_.reserve(1024);

@@ -189,7 +189,7 @@ class Evaluator
 
     /**
      * Workload fingerprint grouping this evaluator's trials for the
-     * rank objective: FNV-1a over operator name, axis extents, and
+     * rank objective: FNV-1a over the anchor's structural OpKey and the
      * device name.
      */
     uint64_t workloadKey() const { return workloadKey_; }

@@ -188,14 +188,6 @@ DispatchTable::loadFromFile(const std::string &path)
     const std::string bytes = buf.str();
     in.close();
 
-    if (!looksLikeJournal(bytes)) {
-        // Legacy bare serialize() text.
-        auto table = deserialize(bytes);
-        if (!table)
-            warn("ignoring malformed dispatch table file ", path);
-        return table;
-    }
-
     JournalContents journal = parseJournal(bytes);
     if (!journal.valid || journal.kind != kDispatchKind) {
         warn("ignoring dispatch table ", path, " (",

@@ -79,10 +79,10 @@ class DispatchTable
     bool saveToFile(const std::string &path) const;
 
     /**
-     * Load a table persisted by saveToFile(). Legacy bare serialize()
-     * text files are still read. A torn or corrupt journal fails with a
-     * loud structured diagnostic; returns nullopt on any failure
-     * (missing file included).
+     * Load a table persisted by saveToFile(). A file that is not a
+     * dispatch journal, or a torn or corrupt one, fails with a loud
+     * structured diagnostic; returns nullopt on any failure (missing
+     * file included).
      */
     static std::optional<DispatchTable> loadFromFile(const std::string &path);
 

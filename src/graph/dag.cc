@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "support/hash.h"
 #include "support/logging.h"
 
 namespace ft {
@@ -210,17 +211,6 @@ ComputeDag::spec() const
         os << "\n";
     }
     return os.str();
-}
-
-uint64_t
-fnv1a64(const std::string &s)
-{
-    uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
 }
 
 uint64_t

@@ -125,9 +125,6 @@ struct ComputeDag
  */
 ComputeDag dagFromNetwork(const Network &net);
 
-/** 64-bit FNV-1a over a string (the fingerprint primitive). */
-uint64_t fnv1a64(const std::string &s);
-
 } // namespace graph
 } // namespace ft
 

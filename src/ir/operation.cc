@@ -3,36 +3,21 @@
 #include <cstring>
 #include <unordered_set>
 
+#include "support/hash.h"
 #include "support/logging.h"
 
 namespace ft {
 
 namespace {
 
-/** FNV-1a over the little-endian bytes of 64-bit words (OpKey). */
-class KeyHasher
+/** Mix a shape into an OpKey hash: rank, then each extent. */
+void
+mixShape(Fnv1a &hasher, const std::vector<int64_t> &shape)
 {
-  public:
-    void mix(uint64_t v)
-    {
-        for (int b = 0; b < 8; ++b) {
-            h_ ^= (v >> (b * 8)) & 0xffu;
-            h_ *= 1099511628211ULL;
-        }
-    }
-
-    void mixShape(const std::vector<int64_t> &shape)
-    {
-        mix(shape.size());
-        for (int64_t d : shape)
-            mix(static_cast<uint64_t>(d));
-    }
-
-    OpKey key() const { return h_; }
-
-  private:
-    uint64_t h_ = 1469598103934665603ULL;
-};
+    hasher.word(shape.size());
+    for (int64_t d : shape)
+        hasher.word(static_cast<uint64_t>(d));
+}
 
 /** Kind tags, so a placeholder never keys like a same-shaped constant. */
 enum : uint64_t { kPlaceholderTag = 1, kConstantTag, kComputeTag };
@@ -90,12 +75,12 @@ ComputeOp::ComputeOp(std::string name, std::vector<IterVar> axis,
         FT_ASSERT(iv->kind == IterKind::Reduce,
                   "reduce axis of ", name_, " must have reduce kind");
     }
-    KeyHasher hasher;
-    hasher.mix(kComputeTag);
+    Fnv1a hasher;
+    hasher.word(kComputeTag);
     for (const auto *axes : {&axis_, &reduceAxis_}) {
-        hasher.mix(axes->size());
+        hasher.word(axes->size());
         for (const auto &iv : *axes)
-            hasher.mix(static_cast<uint64_t>(iv->extent));
+            hasher.word(static_cast<uint64_t>(iv->extent));
     }
     // A Var keys as (0 spatial / 1 reduce, position).
     auto mixVar = [&](const IterVarNode *v) {
@@ -103,8 +88,8 @@ ComputeOp::ComputeOp(std::string name, std::vector<IterVar> axis,
             const auto &axes = kind == 0 ? axis_ : reduceAxis_;
             for (size_t pos = 0; pos < axes.size(); ++pos) {
                 if (axes[pos].get() == v) {
-                    hasher.mix(kind);
-                    hasher.mix(pos);
+                    hasher.word(kind);
+                    hasher.word(pos);
                     return;
                 }
             }
@@ -117,15 +102,15 @@ ComputeOp::ComputeOp(std::string name, std::vector<IterVar> axis,
     // so the hashed sequence determines the tree.
     std::unordered_set<const OperationNode *> seen;
     visitExpr(body_, [&](const ExprNode &n) {
-        hasher.mix(static_cast<uint64_t>(n.kind));
+        hasher.word(static_cast<uint64_t>(n.kind));
         switch (n.kind) {
           case ExprKind::IntImm:
-            hasher.mix(static_cast<uint64_t>(n.intValue));
+            hasher.word(static_cast<uint64_t>(n.intValue));
             return;
           case ExprKind::FloatImm: {
             uint64_t bits;
             std::memcpy(&bits, &n.floatValue, sizeof bits);
-            hasher.mix(bits);
+            hasher.word(bits);
             return;
           }
           case ExprKind::Var:
@@ -136,13 +121,13 @@ ComputeOp::ComputeOp(std::string name, std::vector<IterVar> axis,
           default:
             return;
         }
-        hasher.mix(n.source->key());
-        hasher.mix(n.indices.size());
+        hasher.word(n.source->key());
+        hasher.word(n.indices.size());
         accesses_.push_back(&n);
         if (seen.insert(n.source.get()).second)
             inputs_.push_back(Tensor(n.source));
     });
-    key_ = hasher.key();
+    key_ = hasher.value();
 }
 
 std::vector<Tensor>
@@ -154,10 +139,10 @@ ComputeOp::inputs() const
 PlaceholderOp::PlaceholderOp(std::string name, std::vector<int64_t> shape)
     : OperationNode(std::move(name), std::move(shape))
 {
-    KeyHasher hasher;
-    hasher.mix(kPlaceholderTag);
-    hasher.mixShape(shape_);
-    key_ = hasher.key();
+    Fnv1a hasher;
+    hasher.word(kPlaceholderTag);
+    mixShape(hasher, shape_);
+    key_ = hasher.value();
 }
 
 Tensor
@@ -178,15 +163,15 @@ ConstantOp::ConstantOp(std::string name, std::vector<int64_t> shape,
         n *= d;
     FT_ASSERT(static_cast<int64_t>(data_.size()) == n,
               "constant ", name_, " data size mismatch");
-    KeyHasher hasher;
-    hasher.mix(kConstantTag);
-    hasher.mixShape(shape_);
+    Fnv1a hasher;
+    hasher.word(kConstantTag);
+    mixShape(hasher, shape_);
     for (float v : data_) {
         uint32_t bits;
         std::memcpy(&bits, &v, sizeof bits);
-        hasher.mix(bits);
+        hasher.word(bits);
     }
-    key_ = hasher.key();
+    key_ = hasher.value();
 }
 
 Tensor

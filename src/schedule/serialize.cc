@@ -209,11 +209,10 @@ parseCacheRecord(const std::string &line)
 bool
 TuningCache::save(const std::string &path) const
 {
-    // Format v3: a CRC32-framed journal, one record per frame, committed
-    // atomically (temp file + rename) so readers never observe a partial
-    // file. Unlike the v2 count-footer format — which could only detect
-    // truncation and discard everything — per-frame checksums let load()
-    // recover every record before a torn tail.
+    // A CRC32-framed journal, one record per frame, committed atomically
+    // (temp file + rename) so readers never observe a partial file;
+    // per-frame checksums let load() recover every record before a torn
+    // tail.
     JournalWriter writer(kCacheKind);
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -238,83 +237,31 @@ TuningCache::load(const std::string &path)
     const std::string bytes = buf.str();
     in.close();
 
-    if (looksLikeJournal(bytes)) {
-        JournalContents journal = parseJournal(bytes);
-        if (!journal.valid || journal.kind != kCacheKind) {
-            warn("tuning cache ", path, " is not a usable journal (",
-                 journal.diag.empty() ? "wrong journal kind" : journal.diag,
-                 "); starting with an empty cache");
-            return true;
-        }
-        if (journal.torn) {
-            // Torn tail: every intact frame before the tear is real
-            // data — keep it. Repair the file so future appends and
-            // readers see a clean journal.
-            warn("tuning cache ", path, " has a torn tail (", journal.diag,
-                 "); recovered ", journal.records.size(),
-                 " records before the tear");
-            if (!truncateToValid(path, journal))
-                warn("could not repair torn tuning cache ", path);
-        }
-        for (const std::string &payload : journal.records) {
-            auto record = parseCacheRecord(payload);
-            if (!record) {
-                warn("skipping unparseable tuning record frame: ", payload);
-                continue;
-            }
-            put(*record);
-        }
+    JournalContents journal = parseJournal(bytes);
+    if (!journal.valid || journal.kind != kCacheKind) {
+        warn("tuning cache ", path, " is not a usable journal (",
+             journal.diag.empty() ? "wrong journal kind" : journal.diag,
+             "); starting with an empty cache");
         return true;
     }
-
-    // Legacy formats. v2: header + record-count footer — a missing
-    // footer or count mismatch means truncation mid-write (or
-    // corruption), and the whole file is discarded with a warning
-    // instead of poisoning a running service. v1 (no header) keeps the
-    // lenient skip-bad-lines behavior.
-    std::vector<TuningRecord> staged;
-    bool versioned = false, first = true, corrupt = false;
-    bool saw_footer = false;
-    size_t declared = 0;
-    std::string line;
-    std::istringstream text(bytes);
-    while (std::getline(text, line)) {
-        if (line.empty())
-            continue;
-        if (first) {
-            first = false;
-            if (line == "#flextensor-cache v2") {
-                versioned = true;
-                continue;
-            }
-        }
-        if (line[0] == '#') {
-            if (versioned && line.rfind("#count=", 0) == 0) {
-                try {
-                    declared = std::stoull(line.substr(7));
-                    saw_footer = true;
-                } catch (...) {
-                    corrupt = true;
-                }
-            }
-            continue;
-        }
-        auto record = parseCacheRecord(line);
+    if (journal.torn) {
+        // Torn tail: every intact frame before the tear is real data —
+        // keep it. Repair the file so future appends and readers see a
+        // clean journal.
+        warn("tuning cache ", path, " has a torn tail (", journal.diag,
+             "); recovered ", journal.records.size(),
+             " records before the tear");
+        if (!truncateToValid(path, journal))
+            warn("could not repair torn tuning cache ", path);
+    }
+    for (const std::string &payload : journal.records) {
+        auto record = parseCacheRecord(payload);
         if (!record) {
-            warn("skipping malformed tuning record: ", line);
-            corrupt = true;
+            warn("skipping unparseable tuning record frame: ", payload);
             continue;
         }
-        staged.push_back(std::move(*record));
+        put(*record);
     }
-    if (versioned &&
-        (corrupt || !saw_footer || declared != staged.size())) {
-        warn("tuning cache ", path,
-             " is truncated or corrupt; starting with an empty cache");
-        return true;
-    }
-    for (const TuningRecord &record : staged)
-        put(record);
     return true;
 }
 

@@ -52,7 +52,7 @@ struct TuningRecord
  * journal (support/journal.h) via a temp file plus atomic rename, so a
  * crashed or interrupted writer can never leave a truncated cache
  * behind, and load() recovers every intact record before a torn tail.
- * Legacy v2 (count-footer) and v1 (headerless) files are still read.
+ * A file that is not a tuning-cache journal loads as empty.
  */
 class TuningCache
 {

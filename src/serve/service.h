@@ -6,20 +6,25 @@
  * (submit()), one scoring measurement batches inside each request — and
  * layers three levels of result reuse over the tuner:
  *
- *   1. An in-memory LRU cache of complete TuneReports keyed by a 64-bit
- *      FNV-1a request fingerprint (operator + shape + device + method +
- *      options), with the full identity string kept behind the hash for
- *      collision checking.
+ *   1. An in-memory LRU cache of complete TuneReports.
  *   2. Request coalescing: concurrent identical requests share a single
  *      in-flight tuning run; joiners block on a shared future and all
  *      receive the same report.
  *   3. The persistent TuningCache (best schedule per operator/device),
  *      consulted and updated by the underlying tuner.
  *
- * Shape families get the same treatment one level up: tuneFamily()
- * requests coalesce, and finished runs publish their DispatchTable so
- * serveShape() can answer any in-range shape from the table without
- * tuning again.
+ * A request is identified by its RequestKey (serve/request_key.h): the
+ * anchor's structural OpKey, the device, and every option that can
+ * change the answer (method, budgets, seeds, search hyperparameters,
+ * certification, fault profile and retry policy, checkpoint path, and
+ * whether a cost model or persistent cache is attached). Two requests
+ * share a report only when their keys are equal as values.
+ *
+ * Whole DAGs and shape families get the same treatment one level up,
+ * keyed by the DAG's spec() or the family's fields: tuneDag() reports
+ * are cached and coalesced, tuneFamily() requests coalesce, and finished
+ * family runs publish their DispatchTable so serveShape() can answer any
+ * in-range shape from the table without tuning again.
  *
  * Per-service counters expose the request mix for monitoring.
  */
@@ -30,13 +35,10 @@
 #include <functional>
 #include <future>
 #include <limits>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 #include "explore/tuner.h"
 #include "family/tune_family.h"
@@ -44,6 +46,7 @@
 #include "ml/costmodel.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
+#include "serve/request_key.h"
 #include "support/thread_pool.h"
 #include "support/thread_annotations.h"
 
@@ -184,6 +187,8 @@ class TuningService
 {
   public:
     explicit TuningService(const ServiceOptions &options = {});
+    /** Finishes every queued request before tearing anything down. */
+    ~TuningService();
 
     TuningService(const TuningService &) = delete;
     TuningService &operator=(const TuningService &) = delete;
@@ -257,8 +262,8 @@ class TuningService
 
     /**
      * Graph-level scheduling of a whole compute DAG. Requests are keyed
-     * by the DAG's 64-bit fingerprint plus device and tuning options: a
-     * repeat request is served from the graph report cache without
+     * by the DAG's spec() plus device and tuning options: a repeat
+     * request is served from the graph report cache without
      * re-partitioning or re-tuning, and concurrent identical requests
      * coalesce into one run (the anchor tunes inside still hit the
      * operator-level reuse layers).
@@ -304,101 +309,31 @@ class TuningService
     const ServiceOptions &options() const { return options_; }
 
   private:
-    /** One LRU slot: fingerprint, collision-check identity, report. */
-    struct CachedReport
-    {
-        uint64_t key;
-        std::string identity;
-        TuneReport report;
-    };
-
-    /** One in-flight run: collision-check identity + shared result. */
-    struct InflightRun
-    {
-        std::string identity;
-        std::shared_future<TuneReport> future;
-    };
-
-    struct InflightFamilyRun
-    {
-        std::string identity;
-        std::shared_future<FamilyTuneReport> future;
-    };
-
-    struct InflightGraphRun
-    {
-        std::string identity;
-        std::shared_future<graph::DagTuneReport> future;
-    };
-
-    /** A cached whole-DAG report plus its collision-check identity. */
-    struct GraphSlot
-    {
-        std::string identity;
-        graph::DagTuneReport report;
-    };
-
-    /** A published dispatch table plus its collision-check identity. */
-    struct DispatchSlot
-    {
-        std::string identity;
-        DispatchTable table;
-    };
+    /**
+     * Point a request's options at the service: the shared evaluation
+     * pool, the service-wide cost model, persistent cache and metrics
+     * registry, unless the request brings its own. Done before keying,
+     * so the key names the options the run actually uses.
+     */
+    void prepare(ExploreOptions &explore);
+    void prepare(TuneOptions &options);
 
     /**
-     * 64-bit FNV-1a over the raw request fields (no string assembly on
-     * the hot path). The LRU and the in-flight map are keyed by this;
-     * requestIdentity() is materialized only on a fingerprint hit to
-     * rule out collisions.
+     * The admission path behind tuneAnchorAdmitted() and
+     * submitAdmitted(): decide now, answer a brownout from the report
+     * cache, and run an admitted request on the request pool when
+     * `onRequestPool`, else on the caller's thread.
      */
-    static uint64_t requestFingerprint(const Operation &anchor,
-                                       const Target &target,
-                                       const TuneOptions &options);
+    std::future<AdmittedReport> admitAnchor(const Operation &anchor,
+                                            const Target &target,
+                                            TuneOptions options,
+                                            RequestOptions request,
+                                            bool onRequestPool);
 
-    /**
-     * Full request identity: the anchor's OpKey and device plus the
-     * options that shape the result.
-     */
-    static std::string requestIdentity(const Operation &anchor,
-                                       const Target &target,
-                                       const TuneOptions &options);
-
-    /** Fingerprint/identity of a whole-family tuning request. */
-    static uint64_t familyFingerprint(const ShapeFamily &family,
-                                      const Target &target,
-                                      const FamilyTuneOptions &options);
-    static std::string familyIdentity(const ShapeFamily &family,
-                                      const Target &target,
-                                      const FamilyTuneOptions &options);
-
-    /** Fingerprint/identity of a whole-DAG tuning request. */
-    static uint64_t graphFingerprint(const graph::ComputeDag &dag,
-                                     const Target &target,
-                                     const TuneOptions &options);
-    static std::string graphIdentity(const graph::ComputeDag &dag,
-                                     const Target &target,
-                                     const TuneOptions &options);
-
-    /** Fingerprint/identity of a (family, device) dispatch slot. */
-    static uint64_t dispatchFingerprint(const std::string &familyName,
-                                        const std::string &device);
-    static std::string dispatchIdentity(const std::string &familyName,
-                                        const std::string &device);
-
-    /**
-     * LRU lookup; promotes the entry on hit. Returns null on a
-     * fingerprint collision (identity mismatch). Caller holds mu_.
-     */
-    const TuneReport *lruGet(uint64_t key, const std::string &identity)
-        FT_REQUIRES(mu_);
-
-    /**
-     * LRU insert with eviction. A fingerprint collision (slot taken by
-     * a different identity) leaves the existing entry in place. Caller
-     * holds mu_.
-     */
-    void lruPut(uint64_t key, const std::string &identity,
-                const TuneReport &report) FT_REQUIRES(mu_);
+    /** Serve `shape` from the published table of its family, if any. */
+    std::optional<FamilyServeResult>
+    fromDispatch(const ShapeFamily &family, int64_t shape,
+                 const Target &target);
 
     /** The coalescing family run behind tuneFamily()/serveShape(). */
     FamilyTuneReport runFamily(const ShapeFamily &family,
@@ -447,21 +382,16 @@ class TuningService
     Counter &graphRequests_;
     Counter &graphCacheHits_;
 
+    /** Operator requests: the LRU report cache and coalescing. */
+    RequestTable<TuneReport> reports_;
+    /** Family requests coalesce; published tables answer repeats. */
+    RequestTable<FamilyTuneReport> families_;
+    /** Whole-DAG requests: an unbounded report cache and coalescing. */
+    RequestTable<graph::DagTuneReport> dags_;
+
     mutable Mutex mu_;
-    std::unordered_map<uint64_t, InflightRun> inflight_
-        FT_GUARDED_BY(mu_);
-    /** front = newest */
-    std::list<CachedReport> lru_ FT_GUARDED_BY(mu_);
-    std::unordered_map<uint64_t, std::list<CachedReport>::iterator>
-        lruIndex_ FT_GUARDED_BY(mu_);
-    std::unordered_map<uint64_t, InflightFamilyRun> familyInflight_
-        FT_GUARDED_BY(mu_);
-    std::unordered_map<uint64_t, DispatchSlot> dispatch_
-        FT_GUARDED_BY(mu_);
-    std::unordered_map<uint64_t, InflightGraphRun> graphInflight_
-        FT_GUARDED_BY(mu_);
-    std::unordered_map<uint64_t, GraphSlot> graphCache_
-        FT_GUARDED_BY(mu_);
+    std::unordered_map<RequestKey, DispatchTable, RequestKey::Hash>
+        dispatch_ FT_GUARDED_BY(mu_);
 };
 
 } // namespace ft

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "schedule/encoder.h"
+#include "support/hash.h"
 #include "support/logging.h"
 #include "support/rng.h"
 
@@ -20,18 +21,12 @@ Point::key() const
 PointKey
 Point::key64() const
 {
-    // FNV-1a over the little-endian bytes of each index. The constants
-    // are load-bearing: checkpoints and caches persist these keys, and
+    // FNV-1a over the little-endian bytes of each index;
     // tests/test_perf_paths.cc pins known digests.
-    uint64_t h = 1469598103934665603ULL;
-    for (int64_t v : idx) {
-        uint64_t u = static_cast<uint64_t>(v);
-        for (int b = 0; b < 8; ++b) {
-            h ^= (u >> (b * 8)) & 0xffu;
-            h *= 1099511628211ULL;
-        }
-    }
-    return h;
+    Fnv1a h;
+    for (int64_t v : idx)
+        h.word(static_cast<uint64_t>(v));
+    return h.value();
 }
 
 ScheduleSpace::ScheduleSpace(OpConfig base_config)

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/hash.h"
 #include "support/logging.h"
 
 namespace ft {
@@ -17,18 +18,6 @@ mix64(uint64_t z)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
-}
-
-/** FNV-1a over the key bytes. */
-uint64_t
-hashKey(const std::string &key)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : key) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 /** Uniform double in [0, 1) from a hashed value. */
@@ -51,16 +40,6 @@ faultKindName(FaultKind kind)
       case FaultKind::Outlier: return "outlier";
     }
     return "?";
-}
-
-std::string
-FaultProfile::fingerprint() const
-{
-    std::ostringstream oss;
-    oss << "t" << transient << ",p" << permanent << ",to" << timeout
-        << ",o" << outlier << ",f" << transientFailures << ",h"
-        << hangSeconds << ",x" << outlierScale << ",s" << seed;
-    return oss.str();
 }
 
 std::optional<FaultProfile>
@@ -121,7 +100,7 @@ FaultInjector::FaultInjector(const FaultProfile &profile) : profile_(profile)
 FaultKind
 FaultInjector::pointMode(const std::string &key) const
 {
-    const double u = toUnit(mix64(hashKey(key) ^ profile_.seed));
+    const double u = toUnit(mix64(fnv1a64(key, kFnvBasis) ^ profile_.seed));
     double edge = profile_.transient;
     if (u < edge)
         return FaultKind::Transient;
@@ -171,7 +150,7 @@ FaultInjector::crashOffsetFor(const std::string &path, size_t totalBytes,
 {
     FT_ASSERT(totalBytes >= 2, "crash offset needs at least 2 bytes");
     const uint64_t h =
-        mix64(hashKey(path) ^ profile_.seed ^ mix64(schedule + 1));
+        mix64(fnv1a64(path, kFnvBasis) ^ profile_.seed ^ mix64(schedule + 1));
     // Offsets in [1, totalBytes): a zero-byte "write" is a no-op and a
     // full write is not a crash.
     return 1 + static_cast<size_t>(h % (totalBytes - 1));

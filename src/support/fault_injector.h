@@ -60,9 +60,6 @@ struct FaultProfile
         return transient > 0.0 || permanent > 0.0 || timeout > 0.0 ||
                outlier > 0.0;
     }
-
-    /** Compact "t0.1,p0.05,..." form (request identity / logging). */
-    std::string fingerprint() const;
 };
 
 /**

@@ -247,7 +247,7 @@ journalAppend(const std::string &path, const std::string &kind,
 {
     JournalContents existing = readJournal(path);
     if (!existing.valid || existing.kind != kind) {
-        // Missing, empty, legacy, or foreign-kind file: start a fresh
+        // Missing, empty, non-journal or foreign-kind file: start a fresh
         // journal atomically so the old contents never mix with frames.
         JournalWriter writer(kind);
         writer.append(payload);

@@ -49,7 +49,7 @@ bool looksLikeJournal(std::string_view bytes);
 struct JournalContents
 {
     /** Header parsed and version understood. When false, the file is
-     *  not a journal at all (callers fall back to legacy readers). */
+     *  not a journal at all and `diag` says why. */
     bool valid = false;
     std::string kind;                 ///< adopter format tag from header
     std::vector<std::string> records; ///< intact frame payloads, in order

@@ -364,6 +364,24 @@ TEST(TuningCacheDurability, TruncationToHeaderStartsEmpty)
     std::remove(path.c_str());
 }
 
+TEST(TuningCacheDurability, BareTextFileLoadsEmpty)
+{
+    // Well-formed records as bare tab-separated lines (no journal
+    // framing, with or without a count header) are not a cache file:
+    // load() succeeds with nothing in it.
+    const std::string path = ::testing::TempDir() + "ft_cache_bare.j";
+    const std::string record = "op1\t3.5\tv1|s=2,2|r=4|reorder=1|fuse=1|"
+                               "unroll=0|vec=8|rows=1|part=1\n";
+    for (const std::string &bytes :
+         {record, "#flextensor-cache v2\n" + record + "#count=1\n"}) {
+        writeBytes(path, bytes);
+        TuningCache loaded;
+        ASSERT_TRUE(loaded.load(path));
+        EXPECT_EQ(loaded.size(), 0u);
+    }
+    std::remove(path.c_str());
+}
+
 TEST(TuningCacheDurability, SaveLoadRoundTripStaysLossless)
 {
     const std::string path = ::testing::TempDir() + "ft_cache_rt.j";
@@ -421,14 +439,15 @@ TEST(DispatchDurability, SaveLoadRoundTripIsByteExact)
     std::remove(path.c_str());
 }
 
-TEST(DispatchDurability, LegacyBareTextFileIsStillRead)
+TEST(DispatchDurability, BareTextFileIsIgnored)
 {
-    const std::string path = ::testing::TempDir() + "ft_dispatch_legacy.j";
+    // A well-formed table written as bare serialize() text, without the
+    // journal framing, is not a dispatch table file.
+    const std::string path = ::testing::TempDir() + "ft_dispatch_bare.j";
     DispatchTable table = smallTable();
+    ASSERT_TRUE(DispatchTable::deserialize(table.serialize()).has_value());
     writeBytes(path, table.serialize());
-    auto loaded = DispatchTable::loadFromFile(path);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->serialize(), table.serialize());
+    EXPECT_FALSE(DispatchTable::loadFromFile(path).has_value());
     std::remove(path.c_str());
 }
 

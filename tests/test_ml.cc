@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <map>
 
+#include "dnn/models.h"
 #include "explore/tuner.h"
 #include "ml/costmodel.h"
 #include "ml/features.h"
@@ -412,6 +414,32 @@ TEST(CostModel, ExplorerRecordsTrialsAndWarmStartsWhenReady)
     ExploreResult second = explore(Method::QMethod, eval2, options);
     EXPECT_GT(second.bestGflops, 0.0);
     EXPECT_GT(second.trialsUsed, 0);
+}
+
+/**
+ * YOLO-v1's conv22 (14x14 input, stride 2) and conv23 (7x7, stride 1)
+ * share name, output and reduce extents but not their loop nests, so
+ * their trials rank in separate groups; conv23 and conv24 are the same
+ * operator and share one.
+ */
+TEST(CostModel, WorkloadKeyFollowsTheStructuralOperator)
+{
+    std::map<std::string, Tensor> convs;
+    for (const FusedOp &op : partitionAndFuse(yoloV1(1)))
+        convs[op.name] = op.output;
+    ASSERT_TRUE(convs.count("conv22") && convs.count("conv23") &&
+                convs.count("conv24"));
+    auto keyOf = [](const Tensor &out, const Target &target) {
+        MiniGraph graph(out);
+        const Operation anchor = anchorOp(graph);
+        const ScheduleSpace space = buildSpace(anchor, target);
+        return Evaluator(anchor, space, target).workloadKey();
+    };
+    const Target gpu = Target::forGpu(v100());
+    EXPECT_NE(keyOf(convs["conv22"], gpu), keyOf(convs["conv23"], gpu));
+    EXPECT_EQ(keyOf(convs["conv23"], gpu), keyOf(convs["conv24"], gpu));
+    EXPECT_NE(keyOf(convs["conv23"], gpu),
+              keyOf(convs["conv23"], Target::forCpu(xeonE5())));
 }
 
 TEST(CostModel, BackgroundRefitTrainsEventually)

@@ -11,6 +11,7 @@
 #include "ops/ops.h"
 #include "schedule/serialize.h"
 #include "sim/library_model.h"
+#include "support/journal.h"
 #include "support/rng.h"
 
 namespace ft {
@@ -126,17 +127,15 @@ TEST(TuningCache, LoadMissingFileFails)
 
 TEST(TuningCache, SkipsMalformedLines)
 {
+    // One record per journal frame; intact frames whose record does not
+    // parse are skipped, the rest load.
     const std::string path = "/tmp/flextensor_cache_bad.txt";
-    {
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        ASSERT_NE(f, nullptr);
-        std::fputs("garbage line without tabs\n", f);
-        std::fputs("key\tnot_a_number\tv1|s=|r=\n", f);
-        std::fputs("good\t3.5\tv1|s=2,2|r=4|reorder=1|fuse=1|unroll=0|"
-                   "vec=8|rows=1|part=1\n",
-                   f);
-        std::fclose(f);
-    }
+    JournalWriter writer("tcache");
+    writer.append("garbage line without tabs");
+    writer.append("key\tnot_a_number\tv1|s=|r=");
+    writer.append("good\t3.5\tv1|s=2,2|r=4|reorder=1|fuse=1|unroll=0|"
+                  "vec=8|rows=1|part=1");
+    ASSERT_TRUE(writer.commit(path));
     TuningCache cache;
     ASSERT_TRUE(cache.load(path));
     EXPECT_EQ(cache.size(), 1u);

@@ -12,17 +12,26 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "dnn/models.h"
 #include "explore/tuner.h"
+#include "family/family.h"
 #include "graph/dag.h"
+#include "ml/costmodel.h"
 #include "ops/ops.h"
 #include "serve/batch_eval.h"
+#include "serve/request_key.h"
 #include "serve/service.h"
+#include "space/builder.h"
+#include "support/fault_injector.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 
@@ -395,6 +404,324 @@ TEST(TuningService, StructurallyDifferentLayersDoNotShareReports)
     EXPECT_EQ(service.stats().resultCacheHits, 0u);
 }
 
+/**
+ * A network of one dense layer. Its DAG, its anchor tuned as a single
+ * op and a gemm family all tune anchors with two spatial and one reduce
+ * axis, so one seed point fits each of their spaces.
+ */
+Network
+tinyDense()
+{
+    Network net;
+    net.name = "tiny";
+    net.inputShape = {1, 16, 2, 2};
+    LayerSpec fc;
+    fc.kind = LayerSpec::Kind::Dense;
+    fc.name = "fc";
+    fc.units = 32;
+    net.layers.push_back(fc);
+    return net;
+}
+
+/** One result-shaping field changed away from its default. */
+struct FieldCase
+{
+    std::string field;
+    std::function<void(TuneOptions &)> tune;         ///< op and DAG
+    std::function<void(FamilyTuneOptions &)> family; ///< family
+};
+
+/** A case that changes an ExploreOptions field, for every request kind. */
+FieldCase
+exploreCase(std::string field, std::function<void(ExploreOptions &)> change)
+{
+    return {std::move(field),
+            [change](TuneOptions &o) { change(o.explore); },
+            [change](FamilyTuneOptions &o) { change(o.explore); }};
+}
+
+/**
+ * Tune `family` under `first`, hold that run in flight, then request it
+ * under `second`; returns the stats once both are answered.
+ */
+ServiceStats
+overlapFamilyRuns(ShapeFamily family, const Target &target,
+                  const FamilyTuneOptions &first,
+                  const FamilyTuneOptions &second)
+{
+    ServiceOptions service_options;
+    service_options.evalThreads = 2;
+    TuningService service(service_options);
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false, released = false;
+    // The first instantiation (inside the first run) blocks until the
+    // second request has either joined that run or started its own.
+    auto instantiate = family.instantiate;
+    family.instantiate = [&, instantiate](int64_t v) {
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            if (!entered) {
+                entered = true;
+                cv.notify_all();
+                cv.wait(lock, [&] { return released; });
+            }
+        }
+        return instantiate(v);
+    };
+    std::thread a([&] { service.tuneFamily(family, target, first); });
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return entered; });
+    }
+    std::thread b([&] { service.tuneFamily(family, target, second); });
+    for (;;) {
+        const ServiceStats stats = service.stats();
+        if (stats.coalescedJoins + stats.tuningRuns == 2)
+            break;
+        std::this_thread::yield();
+    }
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        released = true;
+    }
+    cv.notify_all();
+    a.join();
+    b.join();
+    return service.stats();
+}
+
+/**
+ * Every field that can change a tuning answer separates requests. A
+ * request that differs from an earlier one in that field alone is never
+ * answered from the earlier op or DAG report, and never joins the
+ * earlier family run while it is in flight.
+ */
+TEST(TuningService, EveryResultShapingFieldSeparatesRequests)
+{
+    const Target target = Target::forGpu(v100());
+    const Network net = tinyDense();
+    const graph::ComputeDag dag = graph::dagFromNetwork(net);
+    Tensor op;
+    for (const FusedOp &fused : partitionAndFuse(net))
+        if (fused.schedulable)
+            op = fused.output;
+    ASSERT_TRUE(op.defined());
+    ShapeVar m;
+    m.name = "m";
+    m.lo = 1;
+    m.hi = 4;
+    const ShapeFamily family = gemmOverM(32, 64, m);
+    MiniGraph graph(op);
+    const Point seed{std::vector<int64_t>(
+        buildSpace(anchorOp(graph), target).numSubSpaces(), 0)};
+
+    FaultProfile profile;
+    profile.transient = 0.3;
+    const FaultInjector faults(profile);
+    CostModelOptions model_options;
+    model_options.syncRefit = true;
+    CostModel model(model_options);
+    TuningCache store;
+    const std::string ckpt = ::testing::TempDir() + "ft_serve_field.ckpt";
+    int ckpts = 0;
+
+    std::vector<FieldCase> cases = {
+        {"method", [](TuneOptions &o) { o.method = Method::PMethod; },
+         [](FamilyTuneOptions &o) { o.method = Method::PMethod; }},
+        {"certify", [](TuneOptions &o) { o.certify = true; },
+         [](FamilyTuneOptions &o) { o.certify = true; }},
+        {"templateRestricted",
+         [](TuneOptions &o) { o.templateRestricted = true; },
+         [](FamilyTuneOptions &o) { o.space.templateRestricted = true; }},
+        {"cache", [&](TuneOptions &o) { o.cache = &store; }, nullptr},
+        {"samplesPerBucket", nullptr,
+         [](FamilyTuneOptions &o) { o.samplesPerBucket = 1; }},
+        {"pow2Splits", nullptr,
+         [](FamilyTuneOptions &o) { o.space.pow2Splits = true; }},
+        {"exploreReorderUnroll", nullptr,
+         [](FamilyTuneOptions &o) { o.space.exploreReorderUnroll = false; }},
+        {"exploreCacheAt", nullptr,
+         [](FamilyTuneOptions &o) { o.space.exploreCacheAt = true; }},
+        exploreCase("trials", [](ExploreOptions &e) { e.trials += 1; }),
+        exploreCase("startingPoints",
+                    [](ExploreOptions &e) { e.startingPoints = 2; }),
+        exploreCase("warmupPoints",
+                    [](ExploreOptions &e) { e.warmupPoints += 1; }),
+        exploreCase("saGamma", [](ExploreOptions &e) { e.saGamma = 0.5; }),
+        exploreCase("epsilon", [](ExploreOptions &e) { e.epsilon = 0.9; }),
+        exploreCase("qAlpha", [](ExploreOptions &e) { e.qAlpha = 0.2; }),
+        exploreCase("trainEvery",
+                    [](ExploreOptions &e) { e.trainEvery = 2; }),
+        exploreCase("replayBatch",
+                    [](ExploreOptions &e) { e.replayBatch = 8; }),
+        exploreCase("hidden", [](ExploreOptions &e) { e.hidden = 16; }),
+        exploreCase("seed", [](ExploreOptions &e) { e.seed += 1; }),
+        exploreCase("seedPoints",
+                    [&](ExploreOptions &e) { e.seedPoints = {seed}; }),
+        exploreCase("targetGflops",
+                    [](ExploreOptions &e) { e.targetGflops = 1e9; }),
+        exploreCase("stepOverheadSeconds",
+                    [](ExploreOptions &e) { e.stepOverheadSeconds = 0.5; }),
+        exploreCase("measureParallelism",
+                    [](ExploreOptions &e) { e.measureParallelism = 3; }),
+        exploreCase("faultProfile", [&](ExploreOptions &e) {
+            e.resilience.injector = &faults;
+        }),
+        exploreCase("maxRetries",
+                    [](ExploreOptions &e) { e.resilience.maxRetries = 0; }),
+        exploreCase("backoffBaseSeconds", [](ExploreOptions &e) {
+            e.resilience.backoffBaseSeconds = 1.0;
+        }),
+        exploreCase("trialDeadlineSeconds", [](ExploreOptions &e) {
+            e.resilience.trialDeadlineSeconds = 0.5;
+        }),
+        exploreCase("repeats",
+                    [](ExploreOptions &e) { e.resilience.repeats = 3; }),
+        exploreCase("deadlineSimSeconds",
+                    [](ExploreOptions &e) { e.deadlineSimSeconds = 1e-3; }),
+        exploreCase("checkpointPath", [&](ExploreOptions &e) {
+            e.checkpointPath = ckpt + std::to_string(ckpts++);
+        }),
+        exploreCase("checkpointEveryTrials",
+                    [](ExploreOptions &e) { e.checkpointEveryTrials = 2; }),
+        exploreCase("costModel",
+                    [&](ExploreOptions &e) { e.costModel = &model; }),
+        exploreCase("prunerKeep",
+                    [](ExploreOptions &e) { e.prunerKeep = 0.5; }),
+    };
+
+    TuneOptions base;
+    base.explore.trials = 4;
+    base.explore.warmupPoints = 4;
+    FamilyTuneOptions family_base;
+    family_base.explore.trials = 3;
+    family_base.explore.warmupPoints = 2;
+    for (const FieldCase &c : cases) {
+        SCOPED_TRACE(c.field);
+        if (c.tune) {
+            TuneOptions changed = base;
+            c.tune(changed);
+            ServiceOptions service_options;
+            service_options.evalThreads = 2;
+            TuningService service(service_options);
+            service.tune(op, target, base);
+            EXPECT_FALSE(service.tune(op, target, changed).fromCache);
+            service.tuneDag(dag, target, base);
+            service.tuneDag(dag, target, changed);
+            const ServiceStats stats = service.stats();
+            EXPECT_EQ(stats.resultCacheHits, 0u);
+            EXPECT_EQ(stats.graphCacheHits, 0u);
+            EXPECT_EQ(stats.tuningRuns, 4u);
+        }
+        if (c.family) {
+            FamilyTuneOptions changed = family_base;
+            c.family(changed);
+            const ServiceStats stats =
+                overlapFamilyRuns(family, target, family_base, changed);
+            EXPECT_EQ(stats.coalescedJoins, 0u);
+            EXPECT_EQ(stats.tuningRuns, 2u);
+        }
+    }
+    for (int i = 0; i < ckpts; ++i)
+        std::remove((ckpt + std::to_string(i)).c_str());
+}
+
+TEST(TuningService, CertifiedRequestGetsItsOwnCertifiedReport)
+{
+    TuningService service;
+    Tensor out = serveGemm();
+    Target target = Target::forGpu(v100());
+    TuneOptions options;
+    options.explore.trials = 10;
+
+    EXPECT_EQ(service.tune(out, target, options).certificate, nullptr);
+    options.certify = true;
+    TuneReport certified = service.tune(out, target, options);
+    EXPECT_FALSE(certified.fromCache);
+    EXPECT_NE(certified.certificate, nullptr);
+}
+
+TEST(TuningService, QHyperparametersChangeTheServedAnswer)
+{
+    TuningService service;
+    Tensor out = serveGemm();
+    Target target = Target::forGpu(v100());
+    TuneOptions options;
+    options.explore.trials = 20;
+
+    service.tune(out, target, options);
+    options.explore.epsilon = 0.9;
+    options.explore.hidden = 16;
+    TuneReport served = service.tune(out, target, options);
+    TuneReport direct = ft::tune(out, target, options);
+    EXPECT_FALSE(served.fromCache);
+    EXPECT_EQ(serializeConfig(served.config), serializeConfig(direct.config));
+    EXPECT_EQ(served.gflops, direct.gflops);
+}
+
+TEST(RequestKey, EqualValuesKeyAndHashAlike)
+{
+    Tensor out = serveGemm(64);
+    MiniGraph graph(out);
+    const Operation anchor = anchorOp(graph);
+    Target target = Target::forGpu(v100());
+    TuneOptions a, b;
+    a.explore.targetGflops = 0.0;
+    b.explore.targetGflops = -0.0;
+    a.explore.prunerKeep = std::numeric_limits<double>::quiet_NaN();
+    b.explore.prunerKeep = -std::numeric_limits<double>::quiet_NaN();
+    const RequestKey ka = RequestKey::op(anchor, target, a);
+    const RequestKey kb = RequestKey::op(anchor, target, b);
+    EXPECT_EQ(ka, kb);
+    EXPECT_EQ(RequestKey::Hash{}(ka), RequestKey::Hash{}(kb));
+    // A structurally equal anchor built separately is the same request;
+    // another device is not.
+    MiniGraph again(serveGemm(64));
+    EXPECT_EQ(RequestKey::op(anchorOp(again), target, a), ka);
+    EXPECT_NE(RequestKey::op(anchor, Target::forCpu(xeonE5()), a), ka);
+}
+
+/**
+ * A run that throws hands its exception to every joiner and retires its
+ * in-flight entry, so the next identical request runs afresh instead of
+ * joining a dead run.
+ */
+TEST(RequestTable, ThrowingRunRetiresItsEntry)
+{
+    Counter hits, joins, runs;
+    RequestTable<int> table(4, &hits, joins, runs);
+    const RequestKey key = RequestKey::dispatch("f", "dev");
+    std::exception_ptr joined;
+    std::thread joiner;
+    auto failingRun = [&]() -> int {
+        // Fail only once a second request has joined the run.
+        joiner = std::thread([&] {
+            try {
+                table.joinOrRun(key, [] { return 0; });
+            } catch (...) {
+                joined = std::current_exception();
+            }
+        });
+        while (joins.value() == 0)
+            std::this_thread::yield();
+        throw std::runtime_error("run failed");
+    };
+    EXPECT_THROW(table.joinOrRun(key, failingRun), std::runtime_error);
+    ASSERT_TRUE(joiner.joinable());
+    joiner.join();
+    EXPECT_TRUE(joined != nullptr);
+    EXPECT_EQ(table.inflight(), 0u);
+
+    EXPECT_EQ(table.joinOrRun(key, [] { return 7; }), 7);
+    bool cached = false;
+    EXPECT_EQ(table.joinOrRun(key, [] { return 8; }, &cached), 7);
+    EXPECT_TRUE(cached);
+    EXPECT_EQ(runs.value(), 2u);
+    EXPECT_EQ(joins.value(), 1u);
+    EXPECT_EQ(hits.value(), 1u);
+}
+
 TEST(TuningService, CostModelLifecycleAndStats)
 {
     const std::string path =
@@ -545,6 +872,25 @@ TEST(TuningService, SubmitRunsRequestsConcurrently)
         EXPECT_GT(report.gflops, 0.0);
     }
     EXPECT_EQ(service.stats().tuningRuns, 4u);
+}
+
+TEST(TuningService, DestructionFinishesQueuedRequests)
+{
+    Target target = Target::forGpu(v100());
+    TuneOptions options;
+    options.method = Method::Random;
+    options.explore.trials = 4;
+    std::vector<std::future<TuneReport>> futures;
+    {
+        ServiceOptions service_options;
+        service_options.evalThreads = 1;
+        service_options.requestThreads = 1;
+        TuningService service(service_options);
+        for (int64_t n : {64, 72, 80, 88})
+            futures.push_back(service.submit(serveGemm(n), target, options));
+    } // destroyed with requests still queued
+    for (auto &f : futures)
+        EXPECT_GT(f.get().gflops, 0.0);
 }
 
 TEST(TuningService, SharesPersistentCacheAcrossServices)
