@@ -26,7 +26,7 @@ main()
     NetworkReport fused = scheduleNetwork(net, target, options);
 
     E2eOptions unfused_options = options;
-    unfused_options.fuseElementwise = false;
+    unfused_options.fuse = FuseMode::None;
     NetworkReport unfused = scheduleNetwork(net, target, unfused_options);
 
     std::printf("\n%-10s %12s %12s %10s\n", "layer", "latency(ms)",

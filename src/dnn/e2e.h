@@ -2,10 +2,12 @@
  * @file
  * End-to-end network scheduling (Section 6.6 and Algorithm 1).
  *
- * Every fused operator is tuned bottom-up with the chosen exploration
- * method; unschedulable data-movement layers (pooling) are charged their
- * bandwidth cost; fused elementwise epilogues are free, while the unfused
- * ablation pays one memory round trip per epilogue op.
+ * The network becomes a ComputeDag (graph::dagFromNetwork), FuseMode
+ * picks its partition, and graph::tuneDag tunes every group's anchor
+ * with the chosen exploration method. Each group is charged
+ * max(tuned kernel, roofline memory); anchor-free groups (pooling, and
+ * the unfused bias/ReLU of FuseMode::None, which pay their own DRAM
+ * round trip) are charged their roofline seconds.
  */
 #ifndef FLEXTENSOR_DNN_E2E_H
 #define FLEXTENSOR_DNN_E2E_H
@@ -21,14 +23,14 @@ struct LayerReport
     std::string name;
     double seconds = 0.0;
     double gflops = 0.0;
-    bool tuned = false; ///< false for bandwidth-bound layers
+    bool tuned = false; ///< false for bandwidth-bound groups
 };
 
 /** How aggressively the network is partitioned before tuning. */
 enum class FuseMode
 {
     None,     ///< every op is its own group (epilogues pay round trips)
-    Epilogue, ///< legacy: elementwise epilogues sink into their producer
+    Epilogue, ///< elementwise epilogues sink into their producer
     Graph,    ///< graph-level: roofline-guided beam partition (src/graph)
 };
 
@@ -51,8 +53,9 @@ struct NetworkReport
     int64_t trafficSavedBytes = 0;
     /** Intermediate bytes kept on chip by the chosen partition. */
     int64_t ephemeralBytes = 0;
-    /** Graph mode: groups that reused an earlier group's anchor report. */
+    /** Groups that reused an earlier group's anchor report. */
     int reusedAnchors = 0;
+    /** One entry per fusion group, in DAG order. */
     std::vector<LayerReport> layers;
 };
 
@@ -62,7 +65,6 @@ struct E2eOptions
     Method method = Method::QMethod;
     ExploreOptions explore;
     FuseMode fuse = FuseMode::Epilogue;
-    bool fuseElementwise = true; ///< ablation: pay epilogue round trips
     /**
      * Optional tuning cache shared across layers. Networks repeat layer
      * shapes (YOLO-v1's block 4 contains four identical conv pairs), so
@@ -71,7 +73,7 @@ struct E2eOptions
     TuningCache *cache = nullptr;
 };
 
-/** Tune every layer of a network and accumulate predicted runtime. */
+/** Tune every fusion group of a network and accumulate its runtime. */
 NetworkReport scheduleNetwork(const Network &net, const Target &target,
                               const E2eOptions &options = {});
 

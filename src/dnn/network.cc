@@ -1,7 +1,8 @@
 #include "dnn/network.h"
 
+#include "graph/lower.h"
+#include "graph/partition.h"
 #include "ops/ops.h"
-#include "support/logging.h"
 
 namespace ft {
 
@@ -14,97 +15,31 @@ Network::numConvLayers() const
     return n;
 }
 
-std::vector<std::vector<int64_t>>
-layerShapes(const Network &net)
-{
-    std::vector<std::vector<int64_t>> shapes;
-    std::vector<int64_t> cur = net.inputShape;
-    FT_ASSERT(cur.size() == 4, "network input must be NCHW");
-    for (const auto &l : net.layers) {
-        switch (l.kind) {
-          case LayerSpec::Kind::Conv: {
-            int64_t oh =
-                (cur[2] + 2 * l.padding - l.kernel) / l.stride + 1;
-            int64_t ow =
-                (cur[3] + 2 * l.padding - l.kernel) / l.stride + 1;
-            cur = {cur[0], l.outChannels, oh, ow};
-            break;
-          }
-          case LayerSpec::Kind::MaxPool: {
-            int64_t oh = (cur[2] - l.kernel) / l.stride + 1;
-            int64_t ow = (cur[3] - l.kernel) / l.stride + 1;
-            cur = {cur[0], cur[1], oh, ow};
-            break;
-          }
-          case LayerSpec::Kind::Dense: {
-            int64_t features = cur.size() == 4 ? cur[1] * cur[2] * cur[3]
-                                               : cur[1];
-            cur = {cur[0], l.units};
-            (void)features;
-            break;
-          }
-        }
-        shapes.push_back(cur);
-    }
-    return shapes;
-}
-
 std::vector<FusedOp>
 partitionAndFuse(const Network &net)
 {
+    const graph::ComputeDag dag = graph::dagFromNetwork(net);
+    // The epilogue grouping does not depend on the device; any target
+    // scores it.
+    const graph::Partition partition =
+        graph::epiloguePartition(dag, Target::forGpu(v100()));
     std::vector<FusedOp> out;
-    std::vector<int64_t> cur = net.inputShape;
-    FT_ASSERT(cur.size() == 4, "network input must be NCHW");
-
-    for (const auto &l : net.layers) {
-        switch (l.kind) {
-          case LayerSpec::Kind::Conv: {
-            Tensor input = placeholder(l.name + ".in", cur);
-            Tensor weight = placeholder(
-                l.name + ".w", {l.outChannels, cur[1], l.kernel, l.kernel});
-            ops::ConvParams p;
-            p.stride = l.stride;
-            p.padding = l.padding;
-            Tensor conv = ops::conv2d(input, weight, p);
-
-            FusedOp fused;
-            fused.name = l.name;
-            fused.output = conv;
-            fused.fusedElementwise = (l.bias ? 1 : 0) + (l.relu ? 1 : 0);
-            fused.outputBytes = conv.numel() * 4;
-            out.push_back(std::move(fused));
-            cur = conv.shape();
-            break;
-          }
-          case LayerSpec::Kind::MaxPool: {
-            Tensor input = placeholder(l.name + ".in", cur);
-            Tensor pooled = ops::maxPool2d(input, l.kernel, l.stride);
-            FusedOp fused;
-            fused.name = l.name;
-            fused.output = pooled;
-            fused.outputBytes = pooled.numel() * 4;
-            fused.schedulable = false; // bandwidth-bound data movement
-            out.push_back(std::move(fused));
-            cur = pooled.shape();
-            break;
-          }
-          case LayerSpec::Kind::Dense: {
-            int64_t features = cur.size() == 4 ? cur[1] * cur[2] * cur[3]
-                                               : cur[1];
-            Tensor input = placeholder(l.name + ".in", {cur[0], features});
-            Tensor weight =
-                placeholder(l.name + ".w", {l.units, features});
-            Tensor dense = ops::dense(input, weight);
-            FusedOp fused;
-            fused.name = l.name;
-            fused.output = dense;
-            fused.fusedElementwise = (l.bias ? 1 : 0) + (l.relu ? 1 : 0);
-            fused.outputBytes = dense.numel() * 4;
-            out.push_back(std::move(fused));
-            cur = {cur[0], l.units};
-            break;
-          }
+    for (const graph::FusionGroup &group : partition.groups) {
+        FusedOp fused;
+        const int anchor = group.anchor(dag);
+        if (anchor >= 0) {
+            fused.name = dag.nodes[anchor].name;
+            fused.output = graph::lowerAnchor(dag, anchor).output;
+        } else {
+            // Standalone pooling: bandwidth-bound data movement.
+            const graph::DagNode &pool = dag.nodes[group.members.front()];
+            const graph::DagNode &data = dag.nodes[pool.inputs[0]];
+            fused.name = pool.name;
+            fused.output = ops::maxPool2d(placeholder(data.name, data.shape),
+                                          pool.kernel, pool.stride);
+            fused.schedulable = false;
         }
+        out.push_back(std::move(fused));
     }
     return out;
 }

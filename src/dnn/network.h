@@ -6,7 +6,9 @@
  * fusing elementwise epilogues (bias, ReLU) into the producing operator;
  * the fused operators are then scheduled one by one in bottom-up order
  * (Algorithm 1). This module provides the layer-graph representation and
- * the fusion pass; dnn/models.cc defines YOLO-v1 and OverFeat.
+ * the per-layer operator list; graph/dag.h expands a Network into the
+ * DAG that every scheduling mode partitions, and dnn/models.cc defines
+ * YOLO-v1 and OverFeat.
  */
 #ifndef FLEXTENSOR_DNN_NETWORK_H
 #define FLEXTENSOR_DNN_NETWORK_H
@@ -60,19 +62,16 @@ struct FusedOp
 {
     std::string name;
     Tensor output;       ///< graph rooted at the anchor (pre-epilogue)
-    int fusedElementwise = 0; ///< epilogue ops folded into the kernel
-    int64_t outputBytes = 0;  ///< for the unfused-roundtrip ablation
     bool schedulable = true;  ///< false for pure-memory ops (pooling)
 };
 
 /**
- * Partition a network into fused operators: each conv/dense layer absorbs
- * its bias/ReLU epilogue; pooling layers become unschedulable memory ops.
+ * The network's layers as operators to tune, one per group of
+ * graph::epiloguePartition: each conv/dense layer absorbs its bias/ReLU
+ * epilogue and is its lowered anchor (graph::lowerAnchor); pooling
+ * layers become unschedulable memory ops.
  */
 std::vector<FusedOp> partitionAndFuse(const Network &net);
-
-/** Output shape of the network layer by layer (sanity checking). */
-std::vector<std::vector<int64_t>> layerShapes(const Network &net);
 
 } // namespace ft
 

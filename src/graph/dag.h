@@ -119,9 +119,8 @@ struct ComputeDag
 /**
  * Expand a sequential Network into the general DAG form: conv/dense
  * layers become anchor nodes with explicit weight/bias Input nodes and
- * explicit Bias/Relu epilogue nodes; pooling becomes a Pool node. The
- * result is exactly the chain the legacy per-layer path schedules, now
- * in a form the fusion partitioner can regroup.
+ * explicit Bias/Relu epilogue nodes; pooling becomes a Pool node. Every
+ * FuseMode of scheduleNetwork partitions this DAG.
  */
 ComputeDag dagFromNetwork(const Network &net);
 

@@ -4,10 +4,10 @@
  *
  * The explorers tune mini-graphs, not DAG nodes, so each group's anchor
  * is rebuilt as an ops/ mini-graph over placeholders named after its DAG
- * producers. The lowered anchor is the exact IR the legacy per-layer
- * path tunes (same builder, same space, same tuning-cache key), which is
- * what makes fusion a pure regrouping: the schedule search is untouched,
- * only what happens to the anchor's output changes.
+ * producers. Every partition of a network lowers a layer's anchor to
+ * the same IR (same builder, same space, same tuning-cache key), which
+ * is what makes fusion a pure regrouping: the schedule search is
+ * untouched, only what happens to the anchor's output changes.
  */
 #ifndef FLEXTENSOR_GRAPH_LOWER_H
 #define FLEXTENSOR_GRAPH_LOWER_H

@@ -282,7 +282,7 @@ epiloguePartition(const ComputeDag &dag, const Target &target)
         if (node.kind == NodeKind::Input)
             continue;
         // Bias/ReLU sink into a heavy producer's group when they are the
-        // producer's sole consumer — exactly the legacy epilogue fusion.
+        // producer's sole consumer: one group per network layer.
         if ((node.kind == NodeKind::Bias || node.kind == NodeKind::Relu) &&
             !node.inputs.empty()) {
             const int producer = node.inputs[0];

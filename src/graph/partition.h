@@ -22,10 +22,11 @@
  * of the group it lands in, so each state keeps per-group costs and a
  * move rescores that one group.
  *
- * `epiloguePartition` reconstructs the legacy bias/ReLU-into-anchor
- * grouping of dnn/network.h and `nonePartition` the fully unfused one;
- * all three run through the same `finalizePartition` accounting, so
- * traffic comparisons between modes compare like with like.
+ * `epiloguePartition` is the per-layer bias/ReLU-into-anchor grouping
+ * (one group per dnn/network.h layer) and `nonePartition` the fully
+ * unfused one; all three run through the same `finalizePartition`
+ * accounting, so traffic comparisons between modes compare like with
+ * like.
  */
 #ifndef FLEXTENSOR_GRAPH_PARTITION_H
 #define FLEXTENSOR_GRAPH_PARTITION_H
@@ -96,7 +97,7 @@ Partition finalizePartition(const ComputeDag &dag,
 Partition partitionDag(const ComputeDag &dag, const Target &target,
                        const PartitionOptions &options = {});
 
-/** Legacy grouping: bias/ReLU sink into their anchor, nothing else. */
+/** Per-layer grouping: bias/ReLU sink into their anchor, nothing else. */
 Partition epiloguePartition(const ComputeDag &dag, const Target &target);
 
 /** Fully unfused: every compute node is its own group. */

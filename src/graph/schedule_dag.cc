@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -70,11 +71,14 @@ struct AnchorSearch
     TraceRecorder trace;
 };
 
-} // namespace
-
+/**
+ * The body shared by both tuneDag overloads: `choose` yields the
+ * partition inside the `graph.partition` span and wall counter.
+ */
 DagTuneReport
-tuneDag(const ComputeDag &dag, const Target &target,
-        const TuneOptions &options, const PartitionOptions &partitionOptions)
+tuneChosen(const ComputeDag &dag, const Target &target,
+           const TuneOptions &options,
+           const std::function<Partition()> &choose)
 {
     const ObsContext &obs = options.explore.obs;
     DagTuneReport rep;
@@ -98,7 +102,7 @@ tuneDag(const ComputeDag &dag, const Target &target,
                                                "graph.partition.ns")
                                 : nullptr;
     const auto t0 = std::chrono::steady_clock::now();
-    rep.partition = partitionDag(dag, target, partitionOptions);
+    rep.partition = choose();
     if (partition_ns)
         partition_ns->add(static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -257,6 +261,25 @@ tuneDag(const ComputeDag &dag, const Target &target,
            rep.partition.groups.size(), " groups, ",
            rep.ephemeralBytes, " ephemeral bytes");
     return rep;
+}
+
+} // namespace
+
+DagTuneReport
+tuneDag(const ComputeDag &dag, const Target &target,
+        const TuneOptions &options, const PartitionOptions &partitionOptions)
+{
+    return tuneChosen(dag, target, options, [&] {
+        return partitionDag(dag, target, partitionOptions);
+    });
+}
+
+DagTuneReport
+tuneDag(const ComputeDag &dag, const Target &target, Partition partition,
+        const TuneOptions &options)
+{
+    return tuneChosen(dag, target, options,
+                      [&] { return std::move(partition); });
 }
 
 } // namespace graph

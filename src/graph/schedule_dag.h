@@ -5,11 +5,13 @@
  *
  * `tuneDag` is Algorithm 1 lifted one level: instead of scheduling a
  * fixed per-layer decomposition, it first runs the fusion partitioner
- * (beam search over the roofline model), then lowers each group's heavy
- * anchor to the same IR the per-layer path tunes — same space, same
- * explorers, same tuning-cache key — and charges each group
+ * (beam search over the roofline model), or takes a partition the
+ * caller chose, then lowers each group's heavy anchor to IR (one
+ * conv/dense operator with its own space, explorers and tuning-cache
+ * key, exactly as tune() sees the layer alone) and charges each group
  * max(tuned compute, roofline memory). Anchor-free groups (standalone
- * pooling) are bandwidth-bound and take their roofline seconds directly.
+ * pooling, and unfused bias/ReLU) are bandwidth-bound and take their
+ * roofline seconds directly.
  *
  * Repeated anchors are tuned once per call. A search is a pure function
  * of the anchor's OpKey, the target and the options unless it carries
@@ -97,6 +99,14 @@ struct DagTuneReport
 DagTuneReport tuneDag(const ComputeDag &dag, const Target &target,
                       const TuneOptions &options = {},
                       const PartitionOptions &partitionOptions = {});
+
+/**
+ * Tune every subgraph of an already chosen partition of `dag` (e.g.
+ * epiloguePartition or nonePartition); the trace and report are those
+ * of the overload above with `partition` in place of its search.
+ */
+DagTuneReport tuneDag(const ComputeDag &dag, const Target &target,
+                      Partition partition, const TuneOptions &options);
 
 } // namespace graph
 } // namespace ft

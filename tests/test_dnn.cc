@@ -5,10 +5,28 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "dnn/e2e.h"
+#include "graph/dag.h"
+#include "graph/lower.h"
 
 namespace ft {
 namespace {
+
+/** Output shape of every layer: its anchor or pool node in the DAG. */
+std::vector<std::vector<int64_t>>
+dagLayerShapes(const Network &net)
+{
+    const graph::ComputeDag dag = graph::dagFromNetwork(net);
+    std::vector<std::vector<int64_t>> shapes;
+    for (const auto &l : net.layers)
+        for (const auto &node : dag.nodes)
+            if (node.name == l.name)
+                shapes.push_back(node.shape);
+    return shapes;
+}
 
 TEST(Models, YoloV1Structure)
 {
@@ -33,7 +51,7 @@ TEST(Models, OverFeatStructure)
 TEST(Models, YoloShapesPropagate)
 {
     Network net = yoloV1();
-    auto shapes = layerShapes(net);
+    auto shapes = dagLayerShapes(net);
     ASSERT_EQ(shapes.size(), net.layers.size());
     // conv1 (7x7, s2, pad 3): 448 -> 224.
     EXPECT_EQ(shapes[0], (std::vector<int64_t>{1, 64, 224, 224}));
@@ -49,7 +67,7 @@ TEST(Models, YoloShapesPropagate)
 TEST(Models, OverFeatShapesPropagate)
 {
     Network net = overFeat();
-    auto shapes = layerShapes(net);
+    auto shapes = dagLayerShapes(net);
     // conv1: (231 - 11)/4 + 1 = 56.
     EXPECT_EQ(shapes[0], (std::vector<int64_t>{1, 96, 56, 56}));
     EXPECT_EQ(shapes.back(), (std::vector<int64_t>{1, 1000}));
@@ -57,23 +75,25 @@ TEST(Models, OverFeatShapesPropagate)
 
 TEST(Fusion, EpiloguesAreFolded)
 {
+    // Bias and ReLU fold into their layer: one fused op per layer, not
+    // per DAG compute node.
     Network net = overFeat();
     auto fused = partitionAndFuse(net);
     ASSERT_EQ(fused.size(), net.layers.size());
-    // Conv layers absorb bias + relu.
-    EXPECT_EQ(fused[0].fusedElementwise, 2);
-    EXPECT_TRUE(fused[0].schedulable);
-    // Pool layers are pure data movement.
-    EXPECT_FALSE(fused[1].schedulable);
-    // Final dense has bias but no relu.
-    EXPECT_EQ(fused.back().fusedElementwise, 1);
+    for (size_t i = 0; i < fused.size(); ++i) {
+        EXPECT_EQ(fused[i].name, net.layers[i].name);
+        // Pool layers are pure data movement.
+        EXPECT_EQ(fused[i].schedulable,
+                  net.layers[i].kind != LayerSpec::Kind::MaxPool)
+            << fused[i].name;
+    }
 }
 
 TEST(Fusion, FusedOpShapesChainCorrectly)
 {
     Network net = yoloV1();
     auto fused = partitionAndFuse(net);
-    auto shapes = layerShapes(net);
+    auto shapes = dagLayerShapes(net);
     for (size_t i = 0; i < fused.size(); ++i)
         EXPECT_EQ(fused[i].output.shape(), shapes[i]) << fused[i].name;
 }
@@ -101,12 +121,62 @@ TEST(E2e, FusionSavesTime)
     E2eOptions fused_options;
     fused_options.explore.trials = 8;
     fused_options.explore.warmupPoints = 4;
+    fused_options.fuse = FuseMode::Epilogue;
     E2eOptions unfused_options = fused_options;
-    unfused_options.fuseElementwise = false;
+    unfused_options.fuse = FuseMode::None;
     Target target = Target::forGpu(v100());
     NetworkReport fused = scheduleNetwork(net, target, fused_options);
     NetworkReport unfused = scheduleNetwork(net, target, unfused_options);
     EXPECT_LT(fused.totalSeconds, unfused.totalSeconds);
+    EXPECT_LT(fused.modeledTrafficBytes, unfused.modeledTrafficBytes);
+}
+
+/**
+ * Every mode runs through graph::tuneDag, and a tuned group's GFLOPS is
+ * exactly what a direct tune() of its lowered anchor finds; fusion only
+ * changes how a group's seconds are charged.
+ */
+TEST(E2e, EveryModeReportsDirectTunesOfItsAnchors)
+{
+    Network net = overFeat();
+    const graph::ComputeDag dag = graph::dagFromNetwork(net);
+    E2eOptions options;
+    options.explore.trials = 8;
+    options.explore.warmupPoints = 4;
+    TuneOptions solo;
+    solo.method = options.method;
+    solo.explore = options.explore;
+    for (const Target &target :
+         {Target::forGpu(v100()), Target::forCpu(xeonE5())}) {
+        std::map<std::string, double> direct;
+        for (size_t id = 0; id < dag.nodes.size(); ++id) {
+            if (!dag.nodes[id].isHeavy())
+                continue;
+            const Tensor anchor =
+                graph::lowerAnchor(dag, static_cast<int>(id)).output;
+            direct[dag.nodes[id].name] = tune(anchor, target, solo).gflops;
+        }
+        for (FuseMode mode :
+             {FuseMode::None, FuseMode::Epilogue, FuseMode::Graph}) {
+            options.fuse = mode;
+            NetworkReport report = scheduleNetwork(net, target, options);
+            int tuned = 0;
+            for (const LayerReport &layer : report.layers) {
+                if (!layer.tuned)
+                    continue;
+                ++tuned;
+                ASSERT_TRUE(direct.count(layer.name)) << layer.name;
+                EXPECT_EQ(layer.gflops, direct.at(layer.name))
+                    << layer.name << " " << fuseModeName(mode) << " "
+                    << target.deviceName();
+            }
+            EXPECT_EQ(tuned, static_cast<int>(direct.size()));
+            if (mode == FuseMode::None) {
+                EXPECT_EQ(static_cast<int>(report.layers.size()),
+                          dag.numComputeNodes());
+            }
+        }
+    }
 }
 
 TEST(E2e, SchedulesOnCpuAndFpgaTargets)
@@ -129,24 +199,32 @@ TEST(E2e, TuningCacheDeduplicatesRepeatedLayers)
     // YOLO-v1 repeats conv shapes (four identical 1x1/3x3 pairs in block
     // 4); with a shared cache those layers are served without exploring.
     Network net = yoloV1();
+    const Target target = Target::forGpu(v100());
     E2eOptions options;
     options.explore.trials = 6;
     options.explore.warmupPoints = 4;
-
-    NetworkReport uncached =
-        scheduleNetwork(net, Target::forGpu(v100()), options);
-
     TuningCache cache;
     options.cache = &cache;
-    NetworkReport cached =
-        scheduleNetwork(net, Target::forGpu(v100()), options);
+    NetworkReport cached = scheduleNetwork(net, target, options);
 
-    // 24 conv layers but far fewer distinct shapes.
-    EXPECT_LT(cache.size(), 24u);
-    EXPECT_GT(cache.size(), 5u);
-    // Cache hits skip exploration entirely.
-    EXPECT_LT(cached.simExploreSeconds,
-              0.8 * uncached.simExploreSeconds);
+    // Oracle: the first layer of each distinct cache key explores as a
+    // solo tune() would, and every later layer with that key is a hit.
+    TuneOptions solo;
+    solo.method = options.method;
+    solo.explore = options.explore;
+    std::set<std::string> keys;
+    size_t schedulable = 0;
+    double explored = 0.0;
+    for (const FusedOp &op : partitionAndFuse(net)) {
+        if (!op.schedulable)
+            continue;
+        ++schedulable;
+        if (keys.insert(tuningKey(op.output, target.deviceName())).second)
+            explored += tune(op.output, target, solo).simExploreSeconds;
+    }
+    EXPECT_LT(keys.size(), schedulable);
+    EXPECT_EQ(cache.size(), keys.size());
+    EXPECT_EQ(cached.simExploreSeconds, explored);
 }
 
 TEST(E2e, SecondPassWithWarmCacheExploresNothing)

@@ -219,12 +219,24 @@ TEST(GraphDagTest, NetworkDagsValidateAndFingerprintsAreStable)
 
 TEST(GraphDagTest, EpiloguePartitionMatchesLegacyGrouping)
 {
-    const Network net = yoloV1();
+    const Network net = overFeat();
     const ComputeDag dag = dagFromNetwork(net);
     const Target target = Target::forGpu(v100());
     Partition epi = epiloguePartition(dag, target);
-    // One group per legacy fused op (conv+epilogue, pool, dense+epilogue).
-    EXPECT_EQ(epi.groups.size(), partitionAndFuse(net).size());
+    // One group per layer: conv + bias + relu, a lone pool, and the
+    // final dense with its bias but no relu.
+    ASSERT_EQ(epi.groups.size(), net.layers.size());
+    for (size_t g = 0; g < epi.groups.size(); ++g) {
+        const FusionGroup &group = epi.groups[g];
+        const DagNode &first = dag.nodes[group.members.front()];
+        EXPECT_EQ(first.name, net.layers[g].name);
+        size_t want = first.kind == NodeKind::Pool ? 1 : 3;
+        if (g + 1 == epi.groups.size())
+            want = 2;
+        EXPECT_EQ(group.members.size(), want) << first.name;
+    }
+    EXPECT_EQ(dag.nodes[epi.groups.back().members.front()].kind,
+              NodeKind::Dense);
     std::string why;
     EXPECT_TRUE(checkPartition(dag, epi, target, &why)) << why;
 }

@@ -199,8 +199,6 @@ TEST(Integration, YoloNetworkContainsAllTable4Layers)
             }
         }
         // Propagate the shape.
-        auto shapes = layerShapes(net);
-        (void)shapes;
         if (l.kind == LayerSpec::Kind::Conv) {
             int64_t oh = (cur[2] + 2 * l.padding - l.kernel) / l.stride + 1;
             cur = {cur[0], l.outChannels, oh, oh};
