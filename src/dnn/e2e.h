@@ -66,9 +66,9 @@ struct E2eOptions
     ExploreOptions explore;
     FuseMode fuse = FuseMode::Epilogue;
     /**
-     * Optional tuning cache shared across layers. Networks repeat layer
-     * shapes (YOLO-v1's block 4 contains four identical conv pairs), so
-     * repeated layers are served without re-exploration.
+     * Optional tuning cache (keyed by anchor OpKey and device): later
+     * calls explore only anchors it has not seen. Repeats within one
+     * call are tuned once anyway (tuneDag's memo).
      */
     TuningCache *cache = nullptr;
 };

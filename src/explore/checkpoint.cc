@@ -2,37 +2,17 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "support/hexfloat.h"
 #include "support/journal.h"
 #include "support/logging.h"
 
 namespace ft {
 
 namespace {
-
-/** Exact double round-trip via hexfloat. */
-std::string
-hexDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
-}
-
-bool
-parseDouble(const std::string &text, double *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    *out = std::strtod(text.c_str(), &end);
-    return end && *end == '\0';
-}
 
 /** Whole-string decimal integer (no leading space or "+", no tail). */
 template <typename T>
@@ -238,7 +218,7 @@ parseCheckpointBody(const std::string &text)
             saw_header = ok;
         } else if (tag == "clock") {
             ok = fields.size() == 2 && keyed(fields[1], "sim", &value) &&
-                 parseDouble(value, &state.simSeconds);
+                 parseDouble(value, state.simSeconds);
         } else if (tag == "rng") {
             ok = fields.size() == 7;
             for (int i = 0; ok && i < 4; ++i)
@@ -248,14 +228,14 @@ parseCheckpointBody(const std::string &text)
                 state.rng.haveSpare = ok && value == "1";
                 ok = ok && (value == "0" || value == "1") &&
                      keyed(fields[6], "sparev", &value) &&
-                     parseDouble(value, &state.rng.spare);
+                     parseDouble(value, state.rng.spare);
             }
         } else if (tag == "h") {
             Evaluated e;
             double commit_sim = 0.0;
             ok = fields.size() == 4 && parseIdx(fields[1], &e.point.idx) &&
-                 parseDouble(fields[2], &e.gflops) &&
-                 parseDouble(fields[3], &commit_sim);
+                 parseDouble(fields[2], e.gflops) &&
+                 parseDouble(fields[3], commit_sim);
             if (ok) {
                 state.history.push_back(std::move(e));
                 state.commitSim.push_back(commit_sim);
@@ -275,7 +255,7 @@ parseCheckpointBody(const std::string &text)
                 std::string cell;
                 while (ok && std::getline(cells, cell, ',')) {
                     double v = 0.0;
-                    ok = parseDouble(cell, &v);
+                    ok = parseDouble(cell, v);
                     state.netState.push_back(static_cast<float>(v));
                 }
                 ok = ok && state.netState.size() == count;

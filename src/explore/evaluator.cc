@@ -8,7 +8,7 @@
 #include "ml/features.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "support/hash.h"
+#include "schedule/serialize.h"
 #include "support/logging.h"
 
 namespace ft {
@@ -60,10 +60,9 @@ Evaluator::Evaluator(Operation anchor, const ScheduleSpace &space,
     : anchor_(std::move(anchor)),
       space_(space),
       target_(target),
-      measureCost_(defaultMeasureCost(target))
+      measureCost_(defaultMeasureCost(target)),
+      workloadKey_(ft::workloadKey(anchor_, target_.deviceName()))
 {
-    workloadKey_ =
-        Fnv1a().word(anchor_->key()).bytes(target_.deviceName()).value();
     // Typical tuning budgets are a few hundred to a few thousand trials;
     // pre-sizing keeps the per-commit push_back off the allocator.
     history_.reserve(1024);

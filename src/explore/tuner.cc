@@ -53,6 +53,20 @@ certifyReport(TuneReport &report, const Tensor &output, const Target &target,
 }
 
 TuneReport
+cachedReport(const OpConfig &config, double gflops, double kernelSeconds,
+             double spaceSize, const std::string &device)
+{
+    TuneReport report;
+    report.config = config;
+    report.gflops = gflops;
+    report.kernelSeconds = kernelSeconds;
+    report.spaceSize = spaceSize;
+    report.device = device;
+    report.fromCache = true;
+    return report;
+}
+
+TuneReport
 tuneOp(const Operation &anchor, const Target &target,
        const TuneOptions &options)
 {
@@ -74,21 +88,16 @@ tuneOp(const Operation &anchor, const Target &target,
     if (obs.metrics)
         obs.metrics->counter("tuner.runs").add();
 
-    const std::string key =
-        options.cache ? tuningKeyFor(anchor, target.deviceName()) : "";
+    const uint64_t key = workloadKey(anchor, target.deviceName());
     if (options.cache) {
         if (auto hit = options.cache->lookup(key)) {
             if (auto point = space.pointOf(hit->config)) {
                 Scheduled s = generate(anchor, hit->config, target);
                 PerfResult perf = modelPerf(s.features, target);
                 if (perf.valid) {
-                    TuneReport report;
-                    report.config = hit->config;
-                    report.gflops = perf.gflops;
-                    report.kernelSeconds = perf.seconds;
-                    report.spaceSize = space.size();
-                    report.device = target.deviceName();
-                    report.fromCache = true;
+                    TuneReport report =
+                        cachedReport(hit->config, perf.gflops, perf.seconds,
+                                     space.size(), target.deviceName());
                     if (obs.trace) {
                         obs.trace->point("report", 0.0,
                                          {treal("best", report.gflops),

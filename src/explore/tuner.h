@@ -72,6 +72,14 @@ struct TuneReport
     std::shared_ptr<const verify::ScheduleCertificate> certificate;
 };
 
+/**
+ * A report answered without a search (a tuning-cache hit, a tuneDag
+ * repeat): fromCache set; no trials, curve or simulated explore time.
+ */
+TuneReport cachedReport(const OpConfig &config, double gflops,
+                        double kernelSeconds, double spaceSize,
+                        const std::string &device);
+
 /** Tune the mini-graph rooted at `output` for `target` (anchor node). */
 TuneReport tune(const Tensor &output, const Target &target,
                 const TuneOptions &options = {});

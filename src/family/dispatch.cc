@@ -1,12 +1,11 @@
 #include "family/dispatch.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "schedule/serialize.h"
+#include "support/hexfloat.h"
 #include "support/journal.h"
 #include "support/logging.h"
 
@@ -16,15 +15,6 @@ namespace {
 
 /** Journal kind tag for persisted dispatch tables. */
 constexpr char kDispatchKind[] = "dispatch";
-
-/** Bit-exact double rendering (round-trips through strtod). */
-std::string
-hexDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
-}
 
 const char *kBucketingNames[] = {"pow2", "fixed"};
 
@@ -146,9 +136,7 @@ DispatchTable::deserialize(const std::string &text)
             fields >> e.lo >> e.hi >> gflops >> e.trials >> configLine;
             if (fields.fail())
                 return std::nullopt;
-            char *end = nullptr;
-            e.gflops = std::strtod(gflops.c_str(), &end);
-            if (end == gflops.c_str())
+            if (!parseDouble(gflops, e.gflops))
                 return std::nullopt;
             auto config = parseConfig(configLine);
             if (!config)

@@ -20,29 +20,15 @@ namespace {
 
 /**
  * True when tune() is a pure function of (anchor OpKey, target,
- * options): no learned cost model, checkpoint file or tuning cache
- * carries state from one run into the next.
+ * options): no learned cost model or checkpoint file carries state from
+ * one run into the next. A tuning cache keys on the OpKey, so it does
+ * not: a repeat reuses what a sequential cache hit would give.
  */
 bool
 searchIsPure(const TuneOptions &options)
 {
     return options.explore.costModel == nullptr &&
-           options.explore.checkpointPath.empty() &&
-           options.cache == nullptr;
-}
-
-/** What a tuning-cache hit in tuneOp reports, taken from `first`. */
-TuneReport
-reusedReport(const TuneReport &first)
-{
-    TuneReport report;
-    report.config = first.config;
-    report.gflops = first.gflops;
-    report.kernelSeconds = first.kernelSeconds;
-    report.spaceSize = first.spaceSize;
-    report.device = first.device;
-    report.fromCache = true;
-    return report;
+           options.explore.checkpointPath.empty();
 }
 
 /**
@@ -213,7 +199,10 @@ tuneChosen(const ComputeDag &dag, const Target &target,
 
         if (sub.anchor >= 0) {
             if (sub.reusedFrom >= 0) {
-                sub.report = reusedReport(rep.groups[sub.reusedFrom].report);
+                const TuneReport &first = rep.groups[sub.reusedFrom].report;
+                sub.report = cachedReport(first.config, first.gflops,
+                                          first.kernelSeconds,
+                                          first.spaceSize, first.device);
                 if (obs.trace) {
                     obs.trace->point("report", 0.0,
                                      {treal("best", sub.report.gflops),

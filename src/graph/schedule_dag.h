@@ -14,23 +14,24 @@
  * roofline seconds directly.
  *
  * Repeated anchors are tuned once per call. A search is a pure function
- * of the anchor's OpKey, the target and the options unless it carries
- * state between runs (a learned cost model, a checkpoint file or a
- * tuning cache), so without those a group whose lowered anchor keys
- * like an earlier group's reuses that report the way a tuning-cache hit
- * answers tuneOp: same config, gflops, kernelSeconds, spaceSize and
- * device, fromCache set, no trials, curve or simulated explore time.
- * Trials and simExploreSeconds therefore count only searches that ran.
- * With certify, a reused group still certifies its own lowered anchor.
+ * of the anchor's OpKey, the target and the options unless a learned
+ * cost model or a checkpoint file carries state between runs; a tuning
+ * cache keys on the OpKey too (workloadKey), so distinct anchors never
+ * share an entry. A group whose lowered anchor keys like an earlier
+ * group's reuses that report as a tuning-cache hit would (cachedReport):
+ * same config, gflops, kernelSeconds, spaceSize and device, fromCache
+ * set, no trials, curve or simulated explore time. Trials and
+ * simExploreSeconds therefore count only searches that ran. With
+ * certify, a reused group still certifies its own lowered anchor.
  *
  * The same purity makes the distinct searches independent, so they run
  * concurrently: the calling thread and the workers of one process-wide
  * pool, built on first use, claim them one at a time, one runner per
  * two hardware threads. Their reports are then stitched in group
  * order, so every DagTuneReport (sums included) is bit-identical to a
- * one-at-a-time run. Runs that carry state search one at a time, in
- * group order. Concurrent calls share the pool; a call must not come
- * from a search running on it.
+ * one-at-a-time run. Runs with a cost model or checkpoint search one at
+ * a time, in group order. Concurrent calls share the pool; a call must
+ * not come from a search running on it.
  *
  * Tracing: a `graph_run` meta line, one `graph.partition` span around
  * the search, and one `graph.subgraph` span per group (the per-anchor

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "support/hexfloat.h"
 #include "support/journal.h"
 #include "support/rng.h"
 
@@ -20,25 +21,6 @@ namespace {
 /** Refit seed base; XORed with the running trial count so every refit
  *  draws a distinct but reproducible stream. */
 constexpr uint64_t kRefitSeed = 0x5eedc057ULL;
-
-std::string
-hexDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
-}
-
-bool
-parseDouble(std::istringstream &iss, double &out)
-{
-    std::string tok;
-    if (!(iss >> tok))
-        return false;
-    char *end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    return end != tok.c_str() && *end == '\0';
-}
 
 } // namespace
 
@@ -102,7 +84,7 @@ CostModel::load()
         std::string group_tok;
         CostTrial trial;
         size_t n = 0;
-        if (!(iss >> group_tok) || !parseDouble(iss, trial.gflops) ||
+        if (!(iss >> group_tok) || !readDouble(iss, trial.gflops) ||
             !(iss >> n)) {
             continue;
         }
@@ -110,7 +92,7 @@ CostModel::load()
         trial.features.resize(n);
         bool ok = true;
         for (size_t i = 0; i < n && ok; ++i)
-            ok = parseDouble(iss, trial.features[i]);
+            ok = readDouble(iss, trial.features[i]);
         if (ok)
             trials.push_back(std::move(trial));
     }

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <sstream>
 
+#include "support/hexfloat.h"
 #include "support/logging.h"
 #include "support/rng.h"
 
@@ -250,34 +249,6 @@ GbtModel::predict(const std::vector<double> &x) const
         p += learningRate_ * tree.eval(x);
     return p;
 }
-
-namespace {
-
-/** Hexfloat rendering: round-trips every finite double bit-exactly. */
-std::string
-hexDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
-}
-
-/**
- * Read one double token through strtod: istream double extraction does
- * not accept hexfloats, strtod does.
- */
-bool
-readDouble(std::istream &is, double &out)
-{
-    std::string tok;
-    if (!(is >> tok))
-        return false;
-    char *end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    return end != tok.c_str() && *end == '\0';
-}
-
-} // namespace
 
 std::string
 GbtModel::serialize() const

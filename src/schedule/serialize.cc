@@ -1,10 +1,13 @@
 #include "schedule/serialize.h"
 
+#include <charconv>
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "analysis/static_analyzer.h"
+#include "support/hash.h"
+#include "support/hexfloat.h"
 #include "support/journal.h"
 #include "support/logging.h"
 
@@ -12,8 +15,8 @@ namespace ft {
 
 namespace {
 
-/** Journal kind tag for tuning-cache files (format v3). */
-constexpr char kCacheKind[] = "tcache";
+/** Journal kind of workloadKey caches; string-keyed "tcache" loads empty. */
+constexpr char kCacheKind[] = "tcache2";
 
 void
 appendSplits(std::ostringstream &oss,
@@ -125,6 +128,12 @@ parseConfig(const std::string &line)
     return config;
 }
 
+uint64_t
+workloadKey(const Operation &anchor, const std::string &device)
+{
+    return Fnv1a().word(anchor->key()).bytes(device).value();
+}
+
 std::string
 tuningKeyFor(const Operation &anchor, const std::string &device)
 {
@@ -141,30 +150,17 @@ tuningKeyFor(const Operation &anchor, const std::string &device)
     return oss.str();
 }
 
-std::string
-tuningKey(const Tensor &output, const std::string &device)
-{
-    MiniGraph graph(output);
-    return tuningKeyFor(anchorOp(graph), device);
-}
-
-void
-TuningCache::putLocked(TuningRecord record)
-{
-    auto it = records_.find(record.key);
-    if (it == records_.end() || it->second.gflops < record.gflops)
-        records_[record.key] = std::move(record);
-}
-
 void
 TuningCache::put(const TuningRecord &record)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    putLocked(record);
+    auto it = records_.find(record.key);
+    if (it == records_.end() || it->second.gflops < record.gflops)
+        records_[record.key] = record;
 }
 
 std::optional<TuningRecord>
-TuningCache::lookup(const std::string &key) const
+TuningCache::lookup(uint64_t key) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = records_.find(key);
@@ -182,21 +178,23 @@ TuningCache::size() const
 
 namespace {
 
-/** One cache record as a frame payload: "key\tgflops\tconfig". */
+constexpr size_t kKeyDigits = 16;
+
+/** One frame payload: "<16 hex digit key>\t<hexfloat gflops>\t<config>". */
 std::optional<TuningRecord>
 parseCacheRecord(const std::string &line)
 {
-    auto tab1 = line.find('\t');
-    auto tab2 = line.find('\t', tab1 + 1);
-    if (tab1 == std::string::npos || tab2 == std::string::npos)
+    const size_t tab2 = line.find('\t', kKeyDigits + 1);
+    if (line.size() <= kKeyDigits || line[kKeyDigits] != '\t' ||
+        tab2 == std::string::npos)
         return std::nullopt;
     TuningRecord record;
-    record.key = line.substr(0, tab1);
-    try {
-        record.gflops = std::stod(line.substr(tab1 + 1, tab2 - tab1 - 1));
-    } catch (...) {
+    const char *keyEnd = line.data() + kKeyDigits;
+    auto [end, ec] = std::from_chars(line.data(), keyEnd, record.key, 16);
+    if (ec != std::errc() || end != keyEnd ||
+        !parseDouble(line.substr(kKeyDigits + 1, tab2 - kKeyDigits - 1),
+                     record.gflops))
         return std::nullopt;
-    }
     auto config = parseConfig(line.substr(tab2 + 1));
     if (!config)
         return std::nullopt;
@@ -217,10 +215,11 @@ TuningCache::save(const std::string &path) const
     {
         std::lock_guard<std::mutex> lock(mu_);
         for (const auto &[key, record] : records_) {
-            std::ostringstream oss;
-            oss << key << "\t" << record.gflops << "\t"
-                << serializeConfig(record.config);
-            writer.append(oss.str());
+            char hexKey[kKeyDigits + 1];
+            std::snprintf(hexKey, sizeof(hexKey), "%016" PRIx64, key);
+            writer.append(std::string(hexKey) + "\t" +
+                          hexDouble(record.gflops) + "\t" +
+                          serializeConfig(record.config));
         }
     }
     return writer.commit(path);

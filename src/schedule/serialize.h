@@ -3,8 +3,8 @@
  * Serialization of schedule configs and tuning records.
  *
  * Production auto-schedulers keep a tuning cache: the best schedule found
- * for each (operator, shape, device) is logged so later sessions reuse it
- * instead of re-exploring. This module provides a line-oriented text
+ * for each (operator structure, device) is logged so later sessions reuse
+ * it instead of re-exploring. This module provides a line-oriented text
  * format for OpConfig and a TuningCache with file round-trip.
  */
 #ifndef FLEXTENSOR_SCHEDULE_SERIALIZE_H
@@ -27,32 +27,34 @@ std::string serializeConfig(const OpConfig &config);
 std::optional<OpConfig> parseConfig(const std::string &line);
 
 /**
- * Stable identity of a tuning task: operator name, output shape, loop
- * extents, and device. Two structurally identical operators share a key.
+ * Structural identity of a tuning task: the anchor's OpKey (extents,
+ * body, input shapes and strides, never names) mixed with the device.
+ * The TuningCache and the cost model's workload groups key on it.
  */
-std::string tuningKey(const Tensor &output, const std::string &device);
+uint64_t workloadKey(const Operation &anchor, const std::string &device);
 
-/** Key for one specific compute node (graph-level scheduling). */
+/** Name, output and reduce extents and device (the admission key). */
 std::string tuningKeyFor(const Operation &anchor,
                          const std::string &device);
 
 /** One cached tuning result. */
 struct TuningRecord
 {
-    std::string key;
+    uint64_t key = 0; ///< workloadKey of the anchor and device
     OpConfig config;
     double gflops = 0.0;
 };
 
 /**
- * A persistent best-schedule store keyed by tuningKey.
+ * A persistent best-schedule store keyed by workloadKey.
  *
  * Safe for concurrent lookup/store from multiple tuning threads (an
  * internal mutex guards the record map). save() writes a CRC32-framed
  * journal (support/journal.h) via a temp file plus atomic rename, so a
  * crashed or interrupted writer can never leave a truncated cache
  * behind, and load() recovers every intact record before a torn tail.
- * A file that is not a tuning-cache journal loads as empty.
+ * A file that is not a tuning-cache journal (string-keyed caches
+ * included) loads as empty, with a warning.
  */
 class TuningCache
 {
@@ -61,7 +63,7 @@ class TuningCache
     void put(const TuningRecord &record);
 
     /** Best known record for the key, if any. */
-    std::optional<TuningRecord> lookup(const std::string &key) const;
+    std::optional<TuningRecord> lookup(uint64_t key) const;
 
     /** Number of cached entries. */
     size_t size() const;
@@ -76,10 +78,8 @@ class TuningCache
     bool load(const std::string &path);
 
   private:
-    void putLocked(TuningRecord record);
-
     mutable std::mutex mu_;
-    std::map<std::string, TuningRecord> records_;
+    std::map<uint64_t, TuningRecord> records_;
 };
 
 } // namespace ft

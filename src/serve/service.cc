@@ -170,7 +170,9 @@ TuningService::tuneDag(const graph::ComputeDag &dag, const Target &target,
             if (!sub.tuned)
                 continue;
             evaluations_.add(static_cast<uint64_t>(sub.report.trials));
-            if (sub.report.fromCache)
+            // A repeated anchor reuses its group's report; only a
+            // search of its own can hit the persistent cache.
+            if (sub.report.fromCache && sub.reusedFrom < 0)
                 persistentCacheHits_.add();
         }
         return report;

@@ -10,8 +10,8 @@
  *   2. Request coalescing: concurrent identical requests share a single
  *      in-flight tuning run; joiners block on a shared future and all
  *      receive the same report.
- *   3. The persistent TuningCache (best schedule per operator/device),
- *      consulted and updated by the underlying tuner.
+ *   3. The persistent TuningCache (best schedule per anchor OpKey and
+ *      device), consulted and updated by the underlying tuner.
  *
  * A request is identified by its RequestKey (serve/request_key.h): the
  * anchor's structural OpKey, the device, and every option that can

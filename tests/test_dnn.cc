@@ -134,32 +134,54 @@ TEST(E2e, FusionSavesTime)
 /**
  * Every mode runs through graph::tuneDag, and a tuned group's GFLOPS is
  * exactly what a direct tune() of its lowered anchor finds; fusion only
- * changes how a group's seconds are charged.
+ * changes how a group's seconds are charged. OverFeat runs every mode
+ * on both devices. YOLO-v1 runs with a tuning cache attached: its
+ * conv22 and conv23/conv24 share output and reduce extents but differ
+ * in input shape and stride, and each must report its own direct
+ * tune(), not the schedule cached for another.
  */
 TEST(E2e, EveryModeReportsDirectTunesOfItsAnchors)
 {
-    Network net = overFeat();
-    const graph::ComputeDag dag = graph::dagFromNetwork(net);
-    E2eOptions options;
-    options.explore.trials = 8;
-    options.explore.warmupPoints = 4;
-    TuneOptions solo;
-    solo.method = options.method;
-    solo.explore = options.explore;
-    for (const Target &target :
-         {Target::forGpu(v100()), Target::forCpu(xeonE5())}) {
+    struct Case
+    {
+        Network net;
+        Target target;
+        std::vector<FuseMode> modes;
+        bool cached;
+    };
+    const std::vector<FuseMode> every = {FuseMode::None, FuseMode::Epilogue,
+                                         FuseMode::Graph};
+    for (const Case &c :
+         {Case{overFeat(), Target::forGpu(v100()), every, false},
+          Case{overFeat(), Target::forCpu(xeonE5()), every, false},
+          Case{yoloV1(), Target::forGpu(v100()), {FuseMode::Epilogue},
+               true}}) {
+        const graph::ComputeDag dag = graph::dagFromNetwork(c.net);
+        E2eOptions options;
+        options.explore.trials = 8;
+        options.explore.warmupPoints = 4;
+        TuningCache cache;
+        if (c.cached)
+            options.cache = &cache;
+        TuneOptions solo;
+        solo.method = options.method;
+        solo.explore = options.explore;
         std::map<std::string, double> direct;
         for (size_t id = 0; id < dag.nodes.size(); ++id) {
             if (!dag.nodes[id].isHeavy())
                 continue;
             const Tensor anchor =
                 graph::lowerAnchor(dag, static_cast<int>(id)).output;
-            direct[dag.nodes[id].name] = tune(anchor, target, solo).gflops;
+            direct[dag.nodes[id].name] =
+                tune(anchor, c.target, solo).gflops;
         }
-        for (FuseMode mode :
-             {FuseMode::None, FuseMode::Epilogue, FuseMode::Graph}) {
+        for (FuseMode mode : c.modes) {
             options.fuse = mode;
-            NetworkReport report = scheduleNetwork(net, target, options);
+            NetworkReport report = scheduleNetwork(c.net, c.target, options);
+            const std::string where = c.net.name + " " +
+                                      fuseModeName(mode) + " " +
+                                      c.target.deviceName() +
+                                      (c.cached ? " cached" : "");
             int tuned = 0;
             for (const LayerReport &layer : report.layers) {
                 if (!layer.tuned)
@@ -167,10 +189,9 @@ TEST(E2e, EveryModeReportsDirectTunesOfItsAnchors)
                 ++tuned;
                 ASSERT_TRUE(direct.count(layer.name)) << layer.name;
                 EXPECT_EQ(layer.gflops, direct.at(layer.name))
-                    << layer.name << " " << fuseModeName(mode) << " "
-                    << target.deviceName();
+                    << layer.name << " " << where;
             }
-            EXPECT_EQ(tuned, static_cast<int>(direct.size()));
+            EXPECT_EQ(tuned, static_cast<int>(direct.size())) << where;
             if (mode == FuseMode::None) {
                 EXPECT_EQ(static_cast<int>(report.layers.size()),
                           dag.numComputeNodes());
@@ -207,19 +228,22 @@ TEST(E2e, TuningCacheDeduplicatesRepeatedLayers)
     options.cache = &cache;
     NetworkReport cached = scheduleNetwork(net, target, options);
 
-    // Oracle: the first layer of each distinct cache key explores as a
-    // solo tune() would, and every later layer with that key is a hit.
+    // Oracle: the first layer of each distinct structural key explores
+    // as a solo tune() would, and every later layer with that key is
+    // served without exploring.
     TuneOptions solo;
     solo.method = options.method;
     solo.explore = options.explore;
-    std::set<std::string> keys;
+    std::set<uint64_t> keys;
     size_t schedulable = 0;
     double explored = 0.0;
     for (const FusedOp &op : partitionAndFuse(net)) {
         if (!op.schedulable)
             continue;
         ++schedulable;
-        if (keys.insert(tuningKey(op.output, target.deviceName())).second)
+        MiniGraph graph(op.output);
+        if (keys.insert(workloadKey(anchorOp(graph), target.deviceName()))
+                .second)
             explored += tune(op.output, target, solo).simExploreSeconds;
     }
     EXPECT_LT(keys.size(), schedulable);

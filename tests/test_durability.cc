@@ -289,13 +289,27 @@ TEST_F(CheckpointDurability, SeededCrashScheduleNeverLosesOlderSnapshot)
 // ---------------------------------------------------------------------
 // TuningCache corruption corpus.
 
+/** Key of the i-th record: a distinctive 16-hex-digit word. */
+uint64_t
+recordKey(int i)
+{
+    return 0x0ddba11000000000ull + static_cast<uint64_t>(i);
+}
+
+/** Gflops of the i-th record: not representable in 6 decimal digits. */
+double
+recordGflops(int i)
+{
+    return 1333.9123456789 * i;
+}
+
 void
 fillThreeRecords(TuningCache &cache)
 {
     for (int i = 1; i <= 3; ++i) {
         TuningRecord record;
-        record.key = "op" + std::to_string(i);
-        record.gflops = 100.0 * i;
+        record.key = recordKey(i);
+        record.gflops = recordGflops(i);
         cache.put(record);
     }
 }
@@ -314,9 +328,9 @@ TEST(TuningCacheDurability, TornTailRecoversEveryIntactRecord)
     TuningCache loaded;
     ASSERT_TRUE(loaded.load(path));
     EXPECT_EQ(loaded.size(), 2u);
-    EXPECT_TRUE(loaded.lookup("op1").has_value());
-    EXPECT_TRUE(loaded.lookup("op2").has_value());
-    EXPECT_FALSE(loaded.lookup("op3").has_value());
+    EXPECT_TRUE(loaded.lookup(recordKey(1)).has_value());
+    EXPECT_TRUE(loaded.lookup(recordKey(2)).has_value());
+    EXPECT_FALSE(loaded.lookup(recordKey(3)).has_value());
 
     // load() repaired the file: a second reader sees a clean journal.
     JournalContents repaired = readJournal(path);
@@ -335,7 +349,7 @@ TEST(TuningCacheDurability, BitFlipDropsFromTheCorruptFrameOn)
     const std::string bytes = readBytes(path);
 
     // Flip a payload bit of the second record's frame.
-    const size_t pos = bytes.find("op2");
+    const size_t pos = bytes.find("0ddba11000000002");
     ASSERT_NE(pos, std::string::npos);
     ASSERT_TRUE(FaultInjector::flipBit(path, pos * 8 + 1));
     TuningCache loaded;
@@ -343,7 +357,7 @@ TEST(TuningCacheDurability, BitFlipDropsFromTheCorruptFrameOn)
     // The valid prefix survives; the corrupt frame and everything after
     // it (unreliable framing) are dropped.
     EXPECT_EQ(loaded.size(), 1u);
-    EXPECT_TRUE(loaded.lookup("op1").has_value());
+    EXPECT_TRUE(loaded.lookup(recordKey(1)).has_value());
     std::remove(path.c_str());
 }
 
@@ -370,8 +384,9 @@ TEST(TuningCacheDurability, BareTextFileLoadsEmpty)
     // framing, with or without a count header) are not a cache file:
     // load() succeeds with nothing in it.
     const std::string path = ::testing::TempDir() + "ft_cache_bare.j";
-    const std::string record = "op1\t3.5\tv1|s=2,2|r=4|reorder=1|fuse=1|"
-                               "unroll=0|vec=8|rows=1|part=1\n";
+    const std::string record = "0ddba11000000001\t3.5\tv1|s=2,2|r=4|"
+                               "reorder=1|fuse=1|unroll=0|vec=8|rows=1|"
+                               "part=1\n";
     for (const std::string &bytes :
          {record, "#flextensor-cache v2\n" + record + "#count=1\n"}) {
         writeBytes(path, bytes);
@@ -394,9 +409,9 @@ TEST(TuningCacheDurability, SaveLoadRoundTripStaysLossless)
     ASSERT_TRUE(loaded.load(path));
     EXPECT_EQ(loaded.size(), 3u);
     for (int i = 1; i <= 3; ++i) {
-        auto hit = loaded.lookup("op" + std::to_string(i));
+        auto hit = loaded.lookup(recordKey(i));
         ASSERT_TRUE(hit.has_value());
-        EXPECT_DOUBLE_EQ(hit->gflops, 100.0 * i);
+        EXPECT_EQ(hit->gflops, recordGflops(i));
     }
     std::remove(path.c_str());
 }

@@ -516,10 +516,10 @@ TEST(FaultCache, TruncatedCacheFileKeepsOnlyIntactRecords)
     const std::string path = "/tmp/flextensor_cache_truncated.txt";
     TuningCache cache;
     TuningRecord record;
-    record.key = "gemm:256,256,r:256,@V100";
+    record.key = 0x256;
     record.gflops = 123.0;
     cache.put(record);
-    record.key = "gemm:512,512,r:512,@V100";
+    record.key = 0x512;
     cache.put(record);
     ASSERT_TRUE(cache.save(path));
 
@@ -541,8 +541,8 @@ TEST(FaultCache, TruncatedCacheFileKeepsOnlyIntactRecords)
     TuningCache loaded;
     EXPECT_TRUE(loaded.load(path)); // torn frame dropped, intact prefix kept
     EXPECT_EQ(loaded.size(), 1u);
-    EXPECT_TRUE(loaded.lookup("gemm:256,256,r:256,@V100").has_value());
-    EXPECT_FALSE(loaded.lookup("gemm:512,512,r:512,@V100").has_value());
+    EXPECT_TRUE(loaded.lookup(0x256).has_value());
+    EXPECT_FALSE(loaded.lookup(0x512).has_value());
     std::remove(path.c_str());
 }
 

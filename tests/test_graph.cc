@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -988,20 +989,39 @@ TEST(GraphScheduleTest, ReusedGroupTracesCachedReport)
 }
 
 /**
- * Runs that carry state between anchors are not pure functions of the
- * OpKey, so with a tuning cache attached every anchor goes through
- * tune() as before.
+ * A tuning cache keys on the anchor's OpKey and the device, so it keeps
+ * runs pure: with one attached, YOLO-v1's 9 repeated anchors still
+ * reuse the first search, every group reports what a call without the
+ * cache reports, and the cache holds one entry per distinct structural
+ * key (17 on V100, where the string key tuningKeyFor sees only 16).
  */
-TEST(GraphScheduleTest, AnchorMemoOffWithTuningCache)
+TEST(GraphScheduleTest, AnchorMemoOnWithTuningCache)
 {
-    const Sec66Job job = sec66Jobs().front();
-    TuningCache cache;
+    const Sec66Job job = sec66Jobs().front(); // YOLO-v1 on V100
     TuneOptions options;
     options.explore.trials = 4;
+    const DagTuneReport plain = tuneDag(job.dag, job.target, options);
+    TuningCache cache;
     options.cache = &cache;
     const DagTuneReport rep = tuneDag(job.dag, job.target, options);
-    for (const SubgraphReport &sub : rep.groups)
-        EXPECT_EQ(sub.reusedFrom, -1) << sub.name;
+
+    ASSERT_EQ(rep.groups.size(), plain.groups.size());
+    int reused = 0;
+    std::set<uint64_t> keys;
+    for (size_t g = 0; g < rep.groups.size(); ++g) {
+        const SubgraphReport &sub = rep.groups[g];
+        EXPECT_EQ(sub.reusedFrom, plain.groups[g].reusedFrom) << sub.name;
+        if (sub.anchor < 0)
+            continue;
+        reused += sub.reusedFrom >= 0;
+        keys.insert(workloadKey(lowerAnchor(job.dag, sub.anchor).output.op(),
+                                rep.device));
+        expectSameSearch(sub.report, plain.groups[g].report, sub.name);
+    }
+    EXPECT_EQ(reused, 9);
+    EXPECT_EQ(keys.size(), 17u);
+    EXPECT_EQ(cache.size(), keys.size());
+    EXPECT_EQ(rep.totalSeconds, plain.totalSeconds);
 }
 
 /**

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 
+#include "dnn/models.h"
 #include "explore/tuner.h"
+#include "graph/dag.h"
+#include "graph/lower.h"
 #include "ops/ops.h"
 #include "schedule/serialize.h"
 #include "sim/library_model.h"
@@ -69,49 +73,73 @@ TEST(Serialize, TuningKeyDependsOnShapeAndDevice)
     Tensor b1 = placeholder("B", {32, 16});
     Tensor a2 = placeholder("A", {64, 64});
     Tensor b2 = placeholder("B", {64, 16});
-    std::string k1 = tuningKey(ops::gemm(a1, b1), "V100");
-    std::string k2 = tuningKey(ops::gemm(a2, b2), "V100");
-    std::string k3 = tuningKey(ops::gemm(a1, b1), "XeonE5");
+    uint64_t k1 = workloadKey(ops::gemm(a1, b1).op(), "V100");
+    uint64_t k2 = workloadKey(ops::gemm(a2, b2).op(), "V100");
+    uint64_t k3 = workloadKey(ops::gemm(a1, b1).op(), "XeonE5");
     EXPECT_NE(k1, k2);
+    // The device separates keys.
     EXPECT_NE(k1, k3);
-    // Structurally identical graphs share a key.
-    Tensor a4 = placeholder("A", {64, 32});
-    Tensor b4 = placeholder("B", {32, 16});
-    EXPECT_EQ(k1, tuningKey(ops::gemm(a4, b4), "V100"));
+    // Two separately built, structurally equal ops share a key, whatever
+    // their tensors are named.
+    Tensor a4 = placeholder("X", {64, 32});
+    Tensor b4 = placeholder("Y", {32, 16});
+    EXPECT_EQ(k1, workloadKey(ops::gemm(a4, b4).op(), "V100"));
+
+    // YOLO-v1's conv22 (14x14 input, stride 2) and conv23 (7x7, stride
+    // 1) share output and reduce extents, and so the coarser string
+    // tuningKeyFor, but not the structural key.
+    const graph::ComputeDag dag = graph::dagFromNetwork(yoloV1(1));
+    std::map<std::string, uint64_t> keys;
+    std::map<std::string, std::string> names;
+    for (size_t id = 0; id < dag.nodes.size(); ++id) {
+        const std::string &name = dag.nodes[id].name;
+        if (name != "conv22" && name != "conv23")
+            continue;
+        const Operation anchor =
+            graph::lowerAnchor(dag, static_cast<int>(id)).output.op();
+        keys[name] = workloadKey(anchor, "V100");
+        names[name] = tuningKeyFor(anchor, "V100");
+    }
+    ASSERT_EQ(keys.size(), 2u);
+    EXPECT_NE(keys["conv22"], keys["conv23"]);
+    EXPECT_EQ(names["conv22"].substr(names["conv22"].find(':')),
+              names["conv23"].substr(names["conv23"].find(':')));
 }
 
 TEST(TuningCache, KeepsBestPerKey)
 {
     TuningCache cache;
-    cache.put({"k", sampleConfig(), 10.0});
+    cache.put({7, sampleConfig(), 10.0});
     OpConfig better = sampleConfig();
     better.unrollDepth = 1;
-    cache.put({"k", better, 20.0});
+    cache.put({7, better, 20.0});
     OpConfig worse = sampleConfig();
     worse.unrollDepth = 0;
-    cache.put({"k", worse, 5.0});
+    cache.put({7, worse, 5.0});
 
-    auto hit = cache.lookup("k");
+    auto hit = cache.lookup(7);
     ASSERT_TRUE(hit.has_value());
     EXPECT_DOUBLE_EQ(hit->gflops, 20.0);
     EXPECT_EQ(hit->config.unrollDepth, 1);
-    EXPECT_FALSE(cache.lookup("other").has_value());
+    EXPECT_FALSE(cache.lookup(8).has_value());
 }
 
 TEST(TuningCache, FileRoundTrip)
 {
     const std::string path = "/tmp/flextensor_cache_test.txt";
+    const uint64_t alpha = 0xa1fa000000000001ull, beta = 0xbe7a;
     TuningCache cache;
-    cache.put({"alpha", sampleConfig(), 12.5});
+    cache.put({alpha, sampleConfig(), 12.5});
     OpConfig other = sampleConfig();
     other.reorderChoice = 0;
-    cache.put({"beta", other, 7.25});
+    cache.put({beta, other, 7.25});
     ASSERT_TRUE(cache.save(path));
 
     TuningCache loaded;
     ASSERT_TRUE(loaded.load(path));
     EXPECT_EQ(loaded.size(), 2u);
-    auto hit = loaded.lookup("alpha");
+    EXPECT_TRUE(loaded.lookup(beta).has_value());
+    auto hit = loaded.lookup(alpha);
     ASSERT_TRUE(hit.has_value());
     EXPECT_DOUBLE_EQ(hit->gflops, 12.5);
     EXPECT_EQ(hit->config.spatialSplits, sampleConfig().spatialSplits);
@@ -129,17 +157,44 @@ TEST(TuningCache, SkipsMalformedLines)
 {
     // One record per journal frame; intact frames whose record does not
     // parse are skipped, the rest load.
+    // A key is exactly 16 hex digits: a loose strtoull would read the
+    // old string key "c2d:..." as 0xc2d.
     const std::string path = "/tmp/flextensor_cache_bad.txt";
-    JournalWriter writer("tcache");
+    const std::string config = "v1|s=2,2|r=4|reorder=1|fuse=1|unroll=0|"
+                               "vec=8|rows=1|part=1";
+    JournalWriter writer("tcache2");
     writer.append("garbage line without tabs");
-    writer.append("key\tnot_a_number\tv1|s=|r=");
-    writer.append("good\t3.5\tv1|s=2,2|r=4|reorder=1|fuse=1|unroll=0|"
-                  "vec=8|rows=1|part=1");
+    writer.append("000000000000000a\tnot_a_number\t" + config);
+    writer.append("c2d:8,8,r:3,@V100\t3.5\t" + config);
+    writer.append("c2d\t3.5\t" + config);
+    writer.append("00000000000000c2d\t3.5\t" + config);
+    writer.append("+00000000000000c\t3.5\t" + config);
+    writer.append("00000000000000c2\t3.5x\t" + config);
+    writer.append("00000000000000c2\t0x1.cp+1\t" + config);
     ASSERT_TRUE(writer.commit(path));
     TuningCache cache;
     ASSERT_TRUE(cache.load(path));
     EXPECT_EQ(cache.size(), 1u);
-    EXPECT_TRUE(cache.lookup("good").has_value());
+    ASSERT_TRUE(cache.lookup(0xc2).has_value());
+    EXPECT_EQ(cache.lookup(0xc2)->gflops, 3.5);
+    std::remove(path.c_str());
+}
+
+TEST(TuningCache, StringKeyedCacheLoadsEmptyWithAWarning)
+{
+    // A cache written with string keys (journal kind "tcache") is not
+    // read: it loads empty, loudly, and the next save replaces it.
+    const std::string path = "/tmp/flextensor_cache_string_keys.txt";
+    JournalWriter writer("tcache");
+    writer.append("gemm:128,96,r:64,@V100\t3.5\tv1|s=2,2|r=4|reorder=1|"
+                  "fuse=1|unroll=0|vec=8|rows=1|part=1");
+    ASSERT_TRUE(writer.commit(path));
+    TuningCache cache;
+    ::testing::internal::CaptureStderr();
+    EXPECT_TRUE(cache.load(path));
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("wrong journal kind"), std::string::npos) << err;
+    EXPECT_EQ(cache.size(), 0u);
     std::remove(path.c_str());
 }
 

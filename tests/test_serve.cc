@@ -949,6 +949,53 @@ TEST(TuningService, SharesPersistentCacheAcrossServices)
     EXPECT_EQ(second.stats().persistentCacheHits, 1u);
 }
 
+/**
+ * A DAG request counts a persistent-cache hit per group whose own
+ * search the cache answered. A repeated anchor that reuses an earlier
+ * group's report is flagged fromCache too, but is not a cache hit.
+ */
+TEST(TuningService, DagPersistentCacheHitsCountOnlyCacheAnsweredSearches)
+{
+    const graph::ComputeDag dag = graph::dagFromNetwork(yoloV1(1));
+    const Target target = Target::forGpu(v100());
+    TuneOptions options;
+    options.method = Method::Random;
+    options.explore.trials = 6;
+
+    TuningService uncached;
+    graph::DagTuneReport rep = uncached.tuneDag(dag, target, options);
+    int searched = 0, reused = 0;
+    for (const graph::SubgraphReport &sub : rep.groups) {
+        searched += sub.tuned && sub.reusedFrom < 0;
+        reused += sub.reusedFrom >= 0;
+    }
+    EXPECT_EQ(reused, 9);
+    EXPECT_EQ(uncached.stats().persistentCacheHits, 0u);
+
+    TuningCache cache;
+    ServiceOptions service_options;
+    service_options.persistentCache = &cache;
+    TuningService cold(service_options);
+    cold.tuneDag(dag, target, options);
+    EXPECT_EQ(cold.stats().persistentCacheHits, 0u);
+    EXPECT_EQ(cache.size(), static_cast<size_t>(searched));
+
+    // A fresh service (cold graph report cache) over the warm store:
+    // searches whose cached schedule is valid are answered by the
+    // cache, and every repeat by the memo.
+    TuningService warm(service_options);
+    rep = warm.tuneDag(dag, target, options);
+    uint64_t answered = 0;
+    for (const graph::SubgraphReport &sub : rep.groups) {
+        if (sub.reusedFrom >= 0)
+            EXPECT_TRUE(sub.report.fromCache) << sub.name;
+        else
+            answered += sub.report.fromCache;
+    }
+    EXPECT_GT(answered, 0u);
+    EXPECT_EQ(warm.stats().persistentCacheHits, answered);
+}
+
 TEST(TuningCacheConcurrent, PutAndLookupFromManyThreads)
 {
     TuningCache cache;
@@ -958,7 +1005,7 @@ TEST(TuningCacheConcurrent, PutAndLookupFromManyThreads)
         threads.emplace_back([&cache, t] {
             for (int i = 0; i < per_thread; ++i) {
                 TuningRecord record;
-                record.key = "op" + std::to_string(i % 50);
+                record.key = static_cast<uint64_t>(i % 50);
                 record.gflops = t * 1000.0 + i;
                 cache.put(record);
                 auto hit = cache.lookup(record.key);
@@ -971,7 +1018,7 @@ TEST(TuningCacheConcurrent, PutAndLookupFromManyThreads)
         t.join();
     EXPECT_EQ(cache.size(), 50u);
     // put() keeps the best value per key.
-    auto best = cache.lookup("op49");
+    auto best = cache.lookup(49);
     ASSERT_TRUE(best.has_value());
     EXPECT_DOUBLE_EQ(best->gflops, (writers - 1) * 1000.0 + 199);
 }
@@ -981,7 +1028,7 @@ TEST(TuningCacheConcurrent, SaveIsAtomicViaTempFileRename)
     const std::string path = ::testing::TempDir() + "ft_serve_cache.txt";
     TuningCache cache;
     TuningRecord record;
-    record.key = "gemm:256,256,r:256,@V100";
+    record.key = 0x256;
     record.gflops = 123.0;
     cache.put(record);
     ASSERT_TRUE(cache.save(path));
