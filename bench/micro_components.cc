@@ -11,7 +11,9 @@
 #include <optional>
 #include <vector>
 
+#include "analysis/verify/verify.h"
 #include "core/flextensor.h"
+#include "ir/inline.h"
 #include "ml/gbt.h"
 #include "nn/mlp.h"
 #include "support/rng.h"
@@ -88,6 +90,46 @@ BM_LowerAndModelGpu(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LowerAndModelGpu);
+
+void
+BM_LowerAndModelCpu(benchmark::State &state)
+{
+    Tensor out = benchConv();
+    MiniGraph g(out);
+    Operation anchor = anchorOp(g);
+    Target target = Target::forCpu(xeonE5());
+    OpConfig cfg = expertConfig(anchor, target);
+    for (auto _ : state) {
+        Scheduled s = generate(anchor, cfg, target);
+        PerfResult perf = modelPerf(s.features, target);
+        benchmark::DoNotOptimize(perf);
+    }
+}
+BENCHMARK(BM_LowerAndModelCpu);
+
+/**
+ * One trial's verification (race, bounds and resource passes) of the
+ * expert schedule of benchConv with its zero padding inlined, so the
+ * bounds prover runs its guard refinements. Arg 0 picks the device: 0
+ * the V100 model, 1 the Xeon.
+ */
+void
+BM_VerifySchedule(benchmark::State &state)
+{
+    MiniGraph g(inlineGraph(benchConv()));
+    Operation anchor = anchorOp(g);
+    Target target = state.range(0) == 0 ? Target::forGpu(v100())
+                                        : Target::forCpu(xeonE5());
+    OpConfig cfg = expertConfig(anchor, target);
+    Scheduled s = generate(anchor, cfg, target);
+    verify::DiagReport report;
+    for (auto _ : state) {
+        report.clear();
+        verify::verifyScheduleInto(s, target, &cfg, report);
+        benchmark::DoNotOptimize(report);
+    }
+}
+BENCHMARK(BM_VerifySchedule)->Arg(0)->Arg(1);
 
 /**
  * Space construction. Arg 0 picks the operator: 0 is benchConv, 1 the

@@ -112,6 +112,10 @@ runNetwork(const Network &net, const Target &target, int64_t batch,
     if (batch == 1 && fuse == FuseMode::Epilogue)
         std::printf(" (paper: %.2fx)", paper_speedup);
     std::printf("\n");
+    if (flex.fallbackGroups > 0)
+        std::printf("fallback: %d groups found no valid schedule and are "
+                    "charged their expert schedule\n",
+                    flex.fallbackGroups);
     std::printf("traffic: %lld modeled bytes vs %lld epilogue baseline "
                 "-> %lld saved (%lld ephemeral bytes on chip)\n",
                 (long long)flex.modeledTrafficBytes,

@@ -3,9 +3,14 @@
  * Interval analysis of index expressions.
  *
  * Given ranges for iteration variables, compute conservative [min, max]
- * bounds of an integer index expression. The performance models use this to
- * derive tile footprints (how much of each input a block/tile touches),
- * which determine shared-memory usage, cache fit, and DRAM traffic.
+ * bounds of an integer index expression, and from them tile footprints
+ * (how much of each input a block/tile touches), which determine
+ * shared-memory usage, cache fit, and DRAM traffic.
+ *
+ * These tree walks are the reference semantics: the per-trial passes run
+ * the same arithmetic as flattened IntervalPrograms of the operator's
+ * IndexAnalysis (analysis/index_analysis.h), and tests hold the two to
+ * identical results.
  */
 #ifndef FLEXTENSOR_ANALYSIS_BOUNDS_H
 #define FLEXTENSOR_ANALYSIS_BOUNDS_H

@@ -43,16 +43,21 @@ flopsOf(const Operation &op)
 {
     if (op->isPlaceholder() || op->isConstant())
         return 0.0;
-    const auto *c = static_cast<const ComputeOp *>(op.get());
+    return flopsOf(*static_cast<const ComputeOp *>(op.get()));
+}
+
+double
+flopsOf(const ComputeOp &op)
+{
     double spatial = 1.0;
-    for (const auto &iv : c->axis())
+    for (const auto &iv : op.axis())
         spatial *= static_cast<double>(iv->extent);
     double reduce = 1.0;
-    for (const auto &iv : c->reduceAxis())
+    for (const auto &iv : op.reduceAxis())
         reduce *= static_cast<double>(iv->extent);
-    double body = bodyArithmeticOps(c->body());
+    double body = bodyArithmeticOps(op.body());
     // Each reduce iteration also performs one accumulate.
-    double perPoint = c->reduceAxis().empty()
+    double perPoint = op.reduceAxis().empty()
                           ? body
                           : reduce * (body + 1.0);
     // Pure data movement (e.g. the zero-FLOP shift operator) counts one

@@ -18,6 +18,9 @@ namespace ft {
  */
 double flopsOf(const Operation &op);
 
+/** flopsOf of a compute node held by reference. */
+double flopsOf(const ComputeOp &op);
+
 /** Total FLOPs of every compute node in the graph. */
 double flopsOf(const MiniGraph &graph);
 

@@ -16,14 +16,14 @@
  * branch as "atoms" (normalized `lhs <= rhs` facts) and refines the
  * interval of each subexpression that matches an atom side up to an
  * affine constant offset. An interval refined to empty means the branch
- * is unreachable and its accesses are skipped, not reported.
+ * is unreachable and its accesses are skipped, not reported. The atoms
+ * and the matches are worked out once per operator (IndexAnalysis); a
+ * trial runs the flattened guarded program over its slot ranges.
  */
 #include <algorithm>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "analysis/bounds.h"
+#include "analysis/index_analysis.h"
 #include "analysis/verify/verify.h"
 
 namespace ft {
@@ -31,351 +31,8 @@ namespace verify {
 
 namespace {
 
-/** Saturation bound for intervals the analysis cannot pin down. */
-constexpr int64_t kWide = int64_t(1) << 40;
-
-/** One guard fact: lhs <= rhs holds inside the guarded branch. */
-struct Atom
-{
-    Expr lhs, rhs;
-};
-
-bool
-isEmpty(const Interval &i)
-{
-    return i.lo > i.hi;
-}
-
-Interval
-emptyInterval()
-{
-    return Interval{1, 0};
-}
-
-Interval
-wideInterval()
-{
-    return Interval{-kWide, kWide};
-}
-
-/** Affine = integer linear in the iteration variables. */
-bool
-hasVars(const Expr &e)
-{
-    bool found = false;
-    visitExpr(e, [&found](const ExprNode &n) {
-        if (n.kind == ExprKind::Var)
-            found = true;
-    });
-    return found;
-}
-
-bool
-isAffine(const Expr &e)
-{
-    switch (e->kind) {
-      case ExprKind::IntImm:
-      case ExprKind::Var:
-        return true;
-      case ExprKind::Add:
-      case ExprKind::Sub:
-        return isAffine(e->a) && isAffine(e->b);
-      case ExprKind::Mul:
-        // Linear only when one side is a constant expression.
-        return isAffine(e->a) && isAffine(e->b) &&
-               (!hasVars(e->a) || !hasVars(e->b));
-      default:
-        return false;
-    }
-}
-
-int64_t
-evalAtZero(const Expr &e)
-{
-    std::vector<std::pair<const IterVarNode *, int64_t>> env;
-    for (const IterVar &v : collectVars(e))
-        env.emplace_back(v.get(), 0);
-    return evalIntExpr(e, env);
-}
-
-/**
- * The constant d with a == b + d, when both expressions are affine with
- * identical linear parts; nullopt otherwise.
- */
-std::optional<int64_t>
-affineDelta(const Expr &a, const Expr &b)
-{
-    if (!isAffine(a) || !isAffine(b))
-        return std::nullopt;
-    std::vector<const IterVarNode *> vars;
-    for (const IterVar &v : collectVars(a))
-        vars.push_back(v.get());
-    for (const IterVar &v : collectVars(b)) {
-        if (std::find(vars.begin(), vars.end(), v.get()) == vars.end())
-            vars.push_back(v.get());
-    }
-    for (const IterVarNode *v : vars) {
-        if (linearCoefficient(a, v) != linearCoefficient(b, v))
-            return std::nullopt;
-    }
-    return evalAtZero(a) - evalAtZero(b);
-}
-
-/** Structural equality (same shape, same vars, same constants). */
-bool
-sameExpr(const Expr &a, const Expr &b)
-{
-    if (a.get() == b.get())
-        return true;
-    if (!a || !b || a->kind != b->kind)
-        return false;
-    switch (a->kind) {
-      case ExprKind::IntImm:
-        return a->intValue == b->intValue;
-      case ExprKind::FloatImm:
-        return a->floatValue == b->floatValue;
-      case ExprKind::Var:
-        return a->var.get() == b->var.get();
-      case ExprKind::Access: {
-        if (a->source.get() != b->source.get() ||
-            a->indices.size() != b->indices.size())
-            return false;
-        for (size_t i = 0; i < a->indices.size(); ++i) {
-            if (!sameExpr(a->indices[i], b->indices[i]))
-                return false;
-        }
-        return true;
-      }
-      default:
-        return sameExpr(a->a, b->a) && sameExpr(a->b, b->b) &&
-               (a->c == nullptr) == (b->c == nullptr) &&
-               (a->c == nullptr || sameExpr(a->c, b->c));
-    }
-}
-
-/**
- * The constant d with a == b + d. Affine matching handles linear
- * expressions with reassociated terms; the structural fallback peels a
- * top-level added/subtracted integer constant off each side and compares
- * the cores verbatim — this is what relates a non-affine guarded index
- * to its guard (an inlined pad of a shifted access reads `x - 1` under
- * the atom `1 <= x`, where x contains div/mod of an iteration variable).
- */
-std::optional<int64_t>
-matchDelta(const Expr &a, const Expr &b)
-{
-    if (auto d = affineDelta(a, b))
-        return d;
-    auto peel = [](const Expr &e, Expr &core) -> int64_t {
-        if (e->kind == ExprKind::Add && e->b->kind == ExprKind::IntImm) {
-            core = e->a;
-            return e->b->intValue;
-        }
-        if (e->kind == ExprKind::Add && e->a->kind == ExprKind::IntImm) {
-            core = e->b;
-            return e->a->intValue;
-        }
-        if (e->kind == ExprKind::Sub && e->b->kind == ExprKind::IntImm) {
-            core = e->a;
-            return -e->b->intValue;
-        }
-        core = e;
-        return 0;
-    };
-    Expr core_a, core_b;
-    int64_t da = peel(a, core_a), db = peel(b, core_b);
-    if (sameExpr(core_a, core_b))
-        return da - db;
-    return std::nullopt;
-}
-
-Interval boundsWithAtoms(const Expr &e, const std::vector<Atom> &atoms,
-                         const VarRanges &ranges);
-
-/**
- * Tighten `raw` with every atom whose side matches `e` up to a constant
- * offset: e == lhs + d gives e <= hi(rhs) + d, e == rhs + d gives
- * e >= lo(lhs) + d.
- */
-Interval
-refineWithAtoms(Interval raw, const Expr &e, const std::vector<Atom> &atoms,
-                const VarRanges &ranges)
-{
-    static const std::vector<Atom> kNoAtoms;
-    for (const Atom &atom : atoms) {
-        if (auto d = matchDelta(e, atom.lhs)) {
-            Interval rhs = boundsWithAtoms(atom.rhs, kNoAtoms, ranges);
-            if (!isEmpty(rhs))
-                raw.hi = std::min(raw.hi, rhs.hi + *d);
-        }
-        if (auto d = matchDelta(e, atom.rhs)) {
-            Interval lhs = boundsWithAtoms(atom.lhs, kNoAtoms, ranges);
-            if (!isEmpty(lhs))
-                raw.lo = std::max(raw.lo, lhs.lo + *d);
-        }
-    }
-    return raw;
-}
-
-Interval
-combine4(int64_t a, int64_t b, int64_t c, int64_t d)
-{
-    return Interval{std::min(std::min(a, b), std::min(c, d)),
-                    std::max(std::max(a, b), std::max(c, d))};
-}
-
-/**
- * boundsOf with guard atoms: same interval arithmetic, but every
- * subexpression is additionally refined against the atoms, unsupported
- * operations widen instead of panicking, and an empty child interval
- * (an unreachable guard combination) propagates up.
- */
-Interval
-boundsWithAtoms(const Expr &e, const std::vector<Atom> &atoms,
-                const VarRanges &ranges)
-{
-    if (!e)
-        return wideInterval();
-    Interval raw;
-    switch (e->kind) {
-      case ExprKind::IntImm:
-        raw = {e->intValue, e->intValue};
-        break;
-      case ExprKind::Var: {
-        auto it = ranges.find(e->var.get());
-        raw = it != ranges.end() ? it->second
-                                 : Interval{0, e->var->extent - 1};
-        break;
-      }
-      case ExprKind::Add: {
-        Interval a = boundsWithAtoms(e->a, atoms, ranges);
-        Interval b = boundsWithAtoms(e->b, atoms, ranges);
-        if (isEmpty(a) || isEmpty(b))
-            return emptyInterval();
-        raw = {a.lo + b.lo, a.hi + b.hi};
-        break;
-      }
-      case ExprKind::Sub: {
-        Interval a = boundsWithAtoms(e->a, atoms, ranges);
-        Interval b = boundsWithAtoms(e->b, atoms, ranges);
-        if (isEmpty(a) || isEmpty(b))
-            return emptyInterval();
-        raw = {a.lo - b.hi, a.hi - b.lo};
-        break;
-      }
-      case ExprKind::Mul: {
-        Interval a = boundsWithAtoms(e->a, atoms, ranges);
-        Interval b = boundsWithAtoms(e->b, atoms, ranges);
-        if (isEmpty(a) || isEmpty(b))
-            return emptyInterval();
-        raw = combine4(a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi);
-        break;
-      }
-      case ExprKind::Div: {
-        Interval a = boundsWithAtoms(e->a, atoms, ranges);
-        Interval b = boundsWithAtoms(e->b, atoms, ranges);
-        if (isEmpty(a) || isEmpty(b))
-            return emptyInterval();
-        if (b.lo <= 0) {
-            raw = wideInterval(); // divisor range not provably positive
-            break;
-        }
-        raw = combine4(a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi);
-        break;
-      }
-      case ExprKind::Mod: {
-        Interval a = boundsWithAtoms(e->a, atoms, ranges);
-        Interval b = boundsWithAtoms(e->b, atoms, ranges);
-        if (isEmpty(a) || isEmpty(b))
-            return emptyInterval();
-        if (b.lo <= 0) {
-            raw = wideInterval();
-            break;
-        }
-        if (a.lo >= 0 && a.lo / b.lo == a.hi / b.lo && b.lo == b.hi)
-            raw = {a.lo % b.lo, a.hi % b.lo};
-        else
-            raw = {0, b.hi - 1};
-        break;
-      }
-      case ExprKind::Min: {
-        Interval a = boundsWithAtoms(e->a, atoms, ranges);
-        Interval b = boundsWithAtoms(e->b, atoms, ranges);
-        if (isEmpty(a) || isEmpty(b))
-            return emptyInterval();
-        raw = {std::min(a.lo, b.lo), std::min(a.hi, b.hi)};
-        break;
-      }
-      case ExprKind::Max: {
-        Interval a = boundsWithAtoms(e->a, atoms, ranges);
-        Interval b = boundsWithAtoms(e->b, atoms, ranges);
-        if (isEmpty(a) || isEmpty(b))
-            return emptyInterval();
-        raw = {std::max(a.lo, b.lo), std::max(a.hi, b.hi)};
-        break;
-      }
-      case ExprKind::Select: {
-        Interval a = boundsWithAtoms(e->b, atoms, ranges);
-        Interval b = boundsWithAtoms(e->c, atoms, ranges);
-        if (isEmpty(a))
-            return b;
-        if (isEmpty(b))
-            return a;
-        raw = {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
-        break;
-      }
-      case ExprKind::CmpLT:
-      case ExprKind::CmpLE:
-      case ExprKind::CmpEQ:
-      case ExprKind::And:
-      case ExprKind::Or:
-        raw = {0, 1};
-        break;
-      default: // FloatImm / Access: not an integer index expression
-        raw = wideInterval();
-        break;
-    }
-    if (!atoms.empty())
-        raw = refineWithAtoms(raw, e, atoms, ranges);
-    return raw;
-}
-
-/**
- * Normalize a guard condition into `lhs <= rhs` atoms. Conjunctions
- * recurse; disjunctions and anything else contribute nothing (sound:
- * fewer atoms only widen intervals).
- */
 void
-extractAtoms(const Expr &cond, std::vector<Atom> &out)
-{
-    switch (cond->kind) {
-      case ExprKind::And:
-        extractAtoms(cond->a, out);
-        extractAtoms(cond->b, out);
-        break;
-      case ExprKind::CmpLE:
-        out.push_back({cond->a, cond->b});
-        break;
-      case ExprKind::CmpLT:
-        out.push_back({cond->a, sub(cond->b, intImm(1))});
-        break;
-      case ExprKind::CmpEQ:
-        out.push_back({cond->a, cond->b});
-        out.push_back({cond->b, cond->a});
-        break;
-      default:
-        break;
-    }
-}
-
-struct ProverCtx
-{
-    VarRanges ranges;
-    DiagReport *out = nullptr;
-};
-
-void
-reportAccess(ProverCtx &ctx, const ExprNode &acc, size_t dim,
+reportAccess(DiagReport &out, const ExprNode &acc, size_t dim,
              const Interval &got, int64_t extent)
 {
     std::string where =
@@ -383,53 +40,14 @@ reportAccess(ProverCtx &ctx, const ExprNode &acc, size_t dim,
     std::string interval = "[" + std::to_string(got.lo) + ", " +
                            std::to_string(got.hi) + "]";
     if (got.lo < 0) {
-        ctx.out->add({kOobUnderflow, Severity::Error, "", where,
-                      "access index of " + where + " spans " + interval +
-                          ": reads below element 0"});
+        out.add({kOobUnderflow, Severity::Error, "", where,
+                 "access index of " + where + " spans " + interval +
+                     ": reads below element 0"});
     }
     if (got.hi > extent - 1) {
-        ctx.out->add({kOobOverflow, Severity::Error, "", where,
-                      "access index of " + where + " spans " + interval +
-                          ": exceeds extent " + std::to_string(extent)});
-    }
-}
-
-void
-walkBody(const Expr &e, std::vector<Atom> &atoms, ProverCtx &ctx)
-{
-    if (!e)
-        return;
-    switch (e->kind) {
-      case ExprKind::Select: {
-        // Condition evaluates unconditionally; the then-branch runs
-        // under the condition's atoms; the else-branch gains nothing
-        // (negations are not tracked).
-        walkBody(e->a, atoms, ctx);
-        size_t base = atoms.size();
-        extractAtoms(e->a, atoms);
-        walkBody(e->b, atoms, ctx);
-        atoms.resize(base);
-        walkBody(e->c, atoms, ctx);
-        break;
-      }
-      case ExprKind::Access: {
-        const auto &shape = e->source->outputShape();
-        for (size_t d = 0; d < e->indices.size(); ++d) {
-            Interval b = boundsWithAtoms(e->indices[d], atoms, ctx.ranges);
-            if (isEmpty(b))
-                continue; // guard combination is unreachable
-            int64_t extent = d < shape.size() ? shape[d] : 1;
-            if (b.lo < 0 || b.hi > extent - 1)
-                reportAccess(ctx, *e, d, b, extent);
-            walkBody(e->indices[d], atoms, ctx);
-        }
-        break;
-      }
-      default:
-        walkBody(e->a, atoms, ctx);
-        walkBody(e->b, atoms, ctx);
-        walkBody(e->c, atoms, ctx);
-        break;
+        out.add({kOobOverflow, Severity::Error, "", where,
+                 "access index of " + where + " spans " + interval +
+                     ": exceeds extent " + std::to_string(extent)});
     }
 }
 
@@ -441,25 +59,21 @@ checkAccessBounds(const LoopNest &nest, DiagReport &out)
     if (!nest.op || nest.op->isPlaceholder())
         return;
     const auto *op = static_cast<const ComputeOp *>(nest.op.get());
+    const IndexAnalysis &ia = op->indexAnalysis();
 
     // Realized range of every original variable: the stride-weighted
     // span of its sub-loops (NOT the declared extent — widened splits
     // must surface as wider ranges here).
-    ProverCtx ctx;
-    ctx.out = &out;
-    for (const auto &iv : op->axis())
-        ctx.ranges[iv.get()] = Interval{0, 0};
-    for (const auto &iv : op->reduceAxis())
-        ctx.ranges[iv.get()] = Interval{0, 0};
+    IndexScratch &scratch = indexScratch();
+    std::vector<Interval> &ranges = scratch.ranges;
+    ranges.assign(ia.numSlots(), Interval{0, 0});
     for (const SubLoop &l : nest.loops) {
-        if (!l.origin)
-            continue;
-        auto it = ctx.ranges.find(l.origin);
-        if (it == ctx.ranges.end())
+        const int slot = l.origin ? ia.slotOf(l.origin) : -1;
+        if (slot < 0)
             continue;
         int64_t reach = (l.extent - 1) * l.stride;
-        it->second.lo += std::min<int64_t>(reach, 0);
-        it->second.hi += std::max<int64_t>(reach, 0);
+        ranges[slot].lo += std::min<int64_t>(reach, 0);
+        ranges[slot].hi += std::max<int64_t>(reach, 0);
     }
 
     // Guarded (imperfectly tiled) axes declare that executors and
@@ -469,18 +83,20 @@ checkAccessBounds(const LoopNest &nest, DiagReport &out)
     // span and fails the proofs below — this is how the prover gates
     // imperfect tiles instead of the old divisibility assertion.
     for (const IterVarNode *g : nest.guardedAxes) {
-        auto it = ctx.ranges.find(g);
-        if (it == ctx.ranges.end())
+        const int slot = ia.slotOf(g);
+        if (slot < 0)
             continue;
-        it->second.lo = std::max<int64_t>(it->second.lo, 0);
-        it->second.hi = std::min<int64_t>(it->second.hi, g->extent - 1);
+        ranges[slot].lo = std::max<int64_t>(ranges[slot].lo, 0);
+        ranges[slot].hi = std::min<int64_t>(ranges[slot].hi, g->extent - 1);
     }
 
     // Output write O[i1..iM]: each spatial index must stay within the
     // output extent (an over-wide split writes past the buffer).
     const auto &shape = op->outputShape();
     for (size_t d = 0; d < op->axis().size() && d < shape.size(); ++d) {
-        const Interval &r = ctx.ranges.at(op->axis()[d].get());
+        const Interval r = ranges[d];
+        if (r.lo >= 0 && r.hi <= shape[d] - 1)
+            continue;
         std::string where = op->name() + "[" + std::to_string(d) + "]";
         std::string interval = "[" + std::to_string(r.lo) + ", " +
                                std::to_string(r.hi) + "]";
@@ -499,9 +115,25 @@ checkAccessBounds(const LoopNest &nest, DiagReport &out)
         }
     }
 
-    // Every read in the body, guard-aware.
-    std::vector<Atom> atoms;
-    walkBody(op->body(), atoms, ctx);
+    // Every read in the body, guard-aware, in the order of the body
+    // walk; an unreachable guard combination (an empty interval) skips
+    // the check and the reads nested in that index.
+    const IntervalProgram &prog = ia.guardedProgram();
+    if (scratch.values.size() < prog.steps.size())
+        scratch.values.resize(prog.steps.size());
+    Interval *values = scratch.values.data();
+    prog.runGuarded(ranges.data(), values);
+    const std::vector<AccessCheck> &checks = ia.accessChecks();
+    for (size_t i = 0; i < checks.size(); ++i) {
+        const AccessCheck &c = checks[i];
+        const Interval b = values[c.root];
+        if (b.lo > b.hi) {
+            i += c.skip;
+            continue;
+        }
+        if (b.lo < 0 || b.hi > c.extent - 1)
+            reportAccess(out, *c.access, c.dim, b, c.extent);
+    }
 }
 
 } // namespace verify

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/index_analysis.h"
 #include "analysis/verify/verify.h"
 
 namespace ft {
@@ -38,12 +39,29 @@ namespace {
 struct AxisLoops
 {
     const IterVarNode *origin = nullptr;
-    std::vector<const SubLoop *> loops;
     int64_t lo = 0; ///< minimum reachable original index
     int64_t hi = 0; ///< maximum reachable original index
     int64_t tuples = 1; ///< number of sub-loop index tuples
     bool anyConcurrent = false;
+    uint32_t count = 0; ///< number of sub-loops
+    uint32_t begin = 0; ///< their offset in RaceScratch::byAxis
 };
+
+/** Per-thread buffers, kept so a warm thread checks without allocating. */
+struct RaceScratch
+{
+    std::vector<AxisLoops> axes;
+    std::vector<uint32_t> axisOf;              ///< per loop (origin'd only)
+    std::vector<const SubLoop *> byAxis;       ///< loops grouped by axis
+    std::vector<const SubLoop *> sorted;
+};
+
+RaceScratch &
+raceScratch()
+{
+    thread_local RaceScratch scratch;
+    return scratch;
+}
 
 std::string
 axisAccess(const ComputeOp *op, const IterVarNode *axis)
@@ -56,15 +74,17 @@ axisAccess(const ComputeOp *op, const IterVarNode *axis)
  * sorted by descending stride, each stride exceeds the furthest index
  * the inner sub-loops can reach together. Exact splits satisfy this by
  * construction (stride_i == product of inner extents). Returns the
- * offending sub-loop when the condition fails.
+ * offending sub-loop when the condition fails. `loops` are the axis's
+ * sub-loops in nest order.
  */
 const SubLoop *
-findAlias(const AxisLoops &axis)
+findAlias(const SubLoop *const *loops, size_t n,
+          std::vector<const SubLoop *> &sorted)
 {
-    std::vector<const SubLoop *> sorted;
-    for (const SubLoop *l : axis.loops) {
-        if (l->extent > 1)
-            sorted.push_back(l);
+    sorted.clear();
+    for (size_t i = 0; i < n; ++i) {
+        if (loops[i]->extent > 1)
+            sorted.push_back(loops[i]);
     }
     std::sort(sorted.begin(), sorted.end(),
               [](const SubLoop *a, const SubLoop *b) {
@@ -88,6 +108,7 @@ checkRaces(const LoopNest &nest, DiagReport &out)
     if (!nest.op || nest.op->isPlaceholder())
         return;
     const auto *op = static_cast<const ComputeOp *>(nest.op.get());
+    const IndexAnalysis &ia = op->indexAnalysis();
 
     // FT-RACE-001: a reduce iteration bound to concurrent hardware.
     for (const SubLoop &l : nest.loops) {
@@ -104,26 +125,30 @@ checkRaces(const LoopNest &nest, DiagReport &out)
         }
     }
 
-    // Group sub-loops by their original axis.
-    std::vector<AxisLoops> axes;
-    auto groupOf = [&axes](const IterVarNode *origin) -> AxisLoops & {
-        for (AxisLoops &a : axes) {
-            if (a.origin == origin)
-                return a;
-        }
-        axes.push_back(AxisLoops{});
-        axes.back().origin = origin;
-        return axes.back();
-    };
-    for (const auto &iv : op->axis())
-        groupOf(iv.get());
-    for (const auto &iv : op->reduceAxis())
-        groupOf(iv.get());
+    // Group sub-loops by their original axis: the op's slots first,
+    // then any foreign origin in the order it appears.
+    RaceScratch &scratch = raceScratch();
+    std::vector<AxisLoops> &axes = scratch.axes;
+    axes.assign(ia.numSlots(), AxisLoops{});
+    for (size_t s = 0; s < axes.size(); ++s)
+        axes[s].origin = ia.slotVar(s);
+    scratch.axisOf.clear();
     for (const SubLoop &l : nest.loops) {
         if (!l.origin)
             continue;
-        AxisLoops &a = groupOf(l.origin);
-        a.loops.push_back(&l);
+        size_t idx = static_cast<size_t>(ia.slotOf(l.origin));
+        if (idx >= ia.numSlots()) {
+            idx = ia.numSlots();
+            while (idx < axes.size() && axes[idx].origin != l.origin)
+                ++idx;
+            if (idx == axes.size()) {
+                axes.push_back(AxisLoops{});
+                axes.back().origin = l.origin;
+            }
+        }
+        scratch.axisOf.push_back(static_cast<uint32_t>(idx));
+        AxisLoops &a = axes[idx];
+        ++a.count;
         int64_t reach = (l.extent - 1) * l.stride;
         a.lo += std::min<int64_t>(reach, 0);
         a.hi += std::max<int64_t>(reach, 0);
@@ -131,13 +156,30 @@ checkRaces(const LoopNest &nest, DiagReport &out)
         a.anyConcurrent =
             a.anyConcurrent || (l.extent > 1 && isConcurrentAnno(l.anno));
     }
+    // Bucket the sub-loops by axis, keeping nest order within each.
+    uint32_t offset = 0;
+    for (AxisLoops &a : axes) {
+        a.begin = offset;
+        offset += a.count;
+        a.count = 0;
+    }
+    scratch.byAxis.resize(offset);
+    size_t next = 0;
+    for (const SubLoop &l : nest.loops) {
+        if (!l.origin)
+            continue;
+        AxisLoops &a = axes[scratch.axisOf[next++]];
+        scratch.byAxis[a.begin + a.count++] = &l;
+    }
 
     for (const AxisLoops &a : axes) {
         // FT-RACE-002/003: stride aliasing on output-writing (spatial)
         // axes. Reduce-axis aliasing double-counts terms but never adds
         // a writer, so it is reported through coverage below instead.
         if (a.origin->kind == IterKind::Spatial) {
-            if (const SubLoop *offender = findAlias(a)) {
+            if (const SubLoop *offender =
+                    findAlias(scratch.byAxis.data() + a.begin, a.count,
+                              scratch.sorted)) {
                 std::string what =
                     "sub-loops of spatial axis '" + a.origin->name +
                     "' alias: stride " + std::to_string(offender->stride) +
@@ -168,7 +210,8 @@ checkRaces(const LoopNest &nest, DiagReport &out)
                     ? "some output elements are never written"
                     : "some reduction terms are never accumulated";
             out.add({kCovUnderCoverage, Severity::Error,
-                     a.loops.empty() ? std::string() : a.loops[0]->name,
+                     a.count ? scratch.byAxis[a.begin]->name
+                             : std::string(),
                      axisAccess(op, a.origin),
                      "sub-loops of axis '" + a.origin->name + "' reach " +
                          std::to_string(reachable) + " of " +

@@ -8,8 +8,12 @@
  * same order, same message text — so the generator shim
  * (applyResourceValidity) and the old if-chains are interchangeable and
  * the exploration digests pinned by test_determinism stay put. The
- * Warning checks are new advisory lint the old heuristics never ran.
+ * generator runs them once and records the result on the Scheduled;
+ * checkResources reuses it. The Warning checks are new advisory lint
+ * the old heuristics never ran.
  */
+#include <bit>
+#include <iterator>
 #include <string>
 
 #include "analysis/verify/verify.h"
@@ -19,41 +23,29 @@ namespace verify {
 
 namespace {
 
-void
-checkGpu(const NestFeatures &f, const GpuSpec &spec, DiagReport &out)
+/**
+ * The Error checks in legacy order, indexed by their resourceErrors
+ * bit; messages must stay bit-identical to the old generator strings
+ * (tests match on them).
+ */
+struct ResourceCheck
 {
-    // Error checks in legacy order; messages must stay bit-identical to
-    // the old generator strings (tests match on them).
-    if (f.threadsPerBlock > spec.maxThreadsPerBlock) {
-        out.add({kResThreadsPerBlock, Severity::Error, "", "",
-                 "too many threads per block"});
-    }
-    if (f.sharedBytesPerBlock > spec.sharedMemPerBlock) {
-        out.add({kResSharedMem, Severity::Error, "", "",
-                 "shared memory tile exceeds per-block limit"});
-    }
-    if (f.regsPerThread > spec.regsPerThreadMax) {
-        out.add({kResRegisters, Severity::Error, "", "",
-                 "register tile exceeds per-thread budget"});
-    }
-    if (f.vthreads > 64) {
-        out.add({kResVthreads, Severity::Error, "", "",
-                 "too many virtual threads"});
-    }
-}
+    const char *code;
+    const char *message;
+};
+
+constexpr ResourceCheck kResourceChecks[] = {
+    {kResThreadsPerBlock, "too many threads per block"},
+    {kResSharedMem, "shared memory tile exceeds per-block limit"},
+    {kResRegisters, "register tile exceeds per-thread budget"},
+    {kResVthreads, "too many virtual threads"},
+    {kResPeBudget, "PE count exceeds DSP budget"},
+    {kResBramBudget, "on-chip buffer exceeds BRAM capacity"},
+};
 
 void
-checkFpga(const NestFeatures &f, const FpgaSpec &spec,
-          const OpConfig *config, DiagReport &out)
+checkFpgaWarnings(const OpConfig *config, DiagReport &out)
 {
-    if (f.pe > spec.maxPe()) {
-        out.add({kResPeBudget, Severity::Error, "", "",
-                 "PE count exceeds DSP budget"});
-    }
-    if (f.bufferBytes > spec.bramBytes) {
-        out.add({kResBramBudget, Severity::Error, "", "",
-                 "on-chip buffer exceeds BRAM capacity"});
-    }
     if (config && config->fpgaPartition > 1 &&
         config->fpgaBufferRows % config->fpgaPartition != 0) {
         out.add({kResPartition, Severity::Warning, "", "",
@@ -66,8 +58,8 @@ checkFpga(const NestFeatures &f, const FpgaSpec &spec,
 }
 
 void
-checkCpu(const NestFeatures &f, const CpuSpec &spec,
-         const OpConfig *config, DiagReport &out)
+checkCpuWarnings(const NestFeatures &f, const CpuSpec &spec,
+                 const OpConfig *config, DiagReport &out)
 {
     if (!config)
         return;
@@ -87,7 +79,56 @@ checkCpu(const NestFeatures &f, const CpuSpec &spec,
     }
 }
 
+void
+appendResourceDiags(uint32_t errors, const NestFeatures &f,
+                    const Target &target, const OpConfig *config,
+                    DiagReport &out)
+{
+    for (size_t bit = 0; bit < std::size(kResourceChecks); ++bit) {
+        if (errors & (1u << bit)) {
+            out.add({kResourceChecks[bit].code, Severity::Error, "", "",
+                     kResourceChecks[bit].message});
+        }
+    }
+    // Warnings follow every Error, as in the legacy per-device order.
+    if (target.kind == DeviceKind::Cpu)
+        checkCpuWarnings(f, *target.cpu, config, out);
+    else if (target.kind == DeviceKind::Fpga)
+        checkFpgaWarnings(config, out);
+}
+
 } // namespace
+
+uint32_t
+resourceErrors(const NestFeatures &f, const Target &target)
+{
+    uint32_t mask = 0;
+    switch (target.kind) {
+      case DeviceKind::Gpu: {
+        const GpuSpec &spec = *target.gpu;
+        if (f.threadsPerBlock > spec.maxThreadsPerBlock)
+            mask |= 1u << 0;
+        if (f.sharedBytesPerBlock > spec.sharedMemPerBlock)
+            mask |= 1u << 1;
+        if (f.regsPerThread > spec.regsPerThreadMax)
+            mask |= 1u << 2;
+        if (f.vthreads > 64)
+            mask |= 1u << 3;
+        break;
+      }
+      case DeviceKind::Cpu:
+        break; // no CPU device limit gates validity
+      case DeviceKind::Fpga: {
+        const FpgaSpec &spec = *target.fpga;
+        if (f.pe > spec.maxPe())
+            mask |= 1u << 4;
+        if (f.bufferBytes > spec.bramBytes)
+            mask |= 1u << 5;
+        break;
+      }
+    }
+    return mask;
+}
 
 void
 checkResources(const LoopNest &nest, const NestFeatures &features,
@@ -95,17 +136,31 @@ checkResources(const LoopNest &nest, const NestFeatures &features,
                DiagReport &out)
 {
     (void)nest; // limits are proven on the extracted features
-    switch (target.kind) {
-      case DeviceKind::Gpu:
-        checkGpu(features, *target.gpu, out);
-        break;
-      case DeviceKind::Cpu:
-        checkCpu(features, *target.cpu, config, out);
-        break;
-      case DeviceKind::Fpga:
-        checkFpga(features, *target.fpga, config, out);
-        break;
-    }
+    appendResourceDiags(resourceErrors(features, target), features, target,
+                        config, out);
+}
+
+void
+checkResources(const Scheduled &s, const Target &target,
+               const OpConfig *config, DiagReport &out)
+{
+    // The generator's verdict for this target stands in for running
+    // the Error checks again.
+    appendResourceDiags(s.lintedFor == target
+                            ? s.resourceErrors
+                            : resourceErrors(s.features, target),
+                        s.features, target, config, out);
+}
+
+void
+applyResourceValidity(Scheduled &s, const Target &target)
+{
+    const uint32_t errors = resourceErrors(s.features, target);
+    s.resourceErrors = errors;
+    s.lintedFor = target;
+    s.features.valid = errors == 0;
+    s.features.invalidReason =
+        errors ? kResourceChecks[std::countr_zero(errors)].message : "";
 }
 
 } // namespace verify

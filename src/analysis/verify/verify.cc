@@ -3,24 +3,6 @@
 namespace ft {
 namespace verify {
 
-bool
-isConcurrentAnno(LoopAnno anno)
-{
-    switch (anno) {
-      case LoopAnno::Parallel:
-      case LoopAnno::Vectorize:
-      case LoopAnno::BlockX:
-      case LoopAnno::VThread:
-      case LoopAnno::ThreadX:
-      case LoopAnno::PE:
-        return true;
-      case LoopAnno::Serial:
-      case LoopAnno::Unroll:
-        return false;
-    }
-    return false;
-}
-
 const char *
 annoName(LoopAnno anno)
 {
@@ -50,7 +32,7 @@ verifyScheduleInto(const Scheduled &s, const Target &target,
 {
     checkRaces(s.nest, out);
     checkAccessBounds(s.nest, out);
-    checkResources(s.nest, s.features, target, config, out);
+    checkResources(s, target, config, out);
 }
 
 DiagReport
@@ -60,16 +42,6 @@ verifySchedule(const Scheduled &s, const Target &target,
     DiagReport out;
     verifyScheduleInto(s, target, config, out);
     return out;
-}
-
-void
-applyResourceValidity(Scheduled &s, const Target &target)
-{
-    DiagReport report;
-    checkResources(s.nest, s.features, target, /*config=*/nullptr, report);
-    const Diag *e = report.firstError();
-    s.features.valid = (e == nullptr);
-    s.features.invalidReason = e ? e->message : "";
 }
 
 } // namespace verify

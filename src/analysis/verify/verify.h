@@ -35,8 +35,11 @@
  *
  * The passes only read the nest; they never throw on malformed
  * schedules — illegality is reported as diagnostics, not assertions.
- * `verifySchedule` is deliberately deterministic and allocation-light:
- * the evaluation hot loop runs it per candidate point.
+ * `verifySchedule` is deliberately deterministic and cheap: the
+ * evaluation hot loop runs it per candidate point. The race and bounds
+ * passes read the operator's IndexAnalysis (analysis/index_analysis.h),
+ * so a trial does interval arithmetic over slot arrays only, and builds
+ * a diagnostic's strings only when it fires.
  */
 #ifndef FLEXTENSOR_ANALYSIS_VERIFY_VERIFY_H
 #define FLEXTENSOR_ANALYSIS_VERIFY_VERIFY_H
@@ -50,7 +53,23 @@ namespace ft {
 namespace verify {
 
 /** Whether a loop annotation executes iterations concurrently. */
-bool isConcurrentAnno(LoopAnno anno);
+inline bool
+isConcurrentAnno(LoopAnno anno)
+{
+    switch (anno) {
+      case LoopAnno::Parallel:
+      case LoopAnno::Vectorize:
+      case LoopAnno::BlockX:
+      case LoopAnno::VThread:
+      case LoopAnno::ThreadX:
+      case LoopAnno::PE:
+        return true;
+      case LoopAnno::Serial:
+      case LoopAnno::Unroll:
+        return false;
+    }
+    return false;
+}
 
 /** Lower-case annotation name used in diagnostic messages. */
 const char *annoName(LoopAnno anno);
@@ -69,15 +88,30 @@ void checkRaces(const LoopNest &nest, DiagReport &out);
 void checkAccessBounds(const LoopNest &nest, DiagReport &out);
 
 /**
+ * The Error-severity resource checks (device limits) that fail for
+ * `features` on `target`, one bit per check in legacy order. Zero
+ * means the features fit the device.
+ */
+uint32_t resourceErrors(const NestFeatures &features, const Target &target);
+
+/**
  * Resource-legality lint against the target's device limits. The six
  * Error checks reproduce the legacy generator heuristics bit-for-bit
  * (same predicates, same order, same messages); the Warning checks are
- * new advisory lint. `config` may be null (the partition-divisibility
- * lint is skipped without it).
+ * new advisory lint. `config` may be null (the warnings are skipped
+ * without it).
  */
 void checkResources(const LoopNest &nest, const NestFeatures &features,
                     const Target &target, const OpConfig *config,
                     DiagReport &out);
+
+/**
+ * checkResources of a lowered schedule: the Error checks come from the
+ * generator's recorded lint (Scheduled::resourceErrors) when it linted
+ * for `target`, so a trial runs them once.
+ */
+void checkResources(const Scheduled &s, const Target &target,
+                    const OpConfig *config, DiagReport &out);
 
 /** Races + bounds: the target-independent structural legality checks. */
 void checkStructural(const LoopNest &nest, DiagReport &out);
@@ -92,10 +126,10 @@ DiagReport verifySchedule(const Scheduled &s, const Target &target,
 
 /**
  * Generator compatibility shim: run the Error-severity resource checks
- * and derive `features.valid` / `features.invalidReason` exactly as the
- * legacy in-generator heuristics did (first failing check wins, legacy
- * message text). Generators call this instead of hand-rolled if-chains;
- * downstream consumers of NestFeatures are unaffected.
+ * once, record them on `s` for checkResources, and derive
+ * `features.valid` / `features.invalidReason` exactly as the legacy
+ * in-generator heuristics did (first failing check wins, legacy message
+ * text). Downstream consumers of NestFeatures are unaffected.
  */
 void applyResourceValidity(Scheduled &s, const Target &target);
 

@@ -69,6 +69,7 @@ scheduleNetwork(const Network &net, const Target &target,
         layer.tuned = sub.tuned;
         report.layers.push_back(std::move(layer));
         report.reusedAnchors += sub.reusedFrom >= 0;
+        report.fallbackGroups += sub.fallback;
     }
     return report;
 }

@@ -55,6 +55,11 @@ struct NetworkReport
     int64_t ephemeralBytes = 0;
     /** Groups that reused an earlier group's anchor report. */
     int reusedAnchors = 0;
+    /**
+     * Groups whose search found no valid schedule and were charged
+     * their anchor's expert schedule (graph::SubgraphReport::fallback).
+     */
+    int fallbackGroups = 0;
     /** One entry per fusion group, in DAG order. */
     std::vector<LayerReport> layers;
 };

@@ -31,9 +31,6 @@ class Counter;
 class Gauge;
 class Histogram;
 
-/** Performance value assigned to model-invalid schedules. */
-inline constexpr double kInvalidGflops = 1e-3;
-
 /** One evaluated point of H. */
 struct Evaluated
 {

@@ -2,6 +2,7 @@
 
 #include "analysis/static_analyzer.h"
 #include "analysis/verify/certificate.h"
+#include "analysis/verify/verify.h"
 #include "ir/inline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -58,6 +59,7 @@ cachedReport(const OpConfig &config, double gflops, double kernelSeconds,
 {
     TuneReport report;
     report.config = config;
+    report.valid = true;
     report.gflops = gflops;
     report.kernelSeconds = kernelSeconds;
     report.spaceSize = spaceSize;
@@ -121,7 +123,12 @@ tuneOp(const Operation &anchor, const Target &target,
     report.gflops = result.bestGflops;
     Scheduled s = generate(anchor, report.config, target);
     PerfResult perf = modelPerf(s.features, target);
-    report.kernelSeconds = perf.valid ? perf.seconds : 0.0;
+    // The best point is a schedule only if the verifier and the model
+    // both accept it; a search where every trial was rejected has none.
+    report.valid =
+        perf.valid &&
+        !verify::verifySchedule(s, target, &report.config).hasError();
+    report.kernelSeconds = report.valid ? perf.seconds : 0.0;
     report.simExploreSeconds = result.simSeconds;
     report.trials = result.trialsUsed;
     report.spaceSize = space.size();
@@ -134,7 +141,7 @@ tuneOp(const Operation &anchor, const Target &target,
     report.timeouts = result.timeouts;
     report.quarantined = result.quarantined;
 
-    if (options.cache)
+    if (options.cache && report.valid)
         options.cache->put({key, report.config, report.gflops});
     attachCertificate(report, s, target, options, result.simSeconds);
 

@@ -32,7 +32,7 @@ struct TuneOptions
     /**
      * Optional persistent tuning cache. A hit whose config is still
      * representable in the space skips exploration entirely; after a
-     * search the best result is stored back.
+     * search the best result is stored back when it is valid.
      */
     TuningCache *cache = nullptr;
     /**
@@ -49,6 +49,12 @@ struct TuneOptions
 struct TuneReport
 {
     OpConfig config;          ///< best schedule found
+    /**
+     * Whether `config` is a usable schedule: it passed the verifier and
+     * the device model. A search that found no such point reports
+     * false; its gflops and kernelSeconds then describe nothing.
+     */
+    bool valid = false;
     double gflops = 0.0;      ///< modeled performance of the best schedule
     double kernelSeconds = 0.0;
     double simExploreSeconds = 0.0;
@@ -73,8 +79,9 @@ struct TuneReport
 };
 
 /**
- * A report answered without a search (a tuning-cache hit, a tuneDag
- * repeat): fromCache set; no trials, curve or simulated explore time.
+ * A valid report answered without a search (a tuning-cache hit, a
+ * tuneDag repeat): fromCache set; no trials, curve or simulated explore
+ * time.
  */
 TuneReport cachedReport(const OpConfig &config, double gflops,
                         double kernelSeconds, double spaceSize,

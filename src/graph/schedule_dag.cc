@@ -10,6 +10,9 @@
 #include "graph/lower.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "schedule/generator.h"
+#include "sim/library_model.h"
+#include "sim/perf_model.h"
 #include "support/logging.h"
 #include "support/thread_pool.h"
 
@@ -48,6 +51,23 @@ searchPool()
     static ThreadPool pool(
         static_cast<int>(std::thread::hardware_concurrency() / 2));
     return pool;
+}
+
+/**
+ * Kernel seconds charged to a group whose search found no valid
+ * schedule: the anchor's expert schedule, or the group's roofline time
+ * if even that is rejected.
+ */
+double
+fallbackSeconds(const LoweredAnchor &lowered, const Target &target,
+                const GroupCost &cost)
+{
+    MiniGraph graph(lowered.output);
+    const Operation anchor = anchorOp(graph);
+    const Scheduled s =
+        generate(anchor, expertConfig(anchor, target), target);
+    const PerfResult perf = modelPerf(s.features, target);
+    return perf.valid ? perf.seconds : cost.seconds;
 }
 
 /** One anchor search: its report and the trace it recorded. */
@@ -203,6 +223,7 @@ tuneChosen(const ComputeDag &dag, const Target &target,
                 sub.report = cachedReport(first.config, first.gflops,
                                           first.kernelSeconds,
                                           first.spaceSize, first.device);
+                sub.report.valid = first.valid;
                 if (obs.trace) {
                     obs.trace->point("report", 0.0,
                                      {treal("best", sub.report.gflops),
@@ -225,9 +246,14 @@ tuneChosen(const ComputeDag &dag, const Target &target,
             }
             sub.tuned = true;
             // The explorers model the anchor's compute; the roofline
-            // owns the group's memory side. Charge the binding one.
-            sub.seconds = std::max(sub.report.kernelSeconds,
-                                   sub.cost.memSeconds);
+            // owns the group's memory side. Charge the binding one. A
+            // search that found nothing is charged the expert schedule,
+            // never a free kernel.
+            sub.fallback = !sub.report.valid;
+            const double kernel =
+                sub.fallback ? fallbackSeconds(lowered[g], target, sub.cost)
+                             : sub.report.kernelSeconds;
+            sub.seconds = std::max(kernel, sub.cost.memSeconds);
             rep.simExploreSeconds += sub.report.simExploreSeconds;
             sim += sub.report.simExploreSeconds;
         } else {
@@ -236,13 +262,23 @@ tuneChosen(const ComputeDag &dag, const Target &target,
         rep.totalSeconds += sub.seconds;
 
         if (obs.trace) {
-            obs.trace->end(
-                "graph.subgraph", sim,
-                {tbool("tuned", sub.tuned),
-                 treal("seconds", sub.seconds),
-                 tint("traffic_bytes",
-                      sub.cost.memInBytes + sub.cost.memOutBytes),
-                 tint("ephemeral_bytes", sub.cost.ephemeralBytes)});
+            const TraceField tuned = tbool("tuned", sub.tuned);
+            const TraceField seconds = treal("seconds", sub.seconds);
+            const TraceField traffic =
+                tint("traffic_bytes",
+                     sub.cost.memInBytes + sub.cost.memOutBytes);
+            const TraceField ephemeral =
+                tint("ephemeral_bytes", sub.cost.ephemeralBytes);
+            // Only a failed search adds a field, so the trace of a run
+            // whose searches all succeed reads as it always has.
+            if (sub.fallback) {
+                obs.trace->end("graph.subgraph", sim,
+                               {tuned, seconds, traffic, ephemeral,
+                                tbool("fallback", true)});
+            } else {
+                obs.trace->end("graph.subgraph", sim,
+                               {tuned, seconds, traffic, ephemeral});
+            }
         }
     }
 

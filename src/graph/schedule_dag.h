@@ -70,6 +70,12 @@ struct SubgraphReport
     TuneReport report;        ///< valid when tuned
     /** Index of the earlier group whose report this repeats, or -1. */
     int reusedFrom = -1;
+    /**
+     * The anchor's search found no valid schedule (report.valid is
+     * false), so the group is charged the expert schedule of
+     * expertConfig (sim/library_model.h) instead.
+     */
+    bool fallback = false;
     GroupCost cost;           ///< roofline score of the group
     double seconds = 0.0;     ///< charged group time
 };

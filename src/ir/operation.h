@@ -11,6 +11,7 @@
 #ifndef FLEXTENSOR_IR_OPERATION_H
 #define FLEXTENSOR_IR_OPERATION_H
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -23,6 +24,7 @@ namespace ft {
 
 class OperationNode;
 using Operation = std::shared_ptr<OperationNode>;
+class IndexAnalysis; // analysis/index_analysis.h
 
 /**
  * Structural key of the mini-graph an operation roots: a 64-bit FNV-1a
@@ -133,6 +135,7 @@ class ComputeOp : public OperationNode
   public:
     ComputeOp(std::string name, std::vector<IterVar> axis,
               std::vector<IterVar> reduce_axis, Expr body);
+    ~ComputeOp() override;
 
     std::vector<Tensor> inputs() const override;
     bool isPlaceholder() const override { return false; }
@@ -155,12 +158,22 @@ class ComputeOp : public OperationNode
         return accesses_;
     }
 
+    /**
+     * The schedule-independent analysis of the body's index expressions
+     * (analysis/index_analysis.h) that every lowering and verification
+     * of this node reads. Built on first use, so operators that are
+     * never scheduled never pay for it; safe to call from concurrent
+     * threads.
+     */
+    const IndexAnalysis &indexAnalysis() const;
+
   private:
     std::vector<IterVar> axis_;
     std::vector<IterVar> reduceAxis_;
     Expr body_;
     std::vector<Tensor> inputs_; ///< cached distinct input tensors
     std::vector<const ExprNode *> accesses_; ///< cached body accesses
+    mutable std::atomic<const IndexAnalysis *> indexAnalysis_{nullptr};
 };
 
 /** Create a placeholder tensor. */

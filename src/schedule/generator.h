@@ -50,8 +50,12 @@ Scheduled generate(const Operation &anchor, const OpConfig &config,
 /**
  * generate*() into a caller-owned Scheduled, reusing its loop-nest and
  * feature storage across calls — the evaluation hot loop lowers
- * thousands of configs per run, and the reused buffers keep that
- * allocation-free once warm. `out` is fully overwritten.
+ * thousands of configs per run. The sub-loops are written in place
+ * (names come precomputed from the operator's IndexAnalysis) and the
+ * footprint intervals live in per-thread buffers, so once the operator's
+ * analysis is built and `out` and the thread are warm, a call allocates
+ * nothing (test_index_analysis pins this for a GPU and a CPU point).
+ * `out` is fully overwritten.
  */
 void generateGpuInto(const Operation &anchor, const OpConfig &config,
                      const GpuSpec &spec, Scheduled &out);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/flops.h"
 #include "analysis/verify/verify.h"
 #include "schedule/generator_util.h"
 #include "support/logging.h"
@@ -18,105 +17,97 @@ generateCpuInto(const Operation &anchor, const OpConfig &config,
     const auto *op = static_cast<const ComputeOp *>(anchor.get());
     gen::checkSplits(op, config, kCpuSpatialLevels, kCpuReduceLevels);
 
+    const IndexAnalysis &ia = op->indexAnalysis();
+
     out.nest.op = anchor;
-    out.nest.loops.clear();
     out.features = NestFeatures{};
 
     // Spatial levels: [outer (parallel candidates), mid, inner];
-    // reduce levels: [outer, inner].
-    std::vector<std::vector<SubLoop>> sp, rd;
-    for (size_t i = 0; i < op->axis().size(); ++i)
-        sp.push_back(splitLoop(op->axis()[i], config.spatialSplits[i], "s"));
-    for (size_t i = 0; i < op->reduceAxis().size(); ++i)
-        rd.push_back(splitLoop(op->reduceAxis()[i], config.reduceSplits[i],
-                               "r"));
-
-    int fuse = std::clamp<int>(config.fuseCount, 1,
-                               static_cast<int>(sp.size()));
+    // reduce levels: [outer, inner]. Sub-loops are written in place.
+    const auto &sp = config.spatialSplits;
+    const auto &rd = config.reduceSplits;
+    const size_t ns = sp.size(), nr = rd.size();
+    int fuse = std::clamp<int>(config.fuseCount, 1, static_cast<int>(ns));
     auto &loops = out.nest.loops;
+    loops.resize(ns * kCpuSpatialLevels + nr * kCpuReduceLevels);
+    size_t at = 0;
     // The first `fuse` outer loops form the fused parallel hyper-loop.
-    for (int i = 0; i < static_cast<int>(sp.size()); ++i) {
-        sp[i][0].anno =
-            i < fuse ? LoopAnno::Parallel : LoopAnno::Serial;
-        loops.push_back(sp[i][0]);
-    }
-    for (const auto &row : sp)
-        loops.push_back(row[1]);
-    for (const auto &row : rd)
-        loops.push_back(row[0]);
+    for (size_t i = 0; i < ns; ++i)
+        gen::setSubLoop(loops[at++], ia, i, sp[i], 0,
+                        static_cast<int>(i) < fuse ? LoopAnno::Parallel
+                                                   : LoopAnno::Serial);
+    for (size_t i = 0; i < ns; ++i)
+        gen::setSubLoop(loops[at++], ia, i, sp[i], 1);
+    for (size_t i = 0; i < nr; ++i)
+        gen::setSubLoop(loops[at++], ia, ns + i, rd[i], 0);
 
     // Inner block: register/L1 tile. Reorder choice arranges the inner
-    // spatial tile against the inner reduce steps.
-    std::vector<SubLoop> si, ki;
-    for (const auto &row : sp)
-        si.push_back(row[2]);
-    for (const auto &row : rd)
-        ki.push_back(row[1]);
-
-    std::vector<SubLoop> inner;
+    // spatial tile (`si`) against the inner reduce steps (`ki`).
+    const size_t inner_begin = at;
+    auto si = [&](size_t i) { gen::setSubLoop(loops[at++], ia, i, sp[i], 2); };
+    auto ki = [&](size_t i) {
+        gen::setSubLoop(loops[at++], ia, ns + i, rd[i], 1);
+    };
     switch (config.reorderChoice % kNumReorderChoices) {
       case 0:
-        inner.insert(inner.end(), ki.begin(), ki.end());
-        inner.insert(inner.end(), si.begin(), si.end());
+        for (size_t i = 0; i < nr; ++i)
+            ki(i);
+        for (size_t i = 0; i < ns; ++i)
+            si(i);
         break;
       case 1:
-        inner.insert(inner.end(), si.begin(), si.end());
-        inner.insert(inner.end(), ki.begin(), ki.end());
+        for (size_t i = 0; i < ns; ++i)
+            si(i);
+        for (size_t i = 0; i < nr; ++i)
+            ki(i);
         break;
-      case 2: {
-        size_t a = 0, b = 0;
-        while (a < ki.size() || b < si.size()) {
-            if (a < ki.size())
-                inner.push_back(ki[a++]);
-            if (b < si.size())
-                inner.push_back(si[b++]);
+      case 2:
+        for (size_t a = 0, b = 0; a < nr || b < ns;) {
+            if (a < nr)
+                ki(a++);
+            if (b < ns)
+                si(b++);
         }
         break;
-      }
-      default: {
+      default:
         // Keep the innermost spatial loop last but hoist the reduce chain
         // directly around it (good for FMA accumulation).
-        inner.insert(inner.end(), si.begin(), si.end());
-        if (!inner.empty()) {
-            SubLoop last = inner.back();
-            inner.pop_back();
-            inner.insert(inner.end(), ki.begin(), ki.end());
-            inner.push_back(last);
-        } else {
-            inner.insert(inner.end(), ki.begin(), ki.end());
-        }
+        for (size_t i = 0; i + 1 < ns; ++i)
+            si(i);
+        for (size_t i = 0; i < nr; ++i)
+            ki(i);
+        if (ns > 0)
+            si(ns - 1);
         break;
-      }
     }
     // The innermost spatial sub-loop is the vectorized one.
-    for (auto it = inner.rbegin(); it != inner.rend(); ++it) {
-        if (it->origin->kind == IterKind::Spatial) {
-            it->anno = LoopAnno::Vectorize;
+    for (size_t i = loops.size(); i-- > inner_begin;) {
+        if (loops[i].origin->kind == IterKind::Spatial) {
+            loops[i].anno = LoopAnno::Vectorize;
             break;
         }
     }
-    for (int u = 0;
-         u < config.unrollDepth && u < static_cast<int>(inner.size()); ++u) {
-        auto &l = inner[inner.size() - 1 - u];
+    const int inner_size = static_cast<int>(loops.size() - inner_begin);
+    for (int u = 0; u < config.unrollDepth && u < inner_size; ++u) {
+        auto &l = loops[loops.size() - 1 - u];
         if (l.anno == LoopAnno::Serial)
             l.anno = LoopAnno::Unroll;
     }
-    loops.insert(loops.end(), inner.begin(), inner.end());
-    gen::recordGuardedAxes(op, out.nest);
+    gen::recordGuardedAxes(op, config, out.nest);
 
     // ------------------------------------------------------------------
     // Features.
     NestFeatures &f = out.features;
-    f.totalFlops = flopsOf(anchor);
+    f.totalFlops = ia.flops();
     f.outputElems = product(op->outputShape());
     f.parallelExtent = out.nest.extentOf(LoopAnno::Parallel);
 
     // Effective vector width: lanes actually filled by the innermost
     // spatial sub-loop, capped by the requested length.
     int64_t inner_sp = 1;
-    for (const auto &l : inner) {
-        if (l.anno == LoopAnno::Vectorize)
-            inner_sp = l.extent;
+    for (size_t i = inner_begin; i < loops.size(); ++i) {
+        if (loops[i].anno == LoopAnno::Vectorize)
+            inner_sp = loops[i].extent;
     }
     f.vecLen = static_cast<int>(
         std::min<int64_t>(config.vectorizeLen,
@@ -124,36 +115,40 @@ generateCpuInto(const Operation &anchor, const OpConfig &config,
     f.vecLen = std::max(f.vecLen, 1);
 
     f.unrollSteps = 1;
-    for (const auto &l : inner) {
-        if (l.anno == LoopAnno::Unroll)
-            f.unrollSteps *= l.extent;
+    for (size_t i = inner_begin; i < loops.size(); ++i) {
+        if (loops[i].anno == LoopAnno::Unroll)
+            f.unrollSteps *= loops[i].extent;
     }
 
     // L1 tile: the inner block (si x ki) footprint.
-    auto l1_free = [](const SubLoop &l) { return l.level >= 2 ||
-        (l.origin->kind == IterKind::Reduce && l.level >= 1); };
-    VarRanges l1_ranges = gen::rangesWithFree(op, loops, l1_free);
-    f.l1TileBytes = gen::footprintBytes(gen::inputFootprints(op, l1_ranges));
+    IndexScratch &scratch = indexScratch();
+    scratch.ranges.resize(ia.numSlots());
+    scratch.cells.resize(ia.numAccesses());
+    Interval *ranges = scratch.ranges.data();
+    int64_t *cells = scratch.cells.data();
+    gen::rangesWithFree(
+        config,
+        [](bool reduce, int level) {
+            return level >= 2 || (reduce && level >= 1);
+        },
+        ranges);
+    f.l1TileBytes = gen::footprintBytes(ia, ranges, cells);
 
     // L2 tile: everything below the parallel level.
-    auto l2_free = [](const SubLoop &l) {
-        return !(l.origin->kind == IterKind::Spatial && l.level == 0);
-    };
-    VarRanges l2_ranges = gen::rangesWithFree(op, loops, l2_free);
-    f.l2TileBytes = gen::footprintBytes(gen::inputFootprints(op, l2_ranges));
+    gen::rangesWithFree(
+        config, [](bool reduce, int level) { return reduce || level != 0; },
+        ranges);
+    f.l2TileBytes = gen::footprintBytes(ia, ranges, cells);
 
     // DRAM traffic: per-parallel-task footprint times task count, floored
     // by tensor size and discounted by L3 reuse for small tensors.
-    auto task_fps = gen::inputFootprints(op, l2_ranges);
     int64_t tasks = 1;
     for (const auto &row : sp)
-        tasks *= row[0].extent;
+        tasks *= row[0];
     int64_t dram = 0;
-    for (const auto &fp : task_fps) {
-        int64_t tensor_bytes = 4;
-        for (int64_t d : fp.accessNode->source->outputShape())
-            tensor_bytes *= d;
-        int64_t naive = tasks * fp.cells * 4;
+    for (size_t i = 0; i < ia.numAccesses(); ++i) {
+        int64_t tensor_bytes = ia.accessTensorBytes(i);
+        int64_t naive = tasks * cells[i] * 4;
         if (tensor_bytes < spec.l3Bytes / 2)
             dram += std::max<int64_t>(tensor_bytes, naive / 16);
         else

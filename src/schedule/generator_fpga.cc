@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/flops.h"
 #include "analysis/verify/verify.h"
 #include "schedule/generator_util.h"
 #include "support/logging.h"
@@ -18,61 +17,62 @@ generateFpgaInto(const Operation &anchor, const OpConfig &config,
     const auto *op = static_cast<const ComputeOp *>(anchor.get());
     gen::checkSplits(op, config, kFpgaSpatialLevels, kFpgaReduceLevels);
 
+    const IndexAnalysis &ia = op->indexAnalysis();
+
     out.nest.op = anchor;
-    out.nest.loops.clear();
     out.features = NestFeatures{};
 
     // Spatial levels: [round, pe]; reduce levels: [stream, inner]. Outer
     // reduce chunks stream through the pipeline as extra rounds with the
     // partial sums held on chip; the inner reduce runs inside each PE's
-    // pipelined datapath.
-    std::vector<std::vector<SubLoop>> sp, rd;
-    for (size_t i = 0; i < op->axis().size(); ++i)
-        sp.push_back(splitLoop(op->axis()[i], config.spatialSplits[i], "s"));
-    for (size_t i = 0; i < op->reduceAxis().size(); ++i)
-        rd.push_back(splitLoop(op->reduceAxis()[i], config.reduceSplits[i],
-                               "r"));
-
+    // pipelined datapath. Sub-loops are written in place.
+    const auto &sp = config.spatialSplits;
+    const auto &rd = config.reduceSplits;
+    const size_t ns = sp.size(), nr = rd.size();
     auto &loops = out.nest.loops;
-    for (const auto &row : sp)
-        loops.push_back(row[0]);
-    for (const auto &row : rd)
-        loops.push_back(row[0]);
-    for (auto &row : sp) {
-        row[1].anno = LoopAnno::PE;
-        loops.push_back(row[1]);
-    }
-    for (const auto &row : rd)
-        loops.push_back(row[1]);
-    gen::recordGuardedAxes(op, out.nest);
+    loops.resize(ns * kFpgaSpatialLevels + nr * kFpgaReduceLevels);
+    size_t at = 0;
+    for (size_t i = 0; i < ns; ++i)
+        gen::setSubLoop(loops[at++], ia, i, sp[i], 0);
+    for (size_t i = 0; i < nr; ++i)
+        gen::setSubLoop(loops[at++], ia, ns + i, rd[i], 0);
+    for (size_t i = 0; i < ns; ++i)
+        gen::setSubLoop(loops[at++], ia, i, sp[i], 1, LoopAnno::PE);
+    for (size_t i = 0; i < nr; ++i)
+        gen::setSubLoop(loops[at++], ia, ns + i, rd[i], 1);
+    gen::recordGuardedAxes(op, config, out.nest);
 
     // ------------------------------------------------------------------
     // Features for the three-stage pipeline model (Section 5.2):
     //   T = rounds * max(R, C, W)
     NestFeatures &f = out.features;
-    f.totalFlops = flopsOf(anchor);
+    f.totalFlops = ia.flops();
     f.outputElems = product(op->outputShape());
     f.pe = out.nest.extentOf(LoopAnno::PE);
     f.partition = std::max(config.fpgaPartition, 1);
 
     int64_t rounds = 1;
     for (const auto &row : sp)
-        rounds *= row[0].extent;
+        rounds *= row[0];
     for (const auto &row : rd)
-        rounds *= row[0].extent;
+        rounds *= row[0];
     f.rounds = rounds;
     f.flopsPerRound = f.totalFlops / static_cast<double>(rounds);
 
     // Per-round input tile: round and reduce-stream loops pinned, PE
     // lanes and the inner reduction free.
-    auto round_free = [](const SubLoop &l) { return l.level != 0; };
-    VarRanges tile_ranges = gen::rangesWithFree(op, loops, round_free);
-    auto tile_fps = gen::inputFootprints(op, tile_ranges);
-    int64_t tile_bytes = gen::footprintBytes(tile_fps);
+    IndexScratch &scratch = indexScratch();
+    scratch.ranges.resize(ia.numSlots());
+    scratch.cells.resize(ia.numAccesses());
+    gen::rangesWithFree(
+        config, [](bool, int level) { return level != 0; },
+        scratch.ranges.data());
+    int64_t tile_bytes = gen::footprintBytes(ia, scratch.ranges.data(),
+                                             scratch.cells.data());
     // The first body access is the streamed activation (weights stay
     // resident on chip); row buffering applies to it alone.
     int64_t streamed_bytes =
-        tile_fps.empty() ? 0 : tile_fps.front().cells * 4;
+        ia.numAccesses() == 0 ? 0 : scratch.cells[0] * 4;
 
     // Row buffering: halo re-reads between rounds shrink as more rows of
     // the streamed input are kept on chip, at the cost of BRAM capacity.

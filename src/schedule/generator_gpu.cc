@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/flops.h"
 #include "analysis/verify/verify.h"
 #include "schedule/generator_util.h"
 #include "support/logging.h"
@@ -14,46 +13,44 @@ namespace ft {
 namespace {
 
 /**
- * Arrange the innermost loop block per the reorder choice.
- * `si` are the per-axis inner spatial sub-loops, `ki` the innermost reduce
- * sub-loops.
+ * Visit the innermost loop block in the order the reorder choice
+ * arranges it: `emit(reduce, i)` for the inner spatial sub-loop of axis
+ * i (reduce false) or the innermost reduce sub-loop of reduce axis i.
  */
-std::vector<SubLoop>
-innerOrder(int choice, const std::vector<SubLoop> &si,
-           const std::vector<SubLoop> &ki)
+template <class Emit>
+void
+forEachInner(int choice, size_t ns, size_t nr, Emit emit)
 {
-    std::vector<SubLoop> out;
     switch (choice % kNumReorderChoices) {
       case 0: // reduce taps outside, spatial register tile innermost
-        out.insert(out.end(), ki.begin(), ki.end());
-        out.insert(out.end(), si.begin(), si.end());
+        for (size_t i = 0; i < nr; ++i)
+            emit(true, i);
+        for (size_t i = 0; i < ns; ++i)
+            emit(false, i);
         break;
       case 1: // spatial outside, reduce innermost (accumulator chains)
-        out.insert(out.end(), si.begin(), si.end());
-        out.insert(out.end(), ki.begin(), ki.end());
+        for (size_t i = 0; i < ns; ++i)
+            emit(false, i);
+        for (size_t i = 0; i < nr; ++i)
+            emit(true, i);
         break;
-      case 2: { // interleave, starting with reduce
-        size_t a = 0, b = 0;
-        while (a < ki.size() || b < si.size()) {
-            if (a < ki.size())
-                out.push_back(ki[a++]);
-            if (b < si.size())
-                out.push_back(si[b++]);
+      case 2: // interleave, starting with reduce
+        for (size_t a = 0, b = 0; a < nr || b < ns;) {
+            if (a < nr)
+                emit(true, a++);
+            if (b < ns)
+                emit(false, b++);
         }
         break;
-      }
-      default: { // interleave, starting with spatial
-        size_t a = 0, b = 0;
-        while (a < ki.size() || b < si.size()) {
-            if (b < si.size())
-                out.push_back(si[b++]);
-            if (a < ki.size())
-                out.push_back(ki[a++]);
+      default: // interleave, starting with spatial
+        for (size_t a = 0, b = 0; a < nr || b < ns;) {
+            if (b < ns)
+                emit(false, b++);
+            if (a < nr)
+                emit(true, a++);
         }
         break;
-      }
     }
-    return out;
 }
 
 } // namespace
@@ -65,73 +62,72 @@ generateGpuInto(const Operation &anchor, const OpConfig &config,
     FT_ASSERT(!anchor->isPlaceholder(), "cannot schedule a placeholder");
     const auto *op = static_cast<const ComputeOp *>(anchor.get());
     gen::checkSplits(op, config, kGpuSpatialLevels, kGpuReduceLevels);
+    const IndexAnalysis &ia = op->indexAnalysis();
 
     out.nest.op = anchor;
-    out.nest.loops.clear();
     out.features = NestFeatures{};
 
-    // Split every loop. Spatial levels: [block, vthread, thread, inner];
-    // reduce levels: [outer, mid, inner].
-    std::vector<std::vector<SubLoop>> sp, rd;
-    for (size_t i = 0; i < op->axis().size(); ++i)
-        sp.push_back(splitLoop(op->axis()[i], config.spatialSplits[i], "s"));
-    for (size_t i = 0; i < op->reduceAxis().size(); ++i)
-        rd.push_back(splitLoop(op->reduceAxis()[i], config.reduceSplits[i],
-                               "r"));
-
+    // Split every loop, writing the sub-loops in place. Spatial levels:
+    // [block, vthread, thread, inner]; reduce levels: [outer, mid,
+    // inner].
+    const auto &sp = config.spatialSplits;
+    const auto &rd = config.reduceSplits;
+    const size_t ns = sp.size(), nr = rd.size();
     auto &loops = out.nest.loops;
-    std::vector<SubLoop> si, ki;
-    for (auto &row : sp) {
-        row[0].anno = LoopAnno::BlockX;
-        row[1].anno = LoopAnno::VThread;
-        row[2].anno = LoopAnno::ThreadX;
-        si.push_back(row[3]);
+    loops.resize(ns * kGpuSpatialLevels + nr * kGpuReduceLevels);
+    size_t at = 0;
+    const LoopAnno spatialAnno[] = {LoopAnno::BlockX, LoopAnno::VThread,
+                                    LoopAnno::ThreadX};
+    for (int level = 0; level < 3; ++level) {
+        for (size_t i = 0; i < ns; ++i)
+            gen::setSubLoop(loops[at++], ia, i, sp[i], level,
+                            spatialAnno[level]);
     }
-    for (auto &row : rd) {
-        ki.push_back(row[2]);
+    for (int level = 0; level < 2; ++level) {
+        for (size_t i = 0; i < nr; ++i)
+            gen::setSubLoop(loops[at++], ia, ns + i, rd[i], level);
     }
-    for (const auto &row : sp)
-        loops.push_back(row[0]);
-    for (const auto &row : sp)
-        loops.push_back(row[1]);
-    for (const auto &row : sp)
-        loops.push_back(row[2]);
-    for (const auto &row : rd)
-        loops.push_back(row[0]);
-    for (const auto &row : rd)
-        loops.push_back(row[1]);
-    std::vector<SubLoop> inner = innerOrder(config.reorderChoice, si, ki);
-    for (int u = 0;
-         u < config.unrollDepth && u < static_cast<int>(inner.size()); ++u) {
-        inner[inner.size() - 1 - u].anno = LoopAnno::Unroll;
-    }
-    loops.insert(loops.end(), inner.begin(), inner.end());
-    gen::recordGuardedAxes(op, out.nest);
+    const size_t inner_begin = at;
+    forEachInner(config.reorderChoice, ns, nr, [&](bool reduce, size_t i) {
+        if (reduce)
+            gen::setSubLoop(loops[at++], ia, ns + i, rd[i], 2);
+        else
+            gen::setSubLoop(loops[at++], ia, i, sp[i], 3);
+    });
+    const int inner_size = static_cast<int>(loops.size() - inner_begin);
+    for (int u = 0; u < config.unrollDepth && u < inner_size; ++u)
+        loops[loops.size() - 1 - u].anno = LoopAnno::Unroll;
+    gen::recordGuardedAxes(op, config, out.nest);
 
     // ------------------------------------------------------------------
     // Features.
     NestFeatures &f = out.features;
-    f.totalFlops = flopsOf(anchor);
+    f.totalFlops = ia.flops();
     f.outputElems = product(op->outputShape());
 
-    f.grid = out.nest.extentOf(LoopAnno::BlockX);
-    f.threadsPerBlock = out.nest.extentOf(LoopAnno::ThreadX);
-    f.vthreads = out.nest.extentOf(LoopAnno::VThread);
+    // The BlockX, VThread and ThreadX loops are levels 0, 1 and 2 of
+    // every spatial split.
+    f.grid = 1;
+    f.vthreads = 1;
+    f.threadsPerBlock = 1;
+    for (const auto &row : sp) {
+        f.grid *= row[0];
+        f.vthreads *= row[1];
+        f.threadsPerBlock *= row[2];
+    }
 
     int64_t regTile = 1;
-    for (const auto &l : si)
-        regTile *= l.extent;
+    for (const auto &row : sp)
+        regTile *= row[3];
     int64_t reduceWork = 1;
     for (const auto &row : rd)
-        for (const auto &l : row)
-            reduceWork *= l.extent;
+        for (int64_t factor : row)
+            reduceWork *= factor;
     f.workPerThread = f.vthreads * regTile * reduceWork;
     f.regsPerThread = 16 + 2 * regTile + 4 * config.unrollDepth;
     f.unrollSteps = 1;
-    for (int u = 0;
-         u < config.unrollDepth && u < static_cast<int>(inner.size()); ++u) {
-        f.unrollSteps *= inner[inner.size() - 1 - u].extent;
-    }
+    for (int u = 0; u < config.unrollDepth && u < inner_size; ++u)
+        f.unrollSteps *= loops[loops.size() - 1 - u].extent;
 
     // Shared-memory tiles: inputs are staged per block at the configured
     // reduce depth (compute_at). Reduce levels at or above the staging
@@ -139,44 +135,45 @@ generateGpuInto(const Operation &anchor, const OpConfig &config,
     // iterations); deeper levels and all sub-block spatial loops are free.
     const int cache_at =
         std::clamp(config.cacheAtReduceLevel, 0, kGpuReduceLevels - 2);
-    auto shared_free = [cache_at](const SubLoop &l) {
-        if (l.anno == LoopAnno::BlockX)
-            return false;
-        if (l.origin->kind == IterKind::Reduce)
-            return l.level > cache_at;
-        return true;
-    };
-    VarRanges tile_ranges = gen::rangesWithFree(op, loops, shared_free);
-    auto tile_fps = gen::inputFootprints(op, tile_ranges);
-    f.sharedBytesPerBlock = gen::footprintBytes(tile_fps);
+    IndexScratch &scratch = indexScratch();
+    scratch.ranges.resize(ia.numSlots());
+    scratch.cells.resize(ia.numAccesses());
+    Interval *ranges = scratch.ranges.data();
+    int64_t *cells = scratch.cells.data();
+    gen::rangesWithFree(
+        config,
+        [cache_at](bool reduce, int level) {
+            return reduce ? level > cache_at : level != 0;
+        },
+        ranges);
+    // The bank-conflict check below reads the staged tile's first
+    // access: its last index under these ranges.
+    Interval tile_last{0, 0};
+    f.sharedBytesPerBlock =
+        gen::footprintBytes(ia, ranges, cells, &tile_last);
 
     // DRAM traffic: per-block footprint over the whole reduction, times
     // the grid; small tensors are assumed to be served mostly from L2.
     // Staging deeper than the default point (compute_at level > 0) pays a
     // reload penalty proportional to the extra staging rounds.
-    auto block_free = [](const SubLoop &l) {
-        return l.anno != LoopAnno::BlockX;
-    };
-    VarRanges block_ranges = gen::rangesWithFree(op, loops, block_free);
-    auto block_fps = gen::inputFootprints(op, block_ranges);
+    gen::rangesWithFree(
+        config, [](bool reduce, int level) { return reduce || level != 0; },
+        ranges);
+    ia.footprints(ranges, cells);
     double reload = 1.0;
     if (cache_at > 0) {
         int64_t mid_reduce = 1;
         for (const auto &row : rd) {
-            for (const auto &l : row) {
-                if (l.level > 0 && l.level <= cache_at)
-                    mid_reduce *= l.extent;
-            }
+            for (int level = 1; level <= cache_at; ++level)
+                mid_reduce *= row[level];
         }
         reload = std::sqrt(static_cast<double>(mid_reduce));
     }
     int64_t dram = 0;
-    for (const auto &fp : block_fps) {
-        int64_t tensor_bytes = 4;
-        for (int64_t d : fp.accessNode->source->outputShape())
-            tensor_bytes *= d;
+    for (size_t i = 0; i < ia.numAccesses(); ++i) {
+        int64_t tensor_bytes = ia.accessTensorBytes(i);
         int64_t naive = static_cast<int64_t>(
-            static_cast<double>(f.grid) * fp.cells * 4 * reload);
+            static_cast<double>(f.grid) * cells[i] * 4 * reload);
         if (tensor_bytes < spec.l2Bytes / 2) {
             dram += std::max<int64_t>(tensor_bytes, naive / 8);
         } else {
@@ -187,36 +184,16 @@ generateGpuInto(const Operation &anchor, const OpConfig &config,
     dram += f.outputElems * 4; // result write-back
     f.dramBytes = dram;
 
-    // Coalescing: the innermost thread-bound spatial axis should appear
-    // with unit coefficient in the last index of each access.
-    const IterVarNode *inner_thread_axis =
-        op->axis().empty() ? nullptr : op->axis().back().get();
-    if (inner_thread_axis) {
-        int total = 0, good = 0;
-        for (const ExprNode *acc : op->accesses()) {
-            ++total;
-            if (acc->indices.empty())
-                continue;
-            if (linearCoefficient(acc->indices.back(), inner_thread_axis) ==
-                1) {
-                ++good;
-            }
-        }
-        double frac = total ? static_cast<double>(good) / total : 1.0;
-        f.coalesceFactor = 0.4 + 0.6 * frac;
-    }
+    // Coalescing: see IndexAnalysis::coalesceFactor.
+    if (!op->axis().empty())
+        f.coalesceFactor = ia.coalesceFactor();
 
     // Shared-memory bank conflicts: a power-of-32 leading stride in the
     // staged tile serializes warp lanes.
-    if (!tile_fps.empty()) {
-        const auto &acc = *tile_fps.front().accessNode;
-        if (!acc.indices.empty()) {
-            Interval last =
-                boundsOf(acc.indices.back(), tile_ranges);
-            int64_t width = last.extent();
-            if (width >= 32 && width % 32 == 0)
-                f.bankConflictPenalty = 1.25;
-        }
+    if (ia.numAccesses() > 0 && !op->accesses().front()->indices.empty()) {
+        int64_t width = tile_last.extent();
+        if (width >= 32 && width % 32 == 0)
+            f.bankConflictPenalty = 1.25;
     }
 
     // Validity: the verifier's resource lint owns the device-limit

@@ -7,41 +7,35 @@
 namespace ft {
 namespace gen {
 
-VarRanges
-rangesWithFree(const ComputeOp *op, const std::vector<SubLoop> &loops,
-               const std::function<bool(const SubLoop &)> &isFree)
-{
-    VarRanges ranges;
-    for (const auto &iv : op->axis())
-        ranges[iv.get()] = Interval{0, 0};
-    for (const auto &iv : op->reduceAxis())
-        ranges[iv.get()] = Interval{0, 0};
-    for (const auto &l : loops) {
-        if (!isFree(l))
-            continue;
-        auto it = ranges.find(l.origin);
-        FT_ASSERT(it != ranges.end(), "sub-loop with foreign origin");
-        it->second.hi += (l.extent - 1) * l.stride;
-    }
-    return ranges;
-}
-
-std::vector<InputFootprint>
-inputFootprints(const ComputeOp *op, const VarRanges &ranges)
-{
-    std::vector<InputFootprint> out;
-    for (const ExprNode *acc : op->accesses())
-        out.push_back({acc, accessFootprint(*acc, ranges)});
-    return out;
-}
-
 int64_t
-footprintBytes(const std::vector<InputFootprint> &fps)
+footprintBytes(const IndexAnalysis &ia, const Interval *ranges,
+               int64_t *cells, Interval *firstLast)
 {
-    int64_t cells = 0;
-    for (const auto &fp : fps)
-        cells += fp.cells;
-    return cells * 4;
+    ia.footprints(ranges, cells, firstLast);
+    int64_t total = 0;
+    for (size_t i = 0; i < ia.numAccesses(); ++i)
+        total += cells[i];
+    return total * 4;
+}
+
+void
+setSubLoop(SubLoop &l, const IndexAnalysis &ia, size_t slot,
+           const std::vector<int64_t> &row, int level, LoopAnno anno)
+{
+    FT_ASSERT(level < IndexAnalysis::kNamedLevels, "split level ", level,
+              " has no precomputed name");
+    int64_t stride = 1;
+    for (size_t j = static_cast<size_t>(level) + 1; j < row.size(); ++j)
+        stride *= row[j];
+    // A reused nest usually holds this very name already.
+    const std::string &name = ia.loopName(slot, level);
+    if (l.name != name)
+        l.name = name;
+    l.extent = row[level];
+    l.anno = anno;
+    l.origin = ia.slotVar(slot);
+    l.stride = stride;
+    l.level = level;
 }
 
 void
@@ -76,24 +70,20 @@ checkSplits(const ComputeOp *op, const OpConfig &config, int spatial_levels,
 }
 
 void
-recordGuardedAxes(const ComputeOp *op, LoopNest &nest)
+recordGuardedAxes(const ComputeOp *op, const OpConfig &config,
+                  LoopNest &nest)
 {
+    // A split's sub-loops reach product(row) - 1 (the mixed-radix
+    // maximum), so an axis overshoots exactly when its row multiplies
+    // past the extent.
     nest.guardedAxes.clear();
-    auto span = [&nest](const IterVarNode *origin) {
-        int64_t hi = 0;
-        for (const SubLoop &l : nest.loops) {
-            if (l.origin == origin)
-                hi += (l.extent - 1) * l.stride;
-        }
-        return hi;
-    };
-    for (const auto &iv : op->axis()) {
-        if (span(iv.get()) > iv->extent - 1)
-            nest.guardedAxes.push_back(iv.get());
+    for (size_t i = 0; i < op->axis().size(); ++i) {
+        if (product(config.spatialSplits[i]) > op->axis()[i]->extent)
+            nest.guardedAxes.push_back(op->axis()[i].get());
     }
-    for (const auto &iv : op->reduceAxis()) {
-        if (span(iv.get()) > iv->extent - 1)
-            nest.guardedAxes.push_back(iv.get());
+    for (size_t i = 0; i < op->reduceAxis().size(); ++i) {
+        if (product(config.reduceSplits[i]) > op->reduceAxis()[i]->extent)
+            nest.guardedAxes.push_back(op->reduceAxis()[i].get());
     }
 }
 

@@ -13,11 +13,13 @@
 #define FLEXTENSOR_SCHEDULE_LOOP_NEST_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "ir/operation.h"
 #include "schedule/config.h"
+#include "sim/hw_spec.h"
 
 namespace ft {
 
@@ -114,6 +116,14 @@ struct Scheduled
 {
     LoopNest nest;
     NestFeatures features;
+    /**
+     * The Error-severity resource checks that failed when the generator
+     * linted `features` (verify::resourceErrors, one bit per check) and
+     * the target it linted them for. The verifier reuses them for that
+     * target instead of running the checks a second time.
+     */
+    uint32_t resourceErrors = 0;
+    std::optional<Target> lintedFor;
 };
 
 /**
@@ -121,7 +131,9 @@ struct Scheduled
  * Returns sub-loops outer-to-inner with correct strides. The factors
  * must multiply to at least the extent; an overshoot yields an
  * imperfect tile whose out-of-range iterations the executors guard off
- * (the generators record such axes in LoopNest::guardedAxes).
+ * (the generators record such axes in LoopNest::guardedAxes). The
+ * generators write the same sub-loops in place (gen::setSubLoop); this
+ * is their reference.
  */
 std::vector<SubLoop> splitLoop(const IterVar &iv,
                                const std::vector<int64_t> &factors,

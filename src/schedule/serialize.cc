@@ -2,10 +2,12 @@
 
 #include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "sim/perf_model.h"
 #include "support/hash.h"
 #include "support/hexfloat.h"
 #include "support/journal.h"
@@ -150,9 +152,19 @@ tuningKeyFor(const Operation &anchor, const std::string &device)
     return oss.str();
 }
 
+bool
+TuningRecord::valid() const
+{
+    return std::isfinite(gflops) && gflops > kInvalidGflops;
+}
+
 void
 TuningCache::put(const TuningRecord &record)
 {
+    // A failed search's best point is no schedule: a later lookup would
+    // only search again, and save() would persist it.
+    if (!record.valid())
+        return;
     std::lock_guard<std::mutex> lock(mu_);
     auto it = records_.find(record.key);
     if (it == records_.end() || it->second.gflops < record.gflops)
@@ -257,6 +269,10 @@ TuningCache::load(const std::string &path)
         auto record = parseCacheRecord(payload);
         if (!record) {
             warn("skipping unparseable tuning record frame: ", payload);
+            continue;
+        }
+        if (!record->valid()) {
+            warn("dropping invalid tuning record frame: ", payload);
             continue;
         }
         put(*record);

@@ -43,6 +43,12 @@ struct TuningRecord
     uint64_t key = 0; ///< workloadKey of the anchor and device
     OpConfig config;
     double gflops = 0.0;
+
+    /**
+     * Whether the record holds a usable schedule: its GFLOPS is finite
+     * and above kInvalidGflops, the score of a rejected trial.
+     */
+    bool valid() const;
 };
 
 /**
@@ -59,7 +65,7 @@ struct TuningRecord
 class TuningCache
 {
   public:
-    /** Record a result; keeps only the best per key. */
+    /** Record a valid result; keeps only the best per key. */
     void put(const TuningRecord &record);
 
     /** Best known record for the key, if any. */
@@ -74,7 +80,10 @@ class TuningCache
      */
     bool save(const std::string &path) const;
 
-    /** Merge records from a file; returns false when unreadable. */
+    /**
+     * Merge records from a file, dropping invalid ones; returns false
+     * when unreadable.
+     */
     bool load(const std::string &path);
 
   private:

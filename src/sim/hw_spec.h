@@ -101,6 +101,8 @@ struct Target
 
     const std::string &deviceName() const;
 
+    bool operator==(const Target &) const = default;
+
     static Target forGpu(const GpuSpec &spec);
     static Target forCpu(const CpuSpec &spec);
     static Target forFpga(const FpgaSpec &spec);

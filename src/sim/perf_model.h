@@ -19,6 +19,12 @@
 
 namespace ft {
 
+/**
+ * Performance value the evaluator assigns to a rejected schedule (one
+ * the verifier or the model refuses).
+ */
+inline constexpr double kInvalidGflops = 1e-3;
+
 /** Outcome of one model evaluation. */
 struct PerfResult
 {

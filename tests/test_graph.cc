@@ -44,6 +44,10 @@
 #include "obs/trace.h"
 #include "obs/trace_report.h"
 #include "schedule/generator.h"
+#include "sim/library_model.h"
+#include "sim/perf_model.h"
+#include "schedule/serialize.h"
+#include "explore/tuner.h"
 #include "space/builder.h"
 #include "support/rng.h"
 
@@ -995,6 +999,85 @@ TEST(GraphScheduleTest, ReusedGroupTracesCachedReport)
  * cache reports, and the cache holds one entry per distinct structural
  * key (17 on V100, where the string key tuningKeyFor sees only 16).
  */
+/** Modeled seconds of the expert schedule of a group's anchor. */
+double
+expertSeconds(const ComputeDag &dag, int anchor, const Target &target)
+{
+    MiniGraph graph(lowerAnchor(dag, anchor).output);
+    const Operation op = anchorOp(graph);
+    const PerfResult perf = modelPerf(
+        generate(op, expertConfig(op, target), target).features, target);
+    EXPECT_TRUE(perf.valid) << dag.nodes[anchor].name;
+    return perf.seconds;
+}
+
+/**
+ * A search that finds no valid schedule is a failure, never a free
+ * kernel: YOLO-v1 on V100 with 6 random trials leaves several anchors
+ * without one, and each such group must cost at least its expert
+ * schedule, flagged as a fallback in the report and the trace.
+ */
+TEST(GraphScheduleTest, FailedSearchIsChargedTheExpertSchedule)
+{
+    const ComputeDag dag = dagFromNetwork(yoloV1(1));
+    const Target target = Target::forGpu(v100());
+    TuneOptions options;
+    options.method = Method::Random;
+    options.explore.trials = 6;
+    TraceRecorder trace;
+    options.explore.obs.trace = &trace;
+    const DagTuneReport rep = tuneDag(dag, target, options);
+    int failed = 0, memoryOnly = 0;
+    for (const SubgraphReport &sub : rep.groups) {
+        if (sub.anchor < 0)
+            continue;
+        EXPECT_EQ(sub.fallback, !sub.report.valid) << sub.name;
+        if (sub.report.valid)
+            continue;
+        ++failed;
+        const double expert = expertSeconds(dag, sub.anchor, target);
+        EXPECT_GE(sub.seconds, expert) << sub.name;
+        // Charging such a group only its memory side, as a zero-second
+        // kernel would, undercuts the expert schedule.
+        if (sub.cost.memSeconds < expert)
+            ++memoryOnly;
+    }
+    EXPECT_GT(failed, 0);
+    EXPECT_GT(memoryOnly, 0);
+    const std::string jsonl = trace.toJsonl();
+    size_t flagged = 0;
+    for (size_t at = jsonl.find("\"fallback\":true");
+         at != std::string::npos; at = jsonl.find("\"fallback\":true", at + 1))
+        ++flagged;
+    EXPECT_EQ(flagged, static_cast<size_t>(failed));
+}
+
+/** A search whose every trial is rejected stores nothing in the cache. */
+TEST(GraphScheduleTest, AllInvalidSearchLeavesTheCacheEmpty)
+{
+    const ComputeDag dag = dagFromNetwork(yoloV1(1));
+    const Target target = Target::forGpu(v100());
+    TuneOptions options;
+    options.method = Method::Random;
+    options.explore.trials = 6;
+    const DagTuneReport rep = tuneDag(dag, target, options);
+    int anchor = -1;
+    for (const SubgraphReport &sub : rep.groups) {
+        if (sub.anchor >= 0 && !sub.report.valid) {
+            anchor = sub.anchor;
+            break;
+        }
+    }
+    ASSERT_GE(anchor, 0) << "no search failed";
+    TuningCache cache;
+    options.cache = &cache;
+    const TuneReport solo =
+        tune(lowerAnchor(dag, anchor).output, target, options);
+    EXPECT_FALSE(solo.valid);
+    EXPECT_EQ(solo.kernelSeconds, 0.0);
+    EXPECT_EQ(cache.size(), 0u);
+}
+
 TEST(GraphScheduleTest, AnchorMemoOnWithTuningCache)
 {
     const Sec66Job job = sec66Jobs().front(); // YOLO-v1 on V100

@@ -15,6 +15,8 @@
 #include "ops/ops.h"
 #include "schedule/serialize.h"
 #include "sim/library_model.h"
+#include "sim/perf_model.h"
+#include "support/hexfloat.h"
 #include "support/journal.h"
 #include "support/rng.h"
 
@@ -177,6 +179,30 @@ TEST(TuningCache, SkipsMalformedLines)
     EXPECT_EQ(cache.size(), 1u);
     ASSERT_TRUE(cache.lookup(0xc2).has_value());
     EXPECT_EQ(cache.lookup(0xc2)->gflops, 3.5);
+    std::remove(path.c_str());
+}
+
+TEST(TuningCache, RefusesAndDropsInvalidRecords)
+{
+    // The score of a rejected trial is no schedule: put() refuses it,
+    // and load() drops one a file still holds.
+    TuningCache cache;
+    cache.put({5, sampleConfig(), kInvalidGflops});
+    cache.put({6, sampleConfig(), 0.0});
+    EXPECT_EQ(cache.size(), 0u);
+
+    const std::string path = "/tmp/flextensor_cache_invalid.txt";
+    const std::string config = "v1|s=2,2|r=4|reorder=1|fuse=1|unroll=0|"
+                               "vec=8|rows=1|part=1";
+    JournalWriter writer("tcache2");
+    writer.append("0000000000000005\t" + hexDouble(kInvalidGflops) + "\t" +
+                  config);
+    writer.append("0000000000000007\t0x1.cp+1\t" + config);
+    ASSERT_TRUE(writer.commit(path));
+    ASSERT_TRUE(cache.load(path));
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_FALSE(cache.lookup(5).has_value());
+    EXPECT_TRUE(cache.lookup(7).has_value());
     std::remove(path.c_str());
 }
 
