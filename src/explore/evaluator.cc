@@ -1,6 +1,5 @@
 #include "explore/evaluator.h"
 
-#include <chrono>
 #include <string>
 
 #include "analysis/verify/verify.h"
@@ -14,15 +13,6 @@
 namespace ft {
 
 namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-int64_t
-nsBetween(WallClock::time_point a, WallClock::time_point b)
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-        .count();
-}
 
 double
 defaultMeasureCost(const Target &target)
@@ -75,84 +65,46 @@ Evaluator::evaluate(const Point &p, PointKey key)
     auto it = cache_.find(key);
     if (it != cache_.end())
         return it->second;
-    double gflops = obs_.wallProfile && obs_.trace ? scoreProfiled(p)
-                                                   : scoreOnly(p, scratch_);
+    double gflops = score(p, scratch_, obs_.wallProfile && obs_.trace);
     commitMeasured(p, key, gflops, measureCost_);
     return gflops;
 }
 
 double
-Evaluator::scoreProfiled(const Point &p)
+Evaluator::score(const Point &p, EvalScratch &scratch, bool traced) const
 {
-    // Profiled single-threaded path: time decode and lowering
-    // separately, emit them as spans carrying wall nanoseconds (the
-    // span clock itself is the simulated clock, which does not
-    // advance inside one evaluation).
-    auto t0 = WallClock::now();
-    obs_.trace->begin("eval.decode", simSeconds_);
-    const OpConfig &config = space_.decodeInto(p, scratch_.decode);
-    auto t1 = WallClock::now();
-    int64_t decode_ns = nsBetween(t0, t1);
-    obs_.trace->end("eval.decode", simSeconds_, {tint("ns", decode_ns)});
-    obs_.trace->begin("eval.lower", simSeconds_);
-    generateInto(anchor_, config, target_, scratch_.sched);
-    auto t2 = WallClock::now();
-    int64_t lower_ns = nsBetween(t1, t2);
-    obs_.trace->end("eval.lower", simSeconds_, {tint("ns", lower_ns)});
-    obs_.trace->begin("eval.verify", simSeconds_);
-    bool rejected = verifyRejects(config, scratch_);
-    auto t3 = WallClock::now();
-    int64_t verify_ns = nsBetween(t2, t3);
-    obs_.trace->end("eval.verify", simSeconds_, {tint("ns", verify_ns)});
-    if (decodeNsCounter_) {
-        decodeNsCounter_->add(static_cast<uint64_t>(decode_ns));
-        lowerNsCounter_->add(static_cast<uint64_t>(lower_ns));
-    }
-    if (verifyNsCounter_)
-        verifyNsCounter_->add(static_cast<uint64_t>(verify_ns));
-    if (rejected) {
-        obs_.trace->point("verify.reject", simSeconds_,
-                          {tstr("code", scratch_.diags.firstError()->code)});
-        return kInvalidGflops;
-    }
-    PerfResult perf = modelPerf(scratch_.sched.features, target_);
-    return perf.valid ? perf.gflops : kInvalidGflops;
-}
+    // Each profiled stage ends with one clock read; its time goes to the
+    // stage's counter and, when traced, into a span of its own.
+    const bool timed = traced || decodeNsCounter_;
+    WallClock::time_point mark;
+    if (timed)
+        mark = WallClock::now();
+    auto stage = [&](const char *name, Counter *ns_counter) {
+        if (!timed)
+            return;
+        const int64_t ns = wallLapNs(mark);
+        if (ns_counter)
+            ns_counter->add(static_cast<uint64_t>(ns));
+        if (traced) {
+            obs_.trace->begin(name, simSeconds_);
+            obs_.trace->end(name, simSeconds_, {tint("ns", ns)});
+        }
+    };
 
-double
-Evaluator::scoreOnly(const Point &p) const
-{
-    EvalScratch scratch;
-    return scoreOnly(p, scratch);
-}
-
-double
-Evaluator::scoreOnly(const Point &p, EvalScratch &scratch) const
-{
-    if (decodeNsCounter_) {
-        // Counter-only profiling (atomic adds, safe from worker
-        // threads). Spans are emitted only by the single-threaded
-        // evaluate() path above.
-        auto t0 = WallClock::now();
-        const OpConfig &config = space_.decodeInto(p, scratch.decode);
-        auto t1 = WallClock::now();
-        generateInto(anchor_, config, target_, scratch.sched);
-        auto t2 = WallClock::now();
-        bool rejected = verifyRejects(config, scratch);
-        auto t3 = WallClock::now();
-        decodeNsCounter_->add(static_cast<uint64_t>(nsBetween(t0, t1)));
-        lowerNsCounter_->add(static_cast<uint64_t>(nsBetween(t1, t2)));
-        if (verifyNsCounter_)
-            verifyNsCounter_->add(static_cast<uint64_t>(nsBetween(t2, t3)));
-        if (rejected)
-            return kInvalidGflops;
-        PerfResult perf = modelPerf(scratch.sched.features, target_);
-        return perf.valid ? perf.gflops : kInvalidGflops;
-    }
     const OpConfig &config = space_.decodeInto(p, scratch.decode);
+    stage("eval.decode", decodeNsCounter_);
     generateInto(anchor_, config, target_, scratch.sched);
-    if (verifyRejects(config, scratch))
+    stage("eval.lower", lowerNsCounter_);
+    const bool rejected = verifyRejects(config, scratch);
+    stage("eval.verify", verifyNsCounter_);
+    if (rejected) {
+        if (traced) {
+            obs_.trace->point(
+                "verify.reject", simSeconds_,
+                {tstr("code", scratch.diags.firstError()->code)});
+        }
         return kInvalidGflops;
+    }
     PerfResult perf = modelPerf(scratch.sched.features, target_);
     return perf.valid ? perf.gflops : kInvalidGflops;
 }

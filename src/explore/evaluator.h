@@ -8,6 +8,11 @@
  * simulated clock, standing in for the compile+run latency of real
  * hardware measurement (<= 1 s on CPU/GPU per Section 5.2) or a model
  * query on FPGA.
+ *
+ * score() is the one scoring body (decode, lower, verify, model); the
+ * single-point evaluate() here and the batch path of ResilientEvaluator
+ * (explore/resilient.h) both run it, with wall profiling switched on
+ * inside it.
  */
 #ifndef FLEXTENSOR_EXPLORE_EVALUATOR_H
 #define FLEXTENSOR_EXPLORE_EVALUATOR_H
@@ -86,18 +91,25 @@ class Evaluator
     double evaluate(const Point &p, PointKey key);
 
     /**
-     * Pure model query: the performance value of a point without touching
-     * H, the cache, or the simulated clock. Thread-safe for concurrent
-     * callers (decode + generate + perf model only); the serving layer
-     * scores batches with this in parallel, then commits in order.
-     * The scratch overload reuses the caller's buffers; each concurrent
-     * scorer must own a distinct EvalScratch. Virtual so a joint (shape
-     * family) evaluator can swap the scoring function while reusing the
-     * explorers, the cache/history machinery, and the batch layer
-     * unchanged.
+     * Pure model query: the performance value of a point (decode, lower,
+     * verify, device model) without touching H, the cache, or the
+     * simulated clock. Reuses the caller's buffers; each concurrent
+     * scorer must own a distinct EvalScratch, and the batch layer scores
+     * in parallel this way, then commits in order.
+     *
+     * Under obs().wallProfile the stages' wall nanoseconds flow into the
+     * eval.*.ns counters (atomic adds, safe from worker threads). With
+     * `traced` set the stages also become eval.decode / eval.lower /
+     * eval.verify spans carrying their nanoseconds (the span clock is
+     * the simulated clock, which does not advance inside one
+     * evaluation); only the single-threaded evaluate() path sets it.
+     *
+     * Virtual so a joint (shape family) evaluator can swap the scoring
+     * function while reusing the explorers, the cache/history machinery,
+     * and the batch layer unchanged.
      */
-    double scoreOnly(const Point &p) const;
-    virtual double scoreOnly(const Point &p, EvalScratch &scratch) const;
+    virtual double score(const Point &p, EvalScratch &scratch,
+                         bool traced) const;
 
     /**
      * Record a measurement scored elsewhere: insert into H and the cache,
@@ -202,15 +214,6 @@ class Evaluator
     const Target &target() const { return target_; }
 
   protected:
-    /**
-     * Wall-profiled scoring for the single-threaded evaluate() path:
-     * emits eval.decode / eval.lower / eval.verify spans (the span
-     * clock is the simulated clock, which does not advance inside one
-     * evaluation). Only called when obs().wallProfile and a trace sink
-     * are attached. Subclasses override to emit their own span shape.
-     */
-    virtual double scoreProfiled(const Point &p);
-
     /**
      * Run the static verifier on the lowered schedule in `scratch`,
      * updating the verify.* counters. True when an Error-severity

@@ -1,7 +1,6 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -248,14 +247,6 @@ toFloat(const std::vector<double> &v)
     return std::vector<float>(v.begin(), v.end());
 }
 
-int64_t
-wallNsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 /** A wall-time counter, or null unless the run profiles wall time. */
 Counter *
 wallCounter(const SearchRun &run, const char *name)
@@ -359,7 +350,7 @@ class QPolicy final : public SearchPolicy
      *  the same dims; the init memo then skips the draws. */
     void initNets()
     {
-        const auto t0 = std::chrono::steady_clock::now();
+        WallClock::time_point t0 = WallClock::now();
         const int hidden = run_.options.hidden;
         bool reused = false;
         netX_.emplace(initMlpMemoized({featureDim_, hidden, hidden, hidden,
@@ -367,7 +358,7 @@ class QPolicy final : public SearchPolicy
                                       run_.rng, &reused));
         netY_ = netX_;
         if (initNsCounter_)
-            initNsCounter_->add(static_cast<uint64_t>(wallNsSince(t0)));
+            initNsCounter_->add(static_cast<uint64_t>(wallLapNs(t0)));
         if (initReusedCounter_ && reused)
             initReusedCounter_->add();
     }
@@ -385,7 +376,7 @@ class QPolicy final : public SearchPolicy
                               run_.eval.simulatedSeconds(),
                               {tint("starts", m)});
         }
-        const auto t0 = std::chrono::steady_clock::now();
+        WallClock::time_point t0 = WallClock::now();
         batchFeat_.resize(static_cast<size_t>(m) * featureDim_);
         for (int s = 0; s < m; ++s) {
             run_.space.featuresInto(starts[s], decodeScratch_, featD_);
@@ -397,13 +388,14 @@ class QPolicy final : public SearchPolicy
         const float *q =
             m > 0 ? netX_->forwardBatch(batchFeat_.data(), m, netScratch_)
                   : nullptr;
+        const int64_t ns = run_.options.obs.wallProfile ? wallLapNs(t0) : 0;
         if (forwardNsCounter_)
-            forwardNsCounter_->add(static_cast<uint64_t>(wallNsSince(t0)));
+            forwardNsCounter_->add(static_cast<uint64_t>(ns));
         if (run_.trace) {
             if (run_.options.obs.wallProfile) {
                 run_.trace->end("q_forward_batch",
                                 run_.eval.simulatedSeconds(),
-                                {tint("ns", wallNsSince(t0))});
+                                {tint("ns", ns)});
             } else {
                 run_.trace->end("q_forward_batch",
                                 run_.eval.simulatedSeconds());
@@ -512,7 +504,7 @@ class QPolicy final : public SearchPolicy
     {
         if (run_.trace)
             run_.trace->begin("q_train", run_.eval.simulatedSeconds());
-        const auto t0 = std::chrono::steady_clock::now();
+        WallClock::time_point t0 = WallClock::now();
         netX_->zeroGrad();
         const int batch = std::min<int>(run_.options.replayBatch,
                                         static_cast<int>(replay_.size()));
@@ -563,13 +555,13 @@ class QPolicy final : public SearchPolicy
                                    targets.data(), netScratch_);
         netX_->step(adadelta_);
         netY_->copyValuesFrom(*netX_);
+        const int64_t ns = run_.options.obs.wallProfile ? wallLapNs(t0) : 0;
         if (trainNsCounter_)
-            trainNsCounter_->add(static_cast<uint64_t>(wallNsSince(t0)));
+            trainNsCounter_->add(static_cast<uint64_t>(ns));
         if (run_.trace) {
             if (run_.options.obs.wallProfile) {
                 run_.trace->end("q_train", run_.eval.simulatedSeconds(),
-                                {tint("batch", batch),
-                                 tint("ns", wallNsSince(t0))});
+                                {tint("batch", batch), tint("ns", ns)});
             } else {
                 run_.trace->end("q_train", run_.eval.simulatedSeconds(),
                                 {tint("batch", batch)});
@@ -787,10 +779,10 @@ class AutoTvmPolicy final : public SearchPolicy
                               {tint("samples", static_cast<int64_t>(
                                                    trainX_.size()))});
         }
-        const auto t0 = std::chrono::steady_clock::now();
+        WallClock::time_point t0 = WallClock::now();
         model_.fit(trainX_, trainY_, gbtOptions_, run_.rng);
         if (fitNsCounter_)
-            fitNsCounter_->add(static_cast<uint64_t>(wallNsSince(t0)));
+            fitNsCounter_->add(static_cast<uint64_t>(wallLapNs(t0)));
         run_.eval.chargeOverhead(kModelOverhead);
         if (run_.trace)
             run_.trace->end("model_fit", run_.eval.simulatedSeconds());

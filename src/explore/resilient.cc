@@ -1,6 +1,7 @@
 #include "explore/resilient.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -12,9 +13,10 @@ ResilientEvaluator::ResilientEvaluator(Evaluator &eval, ThreadPool *pool,
                                        int parallelism,
                                        ResilienceOptions options)
     : eval_(eval),
-      batch_(eval, pool, parallelism),
       pool_(pool),
-      options_(std::move(options))
+      parallelism_(parallelism),
+      options_(std::move(options)),
+      scratch_(1)
 {
     FT_ASSERT(options_.maxRetries >= 0, "negative retry budget");
     FT_ASSERT(options_.repeats >= 1, "repeats must be >= 1");
@@ -24,6 +26,14 @@ bool
 ResilientEvaluator::faultsActive() const
 {
     return options_.injector && options_.injector->profile().enabled();
+}
+
+int
+ResilientEvaluator::parallelism() const
+{
+    if (parallelism_ > 0)
+        return parallelism_;
+    return pool_ ? pool_->numThreads() : 1;
 }
 
 bool
@@ -57,8 +67,8 @@ ResilientEvaluator::measureWithFaults(const Point &p, PointKey key64,
     const double deadline = options_.trialDeadlineSeconds;
 
     Measured out;
-    std::vector<double> values;
-    values.reserve(options_.repeats);
+    std::vector<double> &values = repeatValues_;
+    values.clear();
     int attempt = 0;
     int failed_repeats = 0;
     for (int repeat = 0; repeat < options_.repeats; ++repeat) {
@@ -128,82 +138,103 @@ ResilientEvaluator::measureWithFaults(const Point &p, PointKey key64,
 std::vector<double>
 ResilientEvaluator::evaluate(const std::vector<Point> &points)
 {
-    if (!faultsActive())
-        return batch_.evaluate(points);
-
-    // Fresh work: first occurrence of each unknown point, in order.
-    std::vector<size_t> fresh;
-    std::vector<PointKey> keys(points.size());
-    std::unordered_set<PointKey> batch_keys;
+    // Fresh work: the first occurrence of each not-yet-known point, in
+    // submission order. Later duplicates read the committed value. Each
+    // point is hashed exactly once; the key is reused for the dedup
+    // probe, the commit, and the final cache read.
+    fresh_.clear();
+    batchKeys_.clear();
+    keys_.resize(points.size());
     for (size_t i = 0; i < points.size(); ++i) {
-        keys[i] = points[i].key64();
-        if (eval_.known(keys[i]))
+        keys_[i] = points[i].key64();
+        if (eval_.known(keys_[i]))
             continue;
-        if (batch_keys.insert(keys[i]).second)
-            fresh.push_back(i);
+        if (batchKeys_.insert(keys_[i]).second)
+            fresh_.push_back(i);
     }
 
-    if (!fresh.empty()) {
+    if (!fresh_.empty()) {
         const ObsContext &obs = eval_.obs();
+        const bool faults = faultsActive();
         if (obs.trace) {
-            obs.trace->begin(
-                "batch_evaluate", eval_.simulatedSeconds(),
-                {tint("batch", static_cast<int64_t>(points.size())),
-                 tint("fresh", static_cast<int64_t>(fresh.size())),
-                 tbool("faults", true)});
+            const TraceField batch =
+                tint("batch", static_cast<int64_t>(points.size()));
+            const TraceField fresh =
+                tint("fresh", static_cast<int64_t>(fresh_.size()));
+            // Only the fault path adds a field, so fault-free traces
+            // read as they always have.
+            if (faults) {
+                obs.trace->begin("batch_evaluate", eval_.simulatedSeconds(),
+                                 {batch, fresh, tbool("faults", true)});
+            } else {
+                obs.trace->begin("batch_evaluate", eval_.simulatedSeconds(),
+                                 {batch, fresh});
+            }
         }
-        // True scores in parallel (pure model queries)...
-        std::vector<double> true_scores(fresh.size());
-        if (pool_ && pool_->numThreads() > 1 && fresh.size() > 1) {
-            const size_t workers =
-                std::min<size_t>(pool_->numThreads(), fresh.size());
-            if (scratch_.size() < workers)
-                scratch_.resize(workers);
-            pool_->parallelFor(fresh.size(), [&](size_t w, size_t j) {
-                true_scores[j] =
-                    eval_.scoreOnly(points[fresh[j]], scratch_[w]);
-            });
+
+        // True scores, in parallel when a pool is attached (pure model
+        // queries, one scratch per worker).
+        scores_.resize(fresh_.size());
+        const size_t workers =
+            pool_ && fresh_.size() > 1
+                ? std::min<size_t>(pool_->numThreads(), fresh_.size())
+                : 1;
+        if (scratch_.size() < workers)
+            scratch_.resize(workers);
+        auto scoreFresh = [&](size_t w, size_t j) {
+            scores_[j] = eval_.score(points[fresh_[j]], scratch_[w],
+                                     /*traced=*/false);
+        };
+        if (workers > 1) {
+            pool_->parallelFor(fresh_.size(), scoreFresh);
         } else {
-            if (scratch_.empty())
-                scratch_.resize(1);
-            for (size_t j = 0; j < fresh.size(); ++j)
-                true_scores[j] =
-                    eval_.scoreOnly(points[fresh[j]], scratch_[0]);
+            for (size_t j = 0; j < fresh_.size(); ++j)
+                scoreFresh(0, j);
         }
 
-        // ...then the fault/retry policy per point, sequentially, so the
-        // outcome is deterministic regardless of thread interleaving.
-        std::vector<Measured> measured(fresh.size());
-        for (size_t j = 0; j < fresh.size(); ++j)
-            measured[j] = measureWithFaults(points[fresh[j]],
-                                            keys[fresh[j]], true_scores[j]);
-
-        // Batch clock: machines take points round-robin; the batch spans
-        // the busiest machine, spread evenly across the curve entries.
-        const int machines = batch_.parallelism();
-        std::vector<double> load(machines, 0.0);
-        for (size_t j = 0; j < fresh.size(); ++j)
-            load[j % machines] += measured[j].simCharge;
-        const double span = *std::max_element(load.begin(), load.end());
-        const double per_point = span / double(fresh.size());
-        for (size_t j = 0; j < fresh.size(); ++j)
-            eval_.commitMeasured(points[fresh[j]], keys[fresh[j]],
-                                 measured[j].value, per_point);
+        double per_point;
+        if (faults) {
+            // The fault/retry policy per point, sequentially, so the
+            // outcome is deterministic regardless of thread
+            // interleaving. Machines take points round-robin; the batch
+            // spans the busiest machine, spread evenly across the curve
+            // entries.
+            loads_.assign(parallelism(), 0.0);
+            for (size_t j = 0; j < fresh_.size(); ++j) {
+                const Measured m = measureWithFaults(
+                    points[fresh_[j]], keys_[fresh_[j]], scores_[j]);
+                scores_[j] = m.value;
+                loads_[j % loads_.size()] += m.simCharge;
+            }
+            const double span =
+                *std::max_element(loads_.begin(), loads_.end());
+            per_point = span / double(fresh_.size());
+        } else {
+            // The batch takes ceil(n / parallelism) rounds of one
+            // measureCost each, spread evenly over the curve's
+            // per-point entries.
+            const double n = static_cast<double>(fresh_.size());
+            const double rounds = std::ceil(n / parallelism());
+            per_point = rounds * eval_.measureCost() / n;
+        }
+        for (size_t j = 0; j < fresh_.size(); ++j)
+            eval_.commitMeasured(points[fresh_[j]], keys_[fresh_[j]],
+                                 scores_[j], per_point);
         if (obs.trace)
             obs.trace->end("batch_evaluate", eval_.simulatedSeconds());
         if (obs.metrics) {
             obs.metrics->counter("eval.batches").add();
-            obs.metrics->counter("eval.fresh_points").add(fresh.size());
+            obs.metrics->counter("eval.fresh_points").add(fresh_.size());
             obs.metrics
                 ->histogram("eval.batch_size",
                             {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0})
-                .observe(static_cast<double>(fresh.size()));
+                .observe(static_cast<double>(fresh_.size()));
         }
     }
 
     std::vector<double> out(points.size());
     for (size_t i = 0; i < points.size(); ++i)
-        out[i] = eval_.evaluate(points[i], keys[i]); // cache reads
+        out[i] = eval_.evaluate(points[i], keys_[i]); // cache reads
     return out;
 }
 
@@ -212,9 +243,8 @@ ResilientEvaluator::evaluate(const Point &p, PointKey key)
 {
     if (!faultsActive() || eval_.known(key))
         return eval_.evaluate(p, key);
-    if (scratch_.empty())
-        scratch_.resize(1);
-    Measured m = measureWithFaults(p, key, eval_.scoreOnly(p, scratch_[0]));
+    Measured m = measureWithFaults(
+        p, key, eval_.score(p, scratch_[0], /*traced=*/false));
     eval_.commitMeasured(p, key, m.value, m.simCharge);
     return m.value;
 }

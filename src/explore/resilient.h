@@ -1,9 +1,23 @@
 /**
  * @file
- * Fault-tolerant measurement policy over the batch evaluator.
+ * The one batch-measurement path: parallel scoring, in-order commit,
+ * the simulated measurement clock, and the fault-tolerance policy
+ * (Section 5.2's parallel measurement).
  *
- * Real measurement backends fail; this layer makes every exploration
- * method degrade gracefully when they do:
+ * A batch of candidate points is scored concurrently on an optional
+ * thread pool (scoring is a pure model query, each worker owning its
+ * scratch) and then committed to the evaluator's history H strictly in
+ * submission order, so history(), best() and bestPoint() are identical
+ * to a sequential run of the same batch. Duplicates and already-known
+ * points are served from the evaluator's cache and charge nothing.
+ *
+ * Without faults the simulated clock charges ceil(fresh / parallelism)
+ * * measureCost for the whole batch, modeling `parallelism` measurement
+ * machines running rounds of concurrent trials; with parallelism == 1
+ * the clock and curve reduce exactly to the sequential ones.
+ *
+ * Real measurement backends fail. With an enabled fault injector every
+ * exploration method degrades gracefully:
  *
  *  - Bounded retries with exponential backoff. Failed attempts are
  *    retried up to `maxRetries` times; each backoff wait is charged to
@@ -19,16 +33,13 @@
  *    committed as kInvalidGflops and its key recorded in the quarantine
  *    set; the evaluator cache guarantees it is never measured again.
  *
- * With no (or a disabled) injector the layer delegates directly to
- * BatchEvaluator / Evaluator, so fault-free runs are bit-identical to
- * runs without this layer — values and simulated clock included.
- *
- * Under faults, the simulated batch clock models `parallelism` machines
- * taking points round-robin, each machine running its points' full
- * attempt sequences back to back; the batch is charged the busiest
- * machine's span, spread evenly over the per-point curve entries. With
- * equal per-point costs this reduces to BatchEvaluator's
- * ceil(n/parallelism) rounds.
+ * The policy runs sequentially after the parallel scoring, so its
+ * outcome does not depend on thread interleaving. The batch clock then
+ * models `parallelism` machines taking points round-robin, each running
+ * its points' full attempt sequences back to back; the batch is charged
+ * the busiest machine's span, spread evenly over the per-point curve
+ * entries. With no (or a disabled) injector none of this runs, so
+ * fault-free runs are bit-identical to runs without an injector.
  */
 #ifndef FLEXTENSOR_EXPLORE_RESILIENT_H
 #define FLEXTENSOR_EXPLORE_RESILIENT_H
@@ -37,8 +48,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "serve/batch_eval.h"
+#include "explore/evaluator.h"
 #include "support/fault_injector.h"
+#include "support/thread_pool.h"
 
 namespace ft {
 
@@ -83,13 +95,12 @@ class ResilientEvaluator
                                 ResilienceOptions options = {});
 
     /**
-     * Evaluate a batch with the retry/deadline policy applied per fresh
-     * point; returns one value per input point. Identical to
-     * BatchEvaluator::evaluate when faults are off.
+     * Evaluate a batch, with the retry/deadline policy applied per fresh
+     * point when faults are active; returns one value per input point.
      */
     std::vector<double> evaluate(const std::vector<Point> &points);
 
-    /** Single-point convenience (full per-point charge, no batching). */
+    /** Single-point evaluate (full per-point charge, no batching). */
     double evaluate(const Point &p) { return evaluate(p, p.key64()); }
 
     /** Single-point evaluate with the key64() already in hand. */
@@ -97,6 +108,9 @@ class ResilientEvaluator
 
     /** Whether an enabled fault injector is attached. */
     bool faultsActive() const;
+
+    /** Effective measurement width used for the clock model. */
+    int parallelism() const;
 
     const ResilienceStats &stats() const { return stats_; }
 
@@ -122,13 +136,24 @@ class ResilientEvaluator
                                double trueScore);
 
     Evaluator &eval_;
-    BatchEvaluator batch_;
     ThreadPool *pool_;
+    int parallelism_;
     ResilienceOptions options_;
     ResilienceStats stats_;
     std::vector<Point> quarantine_;
     std::unordered_set<PointKey> quarantineSet_;
-    /** One scoring scratch per pool worker on the fault batch path. */
+
+    /** Per-batch buffers, kept warm across calls (coalesced serving and
+     *  every explorer step call evaluate() many times). */
+    std::vector<size_t> fresh_;
+    std::vector<PointKey> keys_;
+    std::unordered_set<PointKey> batchKeys_;
+    std::vector<double> scores_;
+    /** Per-machine simulated load of one faulted batch. */
+    std::vector<double> loads_;
+    /** One fresh point's repeat values under faults. */
+    std::vector<double> repeatValues_;
+    /** One scoring scratch per pool worker (index = dense worker id). */
     std::vector<EvalScratch> scratch_;
 };
 

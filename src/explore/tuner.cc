@@ -1,11 +1,14 @@
 #include "explore/tuner.h"
 
+#include <limits>
+
 #include "analysis/static_analyzer.h"
 #include "analysis/verify/certificate.h"
 #include "analysis/verify/verify.h"
 #include "ir/inline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/library_model.h"
 #include "support/logging.h"
 
 namespace ft {
@@ -66,6 +69,17 @@ cachedReport(const OpConfig &config, double gflops, double kernelSeconds,
     report.device = device;
     report.fromCache = true;
     return report;
+}
+
+std::optional<double>
+expertKernelSeconds(const Operation &anchor, const Target &target)
+{
+    const Scheduled s =
+        generate(anchor, expertConfig(anchor, target), target);
+    const PerfResult perf = modelPerf(s.features, target);
+    if (!perf.valid)
+        return std::nullopt;
+    return perf.seconds;
 }
 
 TuneReport
@@ -182,7 +196,13 @@ tuneGraph(const Tensor &root, const Target &target,
         if (op->isPlaceholder() || op->isConstant())
             continue;
         TuneReport node_report = tuneOp(op, target, options);
-        report.totalKernelSeconds += node_report.kernelSeconds;
+        double kernel = node_report.kernelSeconds;
+        if (!node_report.valid) {
+            ++report.fallbackNodes;
+            kernel = expertKernelSeconds(op, target)
+                         .value_or(std::numeric_limits<double>::infinity());
+        }
+        report.totalKernelSeconds += kernel;
         report.simExploreSeconds += node_report.simExploreSeconds;
         report.nodes.emplace_back(op->name(), std::move(node_report));
     }

@@ -9,6 +9,7 @@
 #define FLEXTENSOR_EXPLORE_TUNER_H
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "explore/explorer.h"
@@ -96,6 +97,15 @@ TuneReport tuneOp(const Operation &anchor, const Target &target,
                   const TuneOptions &options = {});
 
 /**
+ * Modeled kernel seconds of the anchor's expert schedule (expertConfig,
+ * sim/library_model.h), or nullopt when the model rejects it too. A
+ * node whose search found no valid schedule is charged this by
+ * tuneGraph and graph::tuneDag, never a free kernel.
+ */
+std::optional<double> expertKernelSeconds(const Operation &anchor,
+                                          const Target &target);
+
+/**
  * Certify `report.config` on the anchor of the mini-graph rooted at
  * `output` and attach the certificate, as tune() does for its own
  * reports: a no-op unless TuneOptions::certify, with a "certificate"
@@ -111,8 +121,15 @@ struct GraphTuneReport
 {
     /** One entry per scheduled (non-inlinable) compute node, bottom-up. */
     std::vector<std::pair<std::string, TuneReport>> nodes;
+    /**
+     * Sum of the nodes' kernel seconds. A node whose search found no
+     * valid schedule counts its expertKernelSeconds(); infinite when
+     * the model rejects that too (no modeled schedule runs the node).
+     */
     double totalKernelSeconds = 0.0;
     double simExploreSeconds = 0.0;
+    /** Nodes charged their expert schedule because the search failed. */
+    int fallbackNodes = 0;
 };
 
 /**

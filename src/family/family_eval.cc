@@ -1,25 +1,10 @@
 #include "family/family_eval.h"
 
-#include <chrono>
-
 #include "obs/trace.h"
 #include "support/logging.h"
 #include "support/math_util.h"
 
 namespace ft {
-
-namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-int64_t
-nsBetween(WallClock::time_point a, WallClock::time_point b)
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-        .count();
-}
-
-} // namespace
 
 void
 adaptSplitToExtent(OpConfig &config, int dynamicAxis, int64_t extent)
@@ -70,35 +55,25 @@ FamilyEvaluator::instanceGflops(const OpConfig &generic, size_t i,
 }
 
 double
-FamilyEvaluator::scoreOnly(const Point &p, EvalScratch &scratch) const
+FamilyEvaluator::score(const Point &p, EvalScratch &scratch,
+                       bool traced) const
 {
+    TraceRecorder *trace = traced ? obs().trace : nullptr;
     const OpConfig &generic = space().decodeInto(p, scratch.decode);
     double total = 0.0;
     for (size_t i = 0; i < anchors_.size(); ++i) {
+        WallClock::time_point mark;
+        if (trace)
+            mark = WallClock::now();
         double gflops = instanceGflops(generic, i, scratch);
-        if (gflops <= 0.0)
-            return kInvalidGflops;
-        total += weights_[i] * gflops;
-    }
-    return total;
-}
-
-double
-FamilyEvaluator::scoreProfiled(const Point &p)
-{
-    TraceRecorder *trace = obs().trace;
-    const double sim = simulatedSeconds();
-    const OpConfig &generic =
-        space().decodeInto(p, profiledScratch_.decode);
-    double total = 0.0;
-    for (size_t i = 0; i < anchors_.size(); ++i) {
-        auto t0 = WallClock::now();
-        trace->begin("family.instance", sim);
-        double gflops = instanceGflops(generic, i, profiledScratch_);
-        int64_t ns = nsBetween(t0, WallClock::now());
-        trace->end("family.instance", sim,
-                   {tint("shape", extents_[i]), tint("ns", ns),
-                    treal("gflops", gflops)});
+        if (trace) {
+            const int64_t ns = wallLapNs(mark);
+            const double sim = simulatedSeconds();
+            trace->begin("family.instance", sim);
+            trace->end("family.instance", sim,
+                       {tint("shape", extents_[i]), tint("ns", ns),
+                        treal("gflops", gflops)});
+        }
         if (gflops <= 0.0)
             return kInvalidGflops;
         total += weights_[i] * gflops;

@@ -8,8 +8,8 @@
  * allowed — the verifier's interval prover gates them), each instance
  * is lowered and scored through the existing device models, and the
  * per-instance GFLOPS aggregate into a weighted family score. Because
- * only scoreOnly() is overridden, every explorer and the batched
- * measurement layer (BatchEvaluator) work on families unchanged.
+ * only Evaluator::score() is overridden, every explorer and the batched
+ * measurement layer (ResilientEvaluator) work on families unchanged.
  */
 #ifndef FLEXTENSOR_FAMILY_FAMILY_EVAL_H
 #define FLEXTENSOR_FAMILY_FAMILY_EVAL_H
@@ -51,20 +51,16 @@ class FamilyEvaluator : public Evaluator
      * Weighted family score of a point: sum_i w_i * GFLOPS_i over the
      * sampled instances, or kInvalidGflops when any instance is gated
      * by the verifier or rejected by the model (a family schedule must
-     * be legal on every shape it serves).
+     * be legal on every shape it serves). With `traced` set, each
+     * sampled shape becomes one "family.instance" span carrying the
+     * shape value and wall nanoseconds, which the trace-report phase
+     * breakdown folds like any other span.
      */
-    double scoreOnly(const Point &p, EvalScratch &scratch) const override;
+    double score(const Point &p, EvalScratch &scratch,
+                 bool traced) const override;
 
     /** Sampled shape values, in scoring order. */
     const std::vector<int64_t> &extents() const { return extents_; }
-
-  protected:
-    /**
-     * Profiled scoring: one "family.instance" span per sampled shape
-     * (carrying the shape value and wall nanoseconds), which the
-     * trace-report phase breakdown folds like any other span.
-     */
-    double scoreProfiled(const Point &p) override;
 
   private:
     /** GFLOPS of instance i under the generic config (0 when gated). */
@@ -75,8 +71,6 @@ class FamilyEvaluator : public Evaluator
     std::vector<Operation> anchors_;
     std::vector<int64_t> extents_;
     std::vector<double> weights_;
-    /** Scratch for the profiled (single-threaded) path. */
-    mutable EvalScratch profiledScratch_;
 };
 
 } // namespace ft

@@ -1,7 +1,6 @@
 #include "graph/schedule_dag.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <thread>
 #include <unordered_map>
@@ -10,9 +9,6 @@
 #include "graph/lower.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "schedule/generator.h"
-#include "sim/library_model.h"
-#include "sim/perf_model.h"
 #include "support/logging.h"
 #include "support/thread_pool.h"
 
@@ -53,23 +49,6 @@ searchPool()
     return pool;
 }
 
-/**
- * Kernel seconds charged to a group whose search found no valid
- * schedule: the anchor's expert schedule, or the group's roofline time
- * if even that is rejected.
- */
-double
-fallbackSeconds(const LoweredAnchor &lowered, const Target &target,
-                const GroupCost &cost)
-{
-    MiniGraph graph(lowered.output);
-    const Operation anchor = anchorOp(graph);
-    const Scheduled s =
-        generate(anchor, expertConfig(anchor, target), target);
-    const PerfResult perf = modelPerf(s.features, target);
-    return perf.valid ? perf.seconds : cost.seconds;
-}
-
 /** One anchor search: its report and the trace it recorded. */
 struct AnchorSearch
 {
@@ -107,13 +86,10 @@ tuneChosen(const ComputeDag &dag, const Target &target,
                                 ? maybeCounter(obs.metrics,
                                                "graph.partition.ns")
                                 : nullptr;
-    const auto t0 = std::chrono::steady_clock::now();
+    WallClock::time_point t0 = WallClock::now();
     rep.partition = choose();
     if (partition_ns)
-        partition_ns->add(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
+        partition_ns->add(static_cast<uint64_t>(wallLapNs(t0)));
     rep.trafficBytes = rep.partition.totalTrafficBytes;
     rep.ephemeralBytes = rep.partition.ephemeralBytes;
     if (obs.trace) {
@@ -195,13 +171,10 @@ tuneChosen(const ComputeDag &dag, const Target &target,
                                  ? maybeCounter(obs.metrics,
                                                 "graph.search.ns")
                                  : nullptr;
-        const auto s0 = std::chrono::steady_clock::now();
+        WallClock::time_point s0 = WallClock::now();
         searchPool().parallelFor(searches.size(), runSearch);
         if (search_ns)
-            search_ns->add(static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - s0)
-                    .count()));
+            search_ns->add(static_cast<uint64_t>(wallLapNs(s0)));
     }
 
     // Stitch in group order, so sums and trace match a sequential run.
@@ -248,11 +221,15 @@ tuneChosen(const ComputeDag &dag, const Target &target,
             // The explorers model the anchor's compute; the roofline
             // owns the group's memory side. Charge the binding one. A
             // search that found nothing is charged the expert schedule,
-            // never a free kernel.
+            // never a free kernel, or the roofline time when even that
+            // is rejected.
             sub.fallback = !sub.report.valid;
-            const double kernel =
-                sub.fallback ? fallbackSeconds(lowered[g], target, sub.cost)
-                             : sub.report.kernelSeconds;
+            double kernel = sub.report.kernelSeconds;
+            if (sub.fallback) {
+                MiniGraph graph(lowered[g].output);
+                kernel = expertKernelSeconds(anchorOp(graph), target)
+                             .value_or(sub.cost.seconds);
+            }
             sub.seconds = std::max(kernel, sub.cost.memSeconds);
             rep.simExploreSeconds += sub.report.simExploreSeconds;
             sim += sub.report.simExploreSeconds;

@@ -72,8 +72,8 @@ struct SubgraphReport
     int reusedFrom = -1;
     /**
      * The anchor's search found no valid schedule (report.valid is
-     * false), so the group is charged the expert schedule of
-     * expertConfig (sim/library_model.h) instead.
+     * false), so the group is charged its expertKernelSeconds()
+     * (explore/tuner.h) instead.
      */
     bool fallback = false;
     GroupCost cost;           ///< roofline score of the group

@@ -12,6 +12,9 @@
 #ifndef FLEXTENSOR_OBS_OBS_H
 #define FLEXTENSOR_OBS_OBS_H
 
+#include <chrono>
+#include <cstdint>
+
 namespace ft {
 
 class TraceRecorder;
@@ -34,6 +37,25 @@ struct ObsContext
 
     bool enabled() const { return trace != nullptr || metrics != nullptr; }
 };
+
+/** The clock behind every wall-profiling `*.ns` counter and span. */
+using WallClock = std::chrono::steady_clock;
+
+/**
+ * Wall nanoseconds from `mark` to now, then move `mark` to now: one
+ * clock read per call, so consecutive calls time consecutive stages.
+ * Every figure taken this way includes one clock read (tens of ns).
+ */
+inline int64_t
+wallLapNs(WallClock::time_point &mark)
+{
+    const WallClock::time_point now = WallClock::now();
+    const int64_t ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - mark)
+            .count();
+    mark = now;
+    return ns;
+}
 
 } // namespace ft
 

@@ -1,7 +1,5 @@
 #include "space/builder.h"
 
-#include <chrono>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "schedule/generator.h"
@@ -94,11 +92,9 @@ buildSpaceObserved(const Operation &anchor, const Target &target,
 {
     if (obs.trace)
         obs.trace->begin("space_build", 0.0);
-    const auto t0 = std::chrono::steady_clock::now();
+    WallClock::time_point t0 = WallClock::now();
     ScheduleSpace space = buildSpace(anchor, target, options);
-    const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
+    const int64_t ns = wallLapNs(t0);
     if (obs.wallProfile) {
         if (Counter *c = maybeCounter(obs.metrics, "space.build.ns"))
             c->add(static_cast<uint64_t>(ns));

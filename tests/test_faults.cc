@@ -21,6 +21,7 @@
 #include "support/fault_injector.h"
 #include "support/journal.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace ft {
 namespace {
@@ -113,16 +114,21 @@ TEST(FaultInjector, ParseProfileSpec)
     EXPECT_FALSE(parseFaultProfile("transient=-0.1"));
 }
 
-TEST_F(FaultTest, NoInjectorIsBitIdenticalToBatchEvaluator)
+TEST_F(FaultTest, DisabledInjectorIsBitIdenticalToNone)
 {
     auto points = randomPoints(30, 17);
 
     Evaluator plain(out_.op(), space_, target_);
-    BatchEvaluator batch(plain, nullptr, /*parallelism=*/4);
-    std::vector<double> expect = batch.evaluate(points);
+    ResilientEvaluator none(plain, nullptr, /*parallelism=*/4);
+    EXPECT_FALSE(none.faultsActive());
+    std::vector<double> expect = none.evaluate(points);
 
+    FaultInjector disabled(FaultProfile{});
+    ResilienceOptions options;
+    options.injector = &disabled;
     Evaluator wrapped(out_.op(), space_, target_);
-    ResilientEvaluator resilient(wrapped, nullptr, /*parallelism=*/4);
+    ResilientEvaluator resilient(wrapped, nullptr, /*parallelism=*/4,
+                                 options);
     EXPECT_FALSE(resilient.faultsActive());
     std::vector<double> got = resilient.evaluate(points);
 
@@ -139,6 +145,60 @@ TEST_F(FaultTest, NoInjectorIsBitIdenticalToBatchEvaluator)
     }
     EXPECT_EQ(resilient.stats().failures, 0u);
     EXPECT_EQ(resilient.quarantine().size(), 0u);
+}
+
+TEST_F(FaultTest, FaultedBatchesOnAPoolMatchSequentialBitForBit)
+{
+    // The pool only scores; the fault policy, the clock and the commit
+    // order must not depend on it. Overlapping batches mix fresh,
+    // known and quarantined points.
+    FaultProfile profile;
+    profile.transient = 0.2;
+    profile.permanent = 0.15;
+    profile.timeout = 0.1;
+    profile.outlier = 0.1;
+    profile.seed = 41;
+    FaultInjector injector(profile);
+    ResilienceOptions options;
+    options.injector = &injector;
+    options.repeats = 3;
+
+    const auto points = randomPoints(60, 43);
+    ThreadPool pool(4);
+    Evaluator seq(out_.op(), space_, target_);
+    Evaluator par(out_.op(), space_, target_);
+    ResilientEvaluator rseq(seq, nullptr, /*parallelism=*/4, options);
+    ResilientEvaluator rpar(par, &pool, /*parallelism=*/4, options);
+    for (size_t start : {0, 15, 30}) {
+        const std::vector<Point> batch(points.begin() + start,
+                                       points.begin() + start + 30);
+        const std::vector<double> a = rseq.evaluate(batch);
+        const std::vector<double> b = rpar.evaluate(batch);
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i)
+            EXPECT_EQ(a[i], b[i]) << i;
+    }
+
+    ASSERT_EQ(par.history().size(), seq.history().size());
+    for (size_t i = 0; i < seq.history().size(); ++i) {
+        EXPECT_EQ(par.history()[i].point.key64(),
+                  seq.history()[i].point.key64());
+        EXPECT_EQ(par.history()[i].gflops, seq.history()[i].gflops);
+    }
+    EXPECT_EQ(par.simulatedSeconds(), seq.simulatedSeconds());
+    EXPECT_EQ(par.curve(), seq.curve());
+    EXPECT_EQ(rpar.stats().measurements, rseq.stats().measurements);
+    EXPECT_EQ(rpar.stats().failures, rseq.stats().failures);
+    EXPECT_EQ(rpar.stats().retries, rseq.stats().retries);
+    EXPECT_EQ(rpar.stats().timeouts, rseq.stats().timeouts);
+    EXPECT_EQ(rpar.stats().quarantined, rseq.stats().quarantined);
+    EXPECT_GT(rseq.stats().quarantined, 0u);
+    EXPECT_GT(rseq.stats().timeouts, 0u);
+    ASSERT_EQ(rpar.quarantine().size(), rseq.quarantine().size());
+    for (size_t i = 0; i < rseq.quarantine().size(); ++i) {
+        EXPECT_EQ(rpar.quarantine()[i].key64(),
+                  rseq.quarantine()[i].key64());
+    }
 }
 
 TEST_F(FaultTest, TransientFailureRecoveredByRetry)

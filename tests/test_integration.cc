@@ -58,6 +58,44 @@ TEST(TuneGraph, ConvGraphCollapsesToSingleNode)
     EXPECT_EQ(report.nodes[0].first, "conv2d");
 }
 
+TEST(TuneGraph, FailedNodeIsChargedItsExpertSchedule)
+{
+    // Two random trials per node find no valid schedule for any stage of
+    // this Winograd graph on V100. Each failed node costs its expert
+    // schedule, so the graph is never free.
+    const auto &layer = ops::yoloLayers()[12];
+    Tensor input = placeholder("I", {1, layer.inChannels, layer.imageSize,
+                                     layer.imageSize});
+    Tensor weight =
+        placeholder("W", {layer.outChannels, layer.inChannels, 3, 3});
+    Tensor wino = ops::conv2dWinograd(input, weight, 1);
+    const Target target = Target::forGpu(v100());
+
+    TuneOptions options;
+    options.method = Method::Random;
+    options.explore.trials = 2;
+    options.explore.seed = 3;
+    GraphTuneReport report = tuneGraph(wino, target, options);
+    ASSERT_EQ(report.nodes.size(), 4u);
+
+    int failed = 0;
+    double expected = 0.0;
+    for (const Operation &op : postOrderTraverse(inlineGraph(wino))) {
+        if (op->isPlaceholder() || op->isConstant())
+            continue;
+        const TuneReport &node = report.nodes[failed].second;
+        ASSERT_FALSE(node.valid) << op->name();
+        const std::optional<double> expert = expertKernelSeconds(op, target);
+        ASSERT_TRUE(expert.has_value()) << op->name();
+        EXPECT_GT(*expert, 0.0);
+        expected += *expert;
+        ++failed;
+    }
+    EXPECT_EQ(report.fallbackNodes, failed);
+    EXPECT_GT(report.totalKernelSeconds, 0.0);
+    EXPECT_EQ(report.totalKernelSeconds, expected);
+}
+
 TEST(Nchwc, ShapeAndGraph)
 {
     // 32 channels blocked by 8; 64 output channels blocked by 8.

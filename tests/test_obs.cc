@@ -21,6 +21,9 @@
 #include "ops/ops.h"
 #include "serve/service.h"
 #include "space/builder.h"
+#include "support/fault_injector.h"
+#include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace ft {
 namespace {
@@ -341,6 +344,70 @@ TEST(Metrics, WallProfileAttributesAutoTvmFits)
         EXPECT_EQ(counted, profile);
     }
     EXPECT_EQ(best[0], best[1]);
+}
+
+TEST(Metrics, WallProfileTimesEveryMeasurementPath)
+{
+    // Under wallProfile each fresh scoring adds to eval.decode.ns,
+    // eval.lower.ns and eval.verify.ns and bumps verify.checked once,
+    // on every path that scores: single points (traced, so each also
+    // becomes an eval.decode span), a pooled batch, and faulted batches
+    // and points.
+    Tensor out = obsGemm();
+    const Target target = Target::forGpu(v100());
+    ScheduleSpace space = buildSpace(out.op(), target);
+    Rng rng(5);
+    std::vector<Point> points;
+    for (int i = 0; i < 24; ++i)
+        points.push_back(space.randomPoint(rng));
+
+    FaultProfile profile;
+    profile.transient = 0.5;
+    profile.seed = 3;
+    FaultInjector injector(profile);
+    ResilienceOptions faulty;
+    faulty.injector = &injector;
+    ThreadPool pool(4);
+
+    enum class Path { Single, Pooled, FaultedBatch, FaultedSingle };
+    for (Path path : {Path::Single, Path::Pooled, Path::FaultedBatch,
+                      Path::FaultedSingle}) {
+        SCOPED_TRACE(static_cast<int>(path));
+        const bool single =
+            path == Path::Single || path == Path::FaultedSingle;
+        const bool faults =
+            path == Path::FaultedBatch || path == Path::FaultedSingle;
+        TraceRecorder rec;
+        MetricsRegistry metrics;
+        Evaluator eval(out.op(), space, target);
+        eval.setObs({path == Path::Single ? &rec : nullptr, &metrics, true});
+        ResilientEvaluator reval(eval, single ? nullptr : &pool, 0,
+                                 faults ? faulty : ResilienceOptions{});
+        if (single) {
+            for (const Point &p : points)
+                reval.evaluate(p);
+        } else {
+            reval.evaluate(points);
+        }
+
+        const MetricsSnapshot snap = metrics.snapshot();
+        const uint64_t fresh = static_cast<uint64_t>(eval.numTrials());
+        ASSERT_GT(fresh, 1u);
+        EXPECT_EQ(snap.counter("verify.checked"), fresh);
+        EXPECT_GT(snap.counter("eval.decode.ns"), 0u);
+        EXPECT_GT(snap.counter("eval.lower.ns"), 0u);
+        EXPECT_GT(snap.counter("eval.verify.ns"), 0u);
+        if (faults) {
+            EXPECT_GT(reval.stats().failures, 0u);
+        }
+        uint64_t decode_spans = 0;
+        for (const std::string &line : rec.lines()) {
+            if (line.find("\"t\":\"E\",\"name\":\"eval.decode\"") !=
+                std::string::npos)
+                ++decode_spans;
+        }
+        EXPECT_EQ(decode_spans, path == Path::Single ? fresh : 0u);
+    }
 }
 
 TEST(TraceReport, JsonOmitsEmptySections)

@@ -22,12 +22,12 @@
 #include <vector>
 
 #include "dnn/models.h"
+#include "explore/resilient.h"
 #include "explore/tuner.h"
 #include "family/family.h"
 #include "graph/dag.h"
 #include "ml/costmodel.h"
 #include "ops/ops.h"
-#include "serve/batch_eval.h"
 #include "serve/request_key.h"
 #include "serve/service.h"
 #include "space/builder.h"
@@ -187,7 +187,7 @@ TEST_F(BatchEvalTest, MatchesSequentialEvaluation)
 
     ThreadPool pool(4);
     Evaluator par(out_.op(), space_, target_);
-    BatchEvaluator batch(par, &pool);
+    ResilientEvaluator batch(par, &pool);
     std::vector<double> values = batch.evaluate(points);
 
     ASSERT_EQ(par.history().size(), seq.history().size());
@@ -209,7 +209,7 @@ TEST_F(BatchEvalTest, ParallelismOneReproducesSequentialClock)
         seq.evaluate(p);
 
     Evaluator one(out_.op(), space_, target_);
-    BatchEvaluator batch(one, nullptr, /*parallelism=*/1);
+    ResilientEvaluator batch(one, nullptr, /*parallelism=*/1);
     batch.evaluate(points);
     EXPECT_DOUBLE_EQ(one.simulatedSeconds(), seq.simulatedSeconds());
     ASSERT_EQ(one.curve().size(), seq.curve().size());
@@ -225,7 +225,7 @@ TEST_F(BatchEvalTest, ChargesCeilBatchOverParallelismRounds)
     Evaluator eval(out_.op(), space_, target_);
     eval.setMeasureCost(1.0);
     ThreadPool pool(4);
-    BatchEvaluator batch(eval, &pool, /*parallelism=*/4);
+    ResilientEvaluator batch(eval, &pool, /*parallelism=*/4);
     batch.evaluate(points);
     const int fresh = eval.numTrials(); // random duplicates are possible
     // ceil(fresh / 4) rounds of one second each.
