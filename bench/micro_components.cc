@@ -2,9 +2,10 @@
  * @file
  * google-benchmark micro-benchmarks for the library's hot components:
  * expression interpretation, schedule lowering, model evaluation, space
- * construction, neighbor moves, Q-network inference/training, and GBT
- * fitting. These bound the overhead side of the exploration loop (the
- * paper's search must stay cheap relative to on-device measurement).
+ * construction, neighbor moves, Q-network inference/training, GBT
+ * fitting, and the fusion partitioner. These bound the overhead side of
+ * the exploration loop (the paper's search must stay cheap relative to
+ * on-device measurement).
  */
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,8 @@
 
 #include "analysis/verify/verify.h"
 #include "core/flextensor.h"
+#include "dnn/models.h"
+#include "graph/partition.h"
 #include "ir/inline.h"
 #include "ml/gbt.h"
 #include "nn/mlp.h"
@@ -303,6 +306,32 @@ BM_StaticAnalysis(benchmark::State &state)
     }
 }
 BENCHMARK(BM_StaticAnalysis);
+
+/**
+ * One graph::partitionDag call at default options on a Section 6.6 DAG,
+ * as every graph::tuneDag call of the network makes. Arg 0 picks the
+ * network (0 YOLO-v1, 1 OverFeat, batch 1), arg 1 the device (0 the
+ * V100 model, 1 the Xeon).
+ */
+void
+BM_PartitionDag(benchmark::State &state)
+{
+    const graph::ComputeDag dag = graph::dagFromNetwork(
+        state.range(0) == 0 ? yoloV1(1) : overFeat(1));
+    const Target target = state.range(1) == 0 ? Target::forGpu(v100())
+                                              : Target::forCpu(xeonE5());
+    for (auto _ : state) {
+        graph::Partition p = graph::partitionDag(dag, target);
+        benchmark::DoNotOptimize(p.totalSeconds);
+    }
+}
+BENCHMARK(BM_PartitionDag)
+    ->ArgNames({"overfeat", "xeon"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -221,6 +221,12 @@ class Evaluator
      */
     bool verifyRejects(const OpConfig &config, EvalScratch &scratch) const;
 
+    /** The eval.decode/lower/verify.ns wall counters score() adds each
+     *  stage to (null unless obs().wallProfile). */
+    Counter *decodeNsCounter() const { return decodeNsCounter_; }
+    Counter *lowerNsCounter() const { return lowerNsCounter_; }
+    Counter *verifyNsCounter() const { return verifyNsCounter_; }
+
   private:
     Operation anchor_;
     const ScheduleSpace &space_;

@@ -350,7 +350,9 @@ class QPolicy final : public SearchPolicy
      *  the same dims; the init memo then skips the draws. */
     void initNets()
     {
-        WallClock::time_point t0 = WallClock::now();
+        WallClock::time_point t0;
+        if (initNsCounter_)
+            t0 = WallClock::now();
         const int hidden = run_.options.hidden;
         bool reused = false;
         netX_.emplace(initMlpMemoized({featureDim_, hidden, hidden, hidden,
@@ -376,7 +378,10 @@ class QPolicy final : public SearchPolicy
                               run_.eval.simulatedSeconds(),
                               {tint("starts", m)});
         }
-        WallClock::time_point t0 = WallClock::now();
+        const bool profiled = run_.options.obs.wallProfile;
+        WallClock::time_point t0;
+        if (profiled)
+            t0 = WallClock::now();
         batchFeat_.resize(static_cast<size_t>(m) * featureDim_);
         for (int s = 0; s < m; ++s) {
             run_.space.featuresInto(starts[s], decodeScratch_, featD_);
@@ -388,11 +393,11 @@ class QPolicy final : public SearchPolicy
         const float *q =
             m > 0 ? netX_->forwardBatch(batchFeat_.data(), m, netScratch_)
                   : nullptr;
-        const int64_t ns = run_.options.obs.wallProfile ? wallLapNs(t0) : 0;
+        const int64_t ns = profiled ? wallLapNs(t0) : 0;
         if (forwardNsCounter_)
             forwardNsCounter_->add(static_cast<uint64_t>(ns));
         if (run_.trace) {
-            if (run_.options.obs.wallProfile) {
+            if (profiled) {
                 run_.trace->end("q_forward_batch",
                                 run_.eval.simulatedSeconds(),
                                 {tint("ns", ns)});
@@ -504,7 +509,10 @@ class QPolicy final : public SearchPolicy
     {
         if (run_.trace)
             run_.trace->begin("q_train", run_.eval.simulatedSeconds());
-        WallClock::time_point t0 = WallClock::now();
+        const bool profiled = run_.options.obs.wallProfile;
+        WallClock::time_point t0;
+        if (profiled)
+            t0 = WallClock::now();
         netX_->zeroGrad();
         const int batch = std::min<int>(run_.options.replayBatch,
                                         static_cast<int>(replay_.size()));
@@ -555,11 +563,11 @@ class QPolicy final : public SearchPolicy
                                    targets.data(), netScratch_);
         netX_->step(adadelta_);
         netY_->copyValuesFrom(*netX_);
-        const int64_t ns = run_.options.obs.wallProfile ? wallLapNs(t0) : 0;
+        const int64_t ns = profiled ? wallLapNs(t0) : 0;
         if (trainNsCounter_)
             trainNsCounter_->add(static_cast<uint64_t>(ns));
         if (run_.trace) {
-            if (run_.options.obs.wallProfile) {
+            if (profiled) {
                 run_.trace->end("q_train", run_.eval.simulatedSeconds(),
                                 {tint("batch", batch), tint("ns", ns)});
             } else {
@@ -779,7 +787,9 @@ class AutoTvmPolicy final : public SearchPolicy
                               {tint("samples", static_cast<int64_t>(
                                                    trainX_.size()))});
         }
-        WallClock::time_point t0 = WallClock::now();
+        WallClock::time_point t0;
+        if (fitNsCounter_)
+            t0 = WallClock::now();
         model_.fit(trainX_, trainY_, gbtOptions_, run_.rng);
         if (fitNsCounter_)
             fitNsCounter_->add(static_cast<uint64_t>(wallLapNs(t0)));

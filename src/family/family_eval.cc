@@ -1,5 +1,6 @@
 #include "family/family_eval.h"
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/logging.h"
 #include "support/math_util.h"
@@ -42,32 +43,42 @@ FamilyEvaluator::FamilyEvaluator(
 }
 
 double
-FamilyEvaluator::instanceGflops(const OpConfig &generic, size_t i,
-                                EvalScratch &scratch) const
-{
-    scratch.adapted = generic;
-    adaptSplitToExtent(scratch.adapted, dynamicAxis_, extents_[i]);
-    generateInto(anchors_[i], scratch.adapted, target(), scratch.sched);
-    if (verifyRejects(scratch.adapted, scratch))
-        return 0.0;
-    PerfResult perf = modelPerf(scratch.sched.features, target());
-    return perf.valid ? perf.gflops : 0.0;
-}
-
-double
 FamilyEvaluator::score(const Point &p, EvalScratch &scratch,
                        bool traced) const
 {
     TraceRecorder *trace = traced ? obs().trace : nullptr;
+    // Each timed stage ends with one clock read, as in Evaluator::score;
+    // the model query ends the instance's span without a counter.
+    const bool timed = trace || decodeNsCounter();
+    WallClock::time_point mark;
+    if (timed)
+        mark = WallClock::now();
+    auto lap = [&](Counter *counter) -> int64_t {
+        if (!timed)
+            return 0;
+        const int64_t ns = wallLapNs(mark);
+        if (counter)
+            counter->add(static_cast<uint64_t>(ns));
+        return ns;
+    };
+
     const OpConfig &generic = space().decodeInto(p, scratch.decode);
+    lap(decodeNsCounter());
     double total = 0.0;
     for (size_t i = 0; i < anchors_.size(); ++i) {
-        WallClock::time_point mark;
-        if (trace)
-            mark = WallClock::now();
-        double gflops = instanceGflops(generic, i, scratch);
+        scratch.adapted = generic;
+        adaptSplitToExtent(scratch.adapted, dynamicAxis_, extents_[i]);
+        generateInto(anchors_[i], scratch.adapted, target(), scratch.sched);
+        int64_t ns = lap(lowerNsCounter());
+        const bool rejected = verifyRejects(scratch.adapted, scratch);
+        ns += lap(verifyNsCounter());
+        double gflops = 0.0;
+        if (!rejected) {
+            PerfResult perf = modelPerf(scratch.sched.features, target());
+            gflops = perf.valid ? perf.gflops : 0.0;
+        }
+        ns += lap(nullptr);
         if (trace) {
-            const int64_t ns = wallLapNs(mark);
             const double sim = simulatedSeconds();
             trace->begin("family.instance", sim);
             trace->end("family.instance", sim,

@@ -51,10 +51,12 @@ class FamilyEvaluator : public Evaluator
      * Weighted family score of a point: sum_i w_i * GFLOPS_i over the
      * sampled instances, or kInvalidGflops when any instance is gated
      * by the verifier or rejected by the model (a family schedule must
-     * be legal on every shape it serves). With `traced` set, each
-     * sampled shape becomes one "family.instance" span carrying the
-     * shape value and wall nanoseconds, which the trace-report phase
-     * breakdown folds like any other span.
+     * be legal on every shape it serves). Under obs().wallProfile the
+     * point's decode, and each instance's lowering and verification,
+     * add to the same eval.*.ns counters Evaluator::score fills. With
+     * `traced` set, each sampled shape becomes one "family.instance"
+     * span carrying the shape value and wall nanoseconds, which the
+     * trace-report phase breakdown folds like any other span.
      */
     double score(const Point &p, EvalScratch &scratch,
                  bool traced) const override;
@@ -63,10 +65,6 @@ class FamilyEvaluator : public Evaluator
     const std::vector<int64_t> &extents() const { return extents_; }
 
   private:
-    /** GFLOPS of instance i under the generic config (0 when gated). */
-    double instanceGflops(const OpConfig &generic, size_t i,
-                          EvalScratch &scratch) const;
-
     int dynamicAxis_;
     std::vector<Operation> anchors_;
     std::vector<int64_t> extents_;

@@ -1,6 +1,7 @@
 #include "graph/partition.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "analysis/verify/certificate.h"
@@ -30,34 +31,38 @@ Partition
 finalizePartition(const ComputeDag &dag, const std::vector<int> &assignment,
                   const Target &target)
 {
+    return finalizePartition(dag, dag.consumers(), assignment, target);
+}
+
+Partition
+finalizePartition(const ComputeDag &dag,
+                  const std::vector<std::vector<int>> &consumers,
+                  const std::vector<int> &assignment, const Target &target)
+{
     FT_ASSERT(assignment.size() == dag.nodes.size(),
               "assignment must cover every node");
     // Renumber groups by first member so the result is independent of
-    // the labels the search happened to use.
-    std::map<int, int> relabel; // old label -> first member id
+    // the labels the search happened to use: scanning ids in ascending
+    // order meets each label first at its first member.
+    Partition part;
+    part.assignment_.assign(dag.nodes.size(), -1);
+    std::map<int, int> relabel; // old label -> group index
     for (size_t i = 0; i < assignment.size(); ++i) {
         const bool compute = dag.nodes[i].kind != NodeKind::Input;
         FT_ASSERT(compute == (assignment[i] >= 0),
                   "compute nodes need a group, Input nodes must have none");
-        if (compute && !relabel.count(assignment[i]))
-            relabel[assignment[i]] = static_cast<int>(i);
+        if (!compute)
+            continue;
+        const int g =
+            relabel.emplace(assignment[i], static_cast<int>(relabel.size()))
+                .first->second;
+        if (g == static_cast<int>(part.groups.size()))
+            part.groups.emplace_back();
+        part.groups[g].members.push_back(static_cast<int>(i));
+        part.assignment_[i] = g;
     }
-    std::vector<std::pair<int, int>> order; // (first member, old label)
-    for (const auto &kv : relabel)
-        order.push_back({kv.second, kv.first});
-    std::sort(order.begin(), order.end());
 
-    Partition part;
-    part.assignment_.assign(dag.nodes.size(), -1);
-    part.groups.resize(order.size());
-    for (size_t g = 0; g < order.size(); ++g)
-        for (size_t i = 0; i < assignment.size(); ++i)
-            if (assignment[i] == order[g].second) {
-                part.groups[g].members.push_back(static_cast<int>(i));
-                part.assignment_[i] = static_cast<int>(g);
-            }
-
-    const auto consumers = dag.consumers();
+    const TierSpec tier = tierSpecFor(target);
     for (auto &group : part.groups) {
         group.ephemeral.resize(group.members.size());
         for (size_t m = 0; m < group.members.size(); ++m) {
@@ -68,7 +73,7 @@ finalizePartition(const ComputeDag &dag, const std::vector<int> &assignment,
             group.ephemeral[m] = eph;
         }
         group.cost = rooflineGroupCost(dag, consumers, group.members,
-                                       group.ephemeral, target);
+                                       group.ephemeral, tier);
         part.totalSeconds += group.cost.seconds;
         part.totalTrafficBytes +=
             group.cost.memInBytes + group.cost.memOutBytes;
@@ -79,115 +84,249 @@ finalizePartition(const ComputeDag &dag, const std::vector<int> &assignment,
 
 namespace {
 
+/** What every move of one partitionDag call reads: fixed per DAG. */
+struct BeamContext
+{
+    BeamContext(const ComputeDag &dag, const Target &target)
+        : dag(dag),
+          consumers(dag.consumers()),
+          tier(tierSpecFor(target)),
+          flops(dag.nodes.size()),
+          words((dag.numComputeNodes() + 63) / 64)
+    {
+        for (size_t i = 0; i < dag.nodes.size(); ++i)
+            flops[i] = nodeFlops(dag, static_cast<int>(i));
+    }
+
+    const ComputeDag &dag;
+    const std::vector<std::vector<int>> consumers;
+    const TierSpec tier;
+    std::vector<double> flops; ///< node id -> nodeFlops
+    /** 64-bit words of one label bitset (labels < compute nodes). */
+    const int words;
+};
+
 /**
- * Search state: assignment so far, the cost of every group label, and
- * the state's deterministic rank.
+ * Search state, in flat per-state arrays. Every label's cost is kept as
+ * the running sums rooflineGroupCost would compute for its members
+ * under this partial assignment, so a move updates one label from the
+ * edges of the node it places, never from a member scan.
  */
 struct BeamState
 {
     std::vector<int> assignment; ///< node id -> group label, -1 unassigned
-    std::vector<double> labelSeconds;  ///< group label -> modeled seconds
-    std::vector<int64_t> labelTraffic; ///< group label -> DRAM traffic
-    double seconds = 0.0;
+    std::vector<GroupCost> labelCost; ///< group label -> current score
+    std::vector<int> labelSize;       ///< group label -> member count
+    /** prefix[l] = labelCost[0..l).seconds summed in ascending label
+     *  order, as a full rescore sums them; prefix.back() is the total. */
+    std::vector<double> prefix;
+    /** Label l's row (BeamContext::words words) has bit t set when a
+     *  quotient path of one or more edges leads from group l to t. */
+    std::vector<uint64_t> reach;
     int64_t traffic = 0;
+    /** Rank of `assignment` among the beam's states, lexicographically. */
+    int order = 0;
 
-    bool operator<(const BeamState &other) const
+    int numLabels() const { return static_cast<int>(labelSize.size()); }
+
+    bool reaches(int words, int from, int to) const
+    {
+        return (reach[static_cast<size_t>(from) * words + to / 64] >>
+                (to % 64)) & 1u;
+    }
+};
+
+/** DRAM bytes of a group score: the partition's traffic measure. */
+int64_t
+trafficOf(const GroupCost &cost)
+{
+    return cost.memInBytes + cost.memOutBytes;
+}
+
+/**
+ * One move the beam may take from a parent state: node v into group
+ * `label` (a new one when label == parent.numLabels()). Ranked without
+ * building the child: (seconds, traffic) of the child, then its
+ * assignment, which differs from a sibling's only at v and from
+ * another parent's child where the parents differ.
+ */
+struct Candidate
+{
+    int parent;
+    int parentOrder;
+    int label;
+    GroupCost cost; ///< the label's score after the move
+    double seconds;
+    int64_t traffic;
+
+    bool operator<(const Candidate &other) const
     {
         if (seconds != other.seconds)
             return seconds < other.seconds;
         if (traffic != other.traffic)
             return traffic < other.traffic;
-        return assignment < other.assignment;
+        if (parentOrder != other.parentOrder)
+            return parentOrder < other.parentOrder;
+        return label < other.label;
     }
 };
 
+/** True when input `pos` of `node` repeats an earlier input. */
+bool
+repeatsInput(const DagNode &node, size_t pos)
+{
+    for (size_t i = 0; i < pos; ++i)
+        if (node.inputs[i] == node.inputs[pos])
+            return true;
+    return false;
+}
+
 /**
- * Score group `members` (ascending) under a partial assignment. All
- * states at one step share the same set of assigned nodes, so the
- * pessimistic ephemeral rule (only nodes whose consumers are all
- * assigned in-group count) ranks them fairly.
+ * Score of node v alone in a new group. Its consumers all come later,
+ * so it is not ephemeral and retains no window; every input is an
+ * external read. The same for every parent state.
  */
 GroupCost
-partialGroupCost(const ComputeDag &dag,
-                 const std::vector<std::vector<int>> &consumers,
-                 const Target &target, const std::vector<int> &assignment,
-                 const std::vector<int> &members)
+openCost(const BeamContext &ctx, int v)
 {
-    std::vector<bool> eph(members.size());
-    for (size_t m = 0; m < members.size(); ++m) {
-        const int id = members[m];
-        bool e = !consumers[id].empty();
-        for (int c : consumers[id])
-            e = e && assignment[c] == assignment[id];
-        eph[m] = e;
-    }
-    return rooflineGroupCost(dag, consumers, members, eph, target);
+    const DagNode &node = ctx.dag.nodes[v];
+    GroupCost cost;
+    cost.flops = ctx.flops[v];
+    for (size_t i = 0; i < node.inputs.size(); ++i)
+        if (!repeatsInput(node, i))
+            cost.memInBytes += ctx.dag.nodes[node.inputs[i]].bytes();
+    cost.memOutBytes = node.bytes();
+    finishGroupCost(cost, ctx.tier);
+    return cost;
 }
 
 /**
- * Record the cost of group `label` after a move into it and re-total.
- * Assigning node v to a label can only change that label's cost: v's
- * producers in other groups already had an unassigned (so
- * out-of-group) consumer, and their groups' members are unchanged. The
- * totals are re-summed in ascending label order, the order a full
- * rescore sums them in, so `seconds` is bit-identical to one.
+ * Score of group `label` of `state` with node v added: the label's
+ * rooflineGroupCost sums updated by v's edges alone. v's output is a
+ * new DRAM write; each input outside the group is a new read unless a
+ * member already reads it; each input inside the group gains v as an
+ * in-group consumer, which widens its retention window and, once every
+ * consumer is in the group, makes it ephemeral. Flops accumulate in
+ * ascending member order, as the full score adds them.
  */
-void
-setLabelCost(BeamState &state, int label, const GroupCost &cost)
+GroupCost
+sinkCost(const BeamContext &ctx, const BeamState &state, int v, int label)
 {
-    if (label == static_cast<int>(state.labelSeconds.size())) {
-        state.labelSeconds.push_back(0.0);
-        state.labelTraffic.push_back(0);
+    const DagNode &node = ctx.dag.nodes[v];
+    GroupCost cost = state.labelCost[label];
+    cost.flops += ctx.flops[v];
+    cost.memOutBytes += node.bytes();
+    for (size_t i = 0; i < node.inputs.size(); ++i) {
+        if (repeatsInput(node, i))
+            continue;
+        const int u = node.inputs[i];
+        const DagNode &producer = ctx.dag.nodes[u];
+        if (state.assignment[u] != label) {
+            bool read = false;
+            for (int c : ctx.consumers[u])
+                read = read || state.assignment[c] == label;
+            if (!read)
+                cost.memInBytes += producer.bytes();
+            continue;
+        }
+        // u's consumers before this move: v was unassigned, so u was
+        // not ephemeral; its window came from its in-group consumers.
+        bool allIn = true;
+        int64_t window = 0;
+        for (int c : ctx.consumers[u]) {
+            if (c == v)
+                continue;
+            if (state.assignment[c] == label)
+                window = std::max(window,
+                                  consumerWindowRows(ctx.dag.nodes[c]));
+            else
+                allIn = false;
+        }
+        if (allIn) {
+            cost.memOutBytes -= producer.bytes();
+            cost.ephemeralBytes += producer.bytes();
+        }
+        const int64_t slabs = numRowSlabs(producer);
+        const int64_t widened =
+            std::max(window, consumerWindowRows(node));
+        cost.workingSetBytes += (std::min(widened, slabs) -
+                                 std::min(window, slabs)) *
+                                rowSlabBytes(producer);
     }
-    state.labelSeconds[label] = cost.seconds;
-    state.labelTraffic[label] = cost.memInBytes + cost.memOutBytes;
-    state.seconds = 0.0;
-    for (double s : state.labelSeconds)
-        state.seconds += s;
-    state.traffic = 0;
-    for (int64_t t : state.labelTraffic)
-        state.traffic += t;
+    finishGroupCost(cost, ctx.tier);
+    return cost;
 }
 
 /**
- * Would sinking `node` into group `label` keep the group quotient
- * acyclic? Adding the node creates edges producerGroup -> label for its
- * other producers; a cycle needs an existing quotient path from `label`
- * to one of those producer groups.
+ * Would sinking v into group `label` keep the group quotient acyclic?
+ * The move adds an edge t -> label for every input of v in another
+ * assigned group t; a cycle needs a path label ~> t that already
+ * exists. With no such input the move adds no edge at all.
  */
 bool
-sinkKeepsAcyclic(const ComputeDag &dag, const std::vector<int> &assignment,
-                 int node, int label)
+sinkKeepsAcyclic(const BeamContext &ctx, const BeamState &state, int v,
+                 int label)
 {
-    // Quotient edges among assigned nodes: group(u) -> group(v) for each
-    // dag edge u -> v crossing groups.
-    std::map<int, std::vector<int>> succ;
-    for (size_t v = 0; v < assignment.size(); ++v) {
-        if (assignment[v] < 0)
-            continue;
-        for (int u : dag.nodes[v].inputs)
-            if (assignment[u] >= 0 && assignment[u] != assignment[v])
-                succ[assignment[u]].push_back(assignment[v]);
-    }
-    std::vector<int> stack = {label}, seen;
-    while (!stack.empty()) {
-        int g = stack.back();
-        stack.pop_back();
-        if (std::find(seen.begin(), seen.end(), g) != seen.end())
-            continue;
-        seen.push_back(g);
-        auto it = succ.find(g);
-        if (it != succ.end())
-            for (int next : it->second)
-                stack.push_back(next);
-    }
-    for (int u : dag.nodes[node].inputs) {
-        if (assignment[u] < 0 || assignment[u] == label)
-            continue;
-        if (std::find(seen.begin(), seen.end(), assignment[u]) != seen.end())
+    for (int u : ctx.dag.nodes[v].inputs) {
+        const int t = state.assignment[u];
+        if (t >= 0 && t != label && state.reaches(ctx.words, label, t))
             return false;
     }
     return true;
+}
+
+/**
+ * Turn `child`, a copy of the parent state, into the state after move
+ * `cand` for node v: place v, record its label's score, extend the
+ * ascending-label prefix sums from that label on, and close the
+ * quotient reachability over the new edges t -> label (every group that
+ * reaches or is some t now also reaches label and everything label
+ * reaches). `sources` is scratch.
+ */
+void
+applyMove(const BeamContext &ctx, const Candidate &cand, int v,
+          BeamState &child, std::vector<uint64_t> &sources)
+{
+    const int label = cand.label;
+    const int words = ctx.words;
+    child.assignment[v] = label;
+    if (label == child.numLabels()) {
+        child.labelCost.push_back(cand.cost);
+        child.labelSize.push_back(1);
+        child.prefix.push_back(0.0);
+        child.reach.resize(child.reach.size() + words, 0);
+    } else {
+        child.labelCost[label] = cand.cost;
+        ++child.labelSize[label];
+    }
+    for (int l = label; l < child.numLabels(); ++l)
+        child.prefix[l + 1] = child.prefix[l] + child.labelCost[l].seconds;
+    child.traffic = cand.traffic;
+
+    sources.assign(words, 0);
+    bool any = false;
+    for (int u : ctx.dag.nodes[v].inputs) {
+        const int t = child.assignment[u];
+        if (t >= 0 && t != label) {
+            sources[t / 64] |= uint64_t{1} << (t % 64);
+            any = true;
+        }
+    }
+    if (!any)
+        return;
+    uint64_t *rows = child.reach.data();
+    const uint64_t *into = rows + static_cast<size_t>(label) * words;
+    for (int a = 0; a < child.numLabels(); ++a) {
+        uint64_t *row = rows + static_cast<size_t>(a) * words;
+        bool hit = (sources[a / 64] >> (a % 64)) & 1u;
+        for (int w = 0; w < words && !hit; ++w)
+            hit = (row[w] & sources[w]) != 0;
+        if (!hit)
+            continue;
+        for (int w = 0; w < words; ++w)
+            row[w] |= into[w];
+        row[label / 64] |= uint64_t{1} << (label % 64);
+    }
 }
 
 } // namespace
@@ -196,65 +335,89 @@ Partition
 partitionDag(const ComputeDag &dag, const Target &target,
              const PartitionOptions &options)
 {
-    const auto consumers = dag.consumers();
-    std::vector<BeamState> beam(1);
+    const BeamContext ctx(dag, target);
+    std::vector<BeamState> beam(1), next;
     beam[0].assignment.assign(dag.nodes.size(), -1);
+    beam[0].prefix = {0.0};
+    std::vector<Candidate> cands;
+    std::vector<int> byOrder, lastChild;
+    std::vector<uint64_t> sources;
 
-    for (size_t v = 0; v < dag.nodes.size(); ++v) {
+    for (size_t vi = 0; vi < dag.nodes.size(); ++vi) {
+        const int v = static_cast<int>(vi);
         const DagNode &node = dag.nodes[v];
         if (node.kind == NodeKind::Input)
             continue;
-        std::vector<BeamState> next;
-        for (const BeamState &state : beam) {
-            // Move 1: open a new group for v.
-            {
-                BeamState s = state;
-                const int label = static_cast<int>(s.labelSeconds.size());
-                s.assignment[v] = label;
-                setLabelCost(s, label,
-                             partialGroupCost(dag, consumers, target,
-                                              s.assignment,
-                                              {static_cast<int>(v)}));
-                next.push_back(std::move(s));
-            }
+        const GroupCost open = openCost(ctx, v);
+        cands.clear();
+        for (size_t p = 0; p < beam.size(); ++p) {
+            const BeamState &state = beam[p];
+            const int parent = static_cast<int>(p);
+            // Move 1: open a new group for v. Appending the label adds
+            // its seconds last, as the ascending re-sum would.
+            cands.push_back({parent, state.order, state.numLabels(), open,
+                             state.prefix.back() + open.seconds,
+                             state.traffic + trafficOf(open)});
             // Move 2: sink v into a producer's group (non-heavy only —
             // heavy anchors always open their own group).
             if (node.isHeavy())
                 continue;
-            std::vector<int> tried;
-            for (int in : node.inputs) {
-                const int label = state.assignment[in];
-                if (label < 0 ||
-                    std::find(tried.begin(), tried.end(), label) !=
-                        tried.end())
+            for (size_t i = 0; i < node.inputs.size(); ++i) {
+                const int label = state.assignment[node.inputs[i]];
+                bool tried = false;
+                for (size_t j = 0; j < i; ++j)
+                    tried = tried ||
+                            state.assignment[node.inputs[j]] == label;
+                if (label < 0 || tried ||
+                    state.labelSize[label] >= options.maxGroupSize ||
+                    !sinkKeepsAcyclic(ctx, state, v, label))
                     continue;
-                tried.push_back(label);
-                std::vector<int> members;
-                for (size_t i = 0; i < state.assignment.size(); ++i)
-                    if (state.assignment[i] == label)
-                        members.push_back(static_cast<int>(i));
-                if (static_cast<int>(members.size()) >= options.maxGroupSize)
-                    continue;
-                if (!sinkKeepsAcyclic(dag, state.assignment,
-                                      static_cast<int>(v), label))
-                    continue;
-                members.push_back(static_cast<int>(v));
-                BeamState s = state;
-                s.assignment[v] = label;
-                // Feasibility depends only on the working set, which
-                // ignores ephemeral flags: the one real score decides it.
-                const GroupCost cost = partialGroupCost(
-                    dag, consumers, target, s.assignment, members);
+                const GroupCost cost = sinkCost(ctx, state, v, label);
                 if (!cost.feasible)
                     continue;
-                setLabelCost(s, label, cost);
-                next.push_back(std::move(s));
+                // Re-sum the totals in ascending label order with this
+                // one label replaced, as a full rescore would.
+                double seconds = state.prefix[label] + cost.seconds;
+                for (int l = label + 1; l < state.numLabels(); ++l)
+                    seconds += state.labelCost[l].seconds;
+                cands.push_back({parent, state.order, label, cost, seconds,
+                                 state.traffic -
+                                     trafficOf(state.labelCost[label]) +
+                                     trafficOf(cost)});
             }
         }
-        std::sort(next.begin(), next.end());
-        if (static_cast<int>(next.size()) > options.beamWidth)
-            next.resize(options.beamWidth);
-        beam = std::move(next);
+        // The ranking is a strict total order, so the top beamWidth are
+        // the same states a full sort would keep; only they are built.
+        const size_t keep = std::min(
+            cands.size(),
+            static_cast<size_t>(std::max(options.beamWidth, 0)));
+        std::partial_sort(cands.begin(), cands.begin() + keep, cands.end());
+        // A parent's last surviving child takes over its buffers; the
+        // others copy them first.
+        lastChild.assign(beam.size(), -1);
+        for (size_t k = 0; k < keep; ++k)
+            lastChild[cands[k].parent] = static_cast<int>(k);
+        next.resize(keep);
+        for (size_t k = 0; k < keep; ++k) {
+            BeamState &parent = beam[cands[k].parent];
+            if (lastChild[cands[k].parent] == static_cast<int>(k))
+                std::swap(next[k], parent);
+            else
+                next[k] = parent;
+            applyMove(ctx, cands[k], v, next[k], sources);
+        }
+        // Children order like (parent's assignment, label).
+        byOrder.resize(keep);
+        for (size_t k = 0; k < keep; ++k)
+            byOrder[k] = static_cast<int>(k);
+        std::sort(byOrder.begin(), byOrder.end(), [&](int a, int b) {
+            if (cands[a].parentOrder != cands[b].parentOrder)
+                return cands[a].parentOrder < cands[b].parentOrder;
+            return cands[a].label < cands[b].label;
+        });
+        for (size_t r = 0; r < keep; ++r)
+            next[byOrder[r]].order = static_cast<int>(r);
+        std::swap(beam, next);
     }
 
     FT_ASSERT(!beam.empty(), "beam search lost every state");
@@ -264,7 +427,8 @@ partitionDag(const ComputeDag &dag, const Target &target,
     // uniqueness, on-chip capacity. An uncertifiable state falls back
     // to the next beam rank; the fully unfused partition backstops.
     for (const BeamState &state : beam) {
-        Partition p = finalizePartition(dag, state.assignment, target);
+        Partition p =
+            finalizePartition(dag, ctx.consumers, state.assignment, target);
         if (verify::certifyPartition(dag, p, target).equivalent())
             return p;
     }
@@ -294,7 +458,7 @@ epiloguePartition(const ComputeDag &dag, const Target &target)
         }
         assignment[v] = groups++;
     }
-    return finalizePartition(dag, assignment, target);
+    return finalizePartition(dag, consumers, assignment, target);
 }
 
 Partition

@@ -18,9 +18,17 @@
  * capacity (graph/roofline.h). States are ranked by the deterministic
  * tuple (modeled seconds, DRAM traffic, lexicographic assignment), so
  * compute-bound ties break toward less traffic and the search never
- * depends on container iteration order. A move can change only the cost
- * of the group it lands in, so each state keeps per-group costs and a
- * move rescores that one group.
+ * depends on container iteration order.
+ *
+ * A move can change only the cost of the group it lands in, and only
+ * through the placed node's own edges: each state keeps every group's
+ * running roofline sums (flops, DRAM bytes, ephemeral bytes, working
+ * set) and the transitive closure of its group quotient as bitsets, so
+ * a move is scored and checked for acyclicity in time proportional to
+ * the node's degree. Candidates are ranked by that tuple before any
+ * state is built (the children of one parent differ only in the placed
+ * node's label, those of two parents where the parents differ), and only
+ * the beamWidth survivors are copied out of their parents.
  *
  * `epiloguePartition` is the per-layer bias/ReLU-into-anchor grouping
  * (one group per dnn/network.h layer) and `nonePartition` the fully
@@ -69,9 +77,10 @@ struct Partition
     int groupOf(int id) const;
 
   private:
-    friend Partition finalizePartition(const ComputeDag &,
-                                       const std::vector<int> &,
-                                       const Target &);
+    friend Partition
+    finalizePartition(const ComputeDag &,
+                      const std::vector<std::vector<int>> &,
+                      const std::vector<int> &, const Target &);
     std::vector<int> assignment_; ///< node id -> group index (-1 for Input)
 };
 
@@ -90,6 +99,12 @@ struct PartitionOptions
  * function behind every partition mode.
  */
 Partition finalizePartition(const ComputeDag &dag,
+                            const std::vector<int> &assignment,
+                            const Target &target);
+
+/** The same, with `consumers` = `dag.consumers()` computed by the caller. */
+Partition finalizePartition(const ComputeDag &dag,
+                            const std::vector<std::vector<int>> &consumers,
                             const std::vector<int> &assignment,
                             const Target &target);
 

@@ -49,41 +49,15 @@ tierSpecFor(const Target &target)
 }
 
 double
-nodeFlops(const DagNode &node)
-{
-    switch (node.kind) {
-      case NodeKind::Input:
-        return 0.0;
-      case NodeKind::Conv: {
-        // Per output element: C*R*S multiply-accumulates.
-        // inputs[1] is the weight (K, C, R, S).
-        return static_cast<double>(node.numel()) * 2.0;
-        // Caller note: conv needs the reduction extent; handled below.
-      }
-      case NodeKind::Dense:
-        return static_cast<double>(node.numel()) * 2.0;
-      case NodeKind::Pool:
-        // k*k - 1 comparisons per output element.
-        return static_cast<double>(node.numel()) *
-               static_cast<double>(node.kernel * node.kernel - 1);
-      case NodeKind::Bias:
-      case NodeKind::Relu:
-      case NodeKind::Add:
-        return static_cast<double>(node.numel());
-    }
-    return 0.0;
-}
-
-namespace {
-
-/** Full FLOPs of a node given its producers (conv/dense need the
- *  reduction extent, which lives on the weight operand). */
-double
-nodeFlopsFull(const ComputeDag &dag, int id)
+nodeFlops(const ComputeDag &dag, int id)
 {
     const DagNode &n = dag.nodes[id];
     switch (n.kind) {
+      case NodeKind::Input:
+        return 0.0;
       case NodeKind::Conv: {
+        // Per output element: C*R*S multiply-accumulates; inputs[1] is
+        // the weight (K, C, R, S).
         const DagNode &w = dag.nodes[n.inputs[1]];
         double red = static_cast<double>(w.shape[1] * w.shape[2] *
                                          w.shape[3]);
@@ -94,12 +68,17 @@ nodeFlopsFull(const ComputeDag &dag, int id)
         return static_cast<double>(n.numel()) *
                static_cast<double>(w.shape[1]) * 2.0;
       }
-      default:
-        return nodeFlops(n);
+      case NodeKind::Pool:
+        // k*k - 1 comparisons per output element.
+        return static_cast<double>(n.numel()) *
+               static_cast<double>(n.kernel * n.kernel - 1);
+      case NodeKind::Bias:
+      case NodeKind::Relu:
+      case NodeKind::Add:
+        return static_cast<double>(n.numel());
     }
+    return 0.0;
 }
-
-} // namespace
 
 int64_t
 rowSlabBytes(const DagNode &node)
@@ -131,10 +110,19 @@ rooflineGroupCost(const ComputeDag &dag,
                   const std::vector<int> &members,
                   const std::vector<bool> &ephemeral, const Target &target)
 {
+    return rooflineGroupCost(dag, consumers, members, ephemeral,
+                             tierSpecFor(target));
+}
+
+GroupCost
+rooflineGroupCost(const ComputeDag &dag,
+                  const std::vector<std::vector<int>> &consumers,
+                  const std::vector<int> &members,
+                  const std::vector<bool> &ephemeral, const TierSpec &tier)
+{
     FT_ASSERT(members.size() == ephemeral.size(),
               "ephemeral flags must parallel members");
     GroupCost cost;
-    const TierSpec tier = tierSpecFor(target);
 
     auto inGroup = [&](int id) {
         return std::binary_search(members.begin(), members.end(), id);
@@ -145,7 +133,7 @@ rooflineGroupCost(const ComputeDag &dag,
     std::vector<int> external;
     for (size_t m = 0; m < members.size(); ++m) {
         const DagNode &n = dag.nodes[members[m]];
-        cost.flops += nodeFlopsFull(dag, members[m]);
+        cost.flops += nodeFlops(dag, members[m]);
         for (int in : n.inputs) {
             if (!inGroup(in) &&
                 std::find(external.begin(), external.end(), in) ==
@@ -178,11 +166,18 @@ rooflineGroupCost(const ComputeDag &dag,
                 rowSlabBytes(producer);
     }
 
+    finishGroupCost(cost, tier);
+    return cost;
+}
+
+void
+finishGroupCost(GroupCost &cost, const TierSpec &tier)
+{
     cost.feasible = cost.workingSetBytes <= tier.tier2Bytes;
     // Ephemeral traffic: free within tier 1, charged at on-chip
     // bandwidth when the working set only fits in tier 2.
-    if (cost.workingSetBytes > tier.tier1Bytes)
-        cost.spillBytes = 2 * cost.ephemeralBytes;
+    cost.spillBytes =
+        cost.workingSetBytes > tier.tier1Bytes ? 2 * cost.ephemeralBytes : 0;
 
     cost.computeSeconds = cost.flops / (tier.peakGflops * 1e9);
     cost.memSeconds =
@@ -191,7 +186,6 @@ rooflineGroupCost(const ComputeDag &dag,
         static_cast<double>(cost.spillBytes) / (tier.onChipBwGBs * 1e9);
     cost.seconds = tier.launchSeconds +
                    std::max(cost.computeSeconds, cost.memSeconds);
-    return cost;
 }
 
 } // namespace graph

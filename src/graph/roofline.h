@@ -69,8 +69,11 @@ struct GroupCost
     bool feasible = true;       ///< working set fits within tier 2
 };
 
-/** FLOPs of a single DAG node. */
-double nodeFlops(const DagNode &node);
+/**
+ * FLOPs of node `id` of `dag`; conv and dense read their reduction
+ * extent off the weight operand.
+ */
+double nodeFlops(const ComputeDag &dag, int id);
 
 /** Bytes of one output-row slab of a node (streaming granularity). */
 int64_t rowSlabBytes(const DagNode &node);
@@ -94,6 +97,21 @@ GroupCost rooflineGroupCost(const ComputeDag &dag,
                             const std::vector<int> &members,
                             const std::vector<bool> &ephemeral,
                             const Target &target);
+
+/** The same score with the device's tiers resolved once by the caller. */
+GroupCost rooflineGroupCost(const ComputeDag &dag,
+                            const std::vector<std::vector<int>> &consumers,
+                            const std::vector<int> &members,
+                            const std::vector<bool> &ephemeral,
+                            const TierSpec &tier);
+
+/**
+ * Derive feasibility, spill bytes and the three times of `cost` from its
+ * flops, DRAM bytes, ephemeral bytes and working set: the arithmetic
+ * every roofline score ends with, shared with the partitioner's
+ * incremental group costs so both produce the same bits.
+ */
+void finishGroupCost(GroupCost &cost, const TierSpec &tier);
 
 } // namespace graph
 } // namespace ft

@@ -86,7 +86,9 @@ tuneChosen(const ComputeDag &dag, const Target &target,
                                 ? maybeCounter(obs.metrics,
                                                "graph.partition.ns")
                                 : nullptr;
-    WallClock::time_point t0 = WallClock::now();
+    WallClock::time_point t0;
+    if (partition_ns)
+        t0 = WallClock::now();
     rep.partition = choose();
     if (partition_ns)
         partition_ns->add(static_cast<uint64_t>(wallLapNs(t0)));
@@ -171,7 +173,9 @@ tuneChosen(const ComputeDag &dag, const Target &target,
                                  ? maybeCounter(obs.metrics,
                                                 "graph.search.ns")
                                  : nullptr;
-        WallClock::time_point s0 = WallClock::now();
+        WallClock::time_point s0;
+        if (search_ns)
+            s0 = WallClock::now();
         searchPool().parallelFor(searches.size(), runSearch);
         if (search_ns)
             search_ns->add(static_cast<uint64_t>(wallLapNs(s0)));

@@ -92,9 +92,11 @@ buildSpaceObserved(const Operation &anchor, const Target &target,
 {
     if (obs.trace)
         obs.trace->begin("space_build", 0.0);
-    WallClock::time_point t0 = WallClock::now();
+    WallClock::time_point t0;
+    if (obs.wallProfile)
+        t0 = WallClock::now();
     ScheduleSpace space = buildSpace(anchor, target, options);
-    const int64_t ns = wallLapNs(t0);
+    const int64_t ns = obs.wallProfile ? wallLapNs(t0) : 0;
     if (obs.wallProfile) {
         if (Counter *c = maybeCounter(obs.metrics, "space.build.ns"))
             c->add(static_cast<uint64_t>(ns));

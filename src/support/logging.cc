@@ -50,22 +50,19 @@ panicImpl(const char *file, int line, const std::string &msg)
 void
 informImpl(const std::string &msg)
 {
-    if (globalLevel >= LogLevel::Info)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 void
 warnImpl(const std::string &msg)
 {
-    if (globalLevel >= LogLevel::Warning)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 debugImpl(const std::string &msg)
 {
-    if (globalLevel >= LogLevel::Debug)
-        std::fprintf(stderr, "debug: %s\n", msg.c_str());
+    std::fprintf(stderr, "debug: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -59,12 +59,16 @@ panic(Args &&...args)
     detail::panicImpl("", 0, detail::concat(std::forward<Args>(args)...));
 }
 
-/** Informative status message (LogLevel::Info). */
+/**
+ * Informative status message (LogLevel::Info). Like warn() and debug(),
+ * it formats its arguments only when the message will be printed.
+ */
 template <typename... Args>
 void
 inform(Args &&...args)
 {
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
+    if (logLevel() >= LogLevel::Info)
+        detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 /** Something is suspicious but execution can continue. */
@@ -72,7 +76,8 @@ template <typename... Args>
 void
 warn(Args &&...args)
 {
-    detail::warnImpl(detail::concat(std::forward<Args>(args)...));
+    if (logLevel() >= LogLevel::Warning)
+        detail::warnImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 /** Debug-level trace message. */
@@ -80,7 +85,8 @@ template <typename... Args>
 void
 debug(Args &&...args)
 {
-    detail::debugImpl(detail::concat(std::forward<Args>(args)...));
+    if (logLevel() >= LogLevel::Debug)
+        detail::debugImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 /** Panic when a condition that must hold does not. */

@@ -485,9 +485,11 @@ TEST(FuzzGraphPartitionTest, RandomDagsFusedMatchesUnfusedBitForBit)
  * Slow oracle of partitionDag: the same beam search, but every candidate
  * state is re-scored from scratch — every group, at every step — and a
  * sink move scores an all-false-ephemeral probe for feasibility before
- * the full rescore. partitionDag instead rescores only the group a move
- * lands in; this reference pins that shortcut to the exhaustive
- * arithmetic bit for bit.
+ * the full rescore, and the acyclicity check rebuilds the quotient.
+ * partitionDag instead updates the destination group's running sums
+ * from the placed node's edges, keeps the quotient's closure as
+ * bitsets, and ranks moves before building states; this reference
+ * pins those shortcuts to the exhaustive arithmetic bit for bit.
  */
 namespace reference {
 
@@ -633,6 +635,110 @@ partitionDag(const ComputeDag &dag, const Target &target,
 
 } // namespace reference
 
+/**
+ * Seeded random DAG of 20-60 layers for the partitioner oracle: each
+ * layer extends a random live branch (so tensors fan out), convs keep
+ * one of two channel counts and the spatial extent, and residual adds
+ * join any two same-shape tensors, also across convs. Such an add
+ * whose operands sit in two groups with a quotient path between them
+ * is a sink the acyclicity check must reject.
+ */
+ComputeDag
+largeRandomDag(Rng &rng)
+{
+    ComputeDag dag;
+    dag.name = "fuzzdag-large";
+    const int64_t channels[] = {1 + static_cast<int64_t>(rng.below(2)),
+                                2 + static_cast<int64_t>(rng.below(2))};
+    const int64_t H = 6 + 2 * static_cast<int64_t>(rng.below(2));
+    std::vector<int> live = {
+        pushInput(dag, "data", {1, channels[0], H, H})};
+    const int layers = 20 + static_cast<int>(rng.below(41));
+    for (int l = 0; l < layers; ++l) {
+        const std::string tag = "n" + std::to_string(l);
+        const int from = live[rng.index(live.size())];
+        const auto shape = dag.nodes[from].shape;
+        int made = -1;
+        switch (rng.below(6)) {
+          case 0:
+            made = pushConv(dag, tag + ".conv", from,
+                            channels[rng.below(2)], 3, 1, 1);
+            break;
+          case 1:
+            if (shape[2] >= 4)
+                made = pushPool(dag, tag + ".pool", from, 2, 2);
+            break;
+          case 2: {
+            int b = pushInput(dag, tag + ".b", {shape[1]});
+            made = pushEltwise(dag, NodeKind::Bias, tag + ".bias",
+                               {from, b});
+            break;
+          }
+          case 3:
+            made = pushEltwise(dag, NodeKind::Relu, tag + ".relu", {from});
+            break;
+          default: { // residual add with any other same-shape tensor
+            std::vector<int> same;
+            for (size_t i = 0; i < dag.nodes.size(); ++i)
+                if (static_cast<int>(i) != from &&
+                    dag.nodes[i].kind != NodeKind::Input &&
+                    dag.nodes[i].shape == shape)
+                    same.push_back(static_cast<int>(i));
+            if (!same.empty())
+                made = pushEltwise(dag, NodeKind::Add, tag + ".add",
+                                   {same[rng.index(same.size())], from});
+            break;
+          }
+        }
+        if (made < 0)
+            made = pushEltwise(dag, NodeKind::Relu, tag + ".relu", {from});
+        // Usually the branch moves on; sometimes it also stays live,
+        // so a later layer reads it again.
+        if (rng.below(3) == 0)
+            live.push_back(made);
+        else
+            std::replace(live.begin(), live.end(), from, made);
+    }
+    std::string why;
+    EXPECT_TRUE(dag.validate(&why)) << why;
+    return dag;
+}
+
+/**
+ * Sink moves of the winning beam state's lineage that the acyclicity
+ * check rejected. Every prefix of the winner's assignment was a beam
+ * state at its step, so each counted move was one the search scored
+ * and dropped; the count shows the corpus reaches the check's
+ * rejecting path, not only its no-new-edge shortcut.
+ */
+int
+lineageCyclicSinks(const ComputeDag &dag, const Partition &partition,
+                   const PartitionOptions &options)
+{
+    std::vector<int> prefix(dag.nodes.size(), -1);
+    std::vector<int> size(partition.groups.size(), 0);
+    int rejected = 0;
+    for (size_t v = 0; v < dag.nodes.size(); ++v) {
+        const DagNode &node = dag.nodes[v];
+        if (node.kind == NodeKind::Input)
+            continue;
+        if (!node.isHeavy()) {
+            std::set<int> tried;
+            for (int in : node.inputs) {
+                const int label = prefix[in];
+                if (label < 0 || !tried.insert(label).second ||
+                    size[label] >= options.maxGroupSize)
+                    continue;
+                rejected += !reference::sinkKeepsAcyclic(
+                    dag, prefix, static_cast<int>(v), label);
+            }
+        }
+        prefix[v] = partition.groupOf(static_cast<int>(v));
+        ++size[prefix[v]];
+    }
+    return rejected;
+}
+
 /** Exact (==, not a tolerance) equality of two partitions. */
 void
 expectSamePartition(const Partition &a, const Partition &b,
@@ -696,6 +802,32 @@ TEST(GraphPartitionOracleTest, RandomDagsMatchFullRescoreBitForBit)
                             "seed " + std::to_string(round) + "\n" +
                                 dag.spec());
     }
+}
+
+TEST(GraphPartitionOracleTest, LargeRandomDagsMatchFullRescoreBitForBit)
+{
+    int cyclicSinks = 0;
+    for (int round = 0; round < 12; ++round) {
+        Rng rng(0xdd90000u + static_cast<uint64_t>(round));
+        const ComputeDag dag = largeRandomDag(rng);
+        const Target target = round % 2 == 0 ? Target::forGpu(v100())
+                                             : Target::forCpu(xeonE5());
+        for (int beamWidth : {1, 4, 8, 16})
+            for (int maxGroupSize : {2, 8}) {
+                PartitionOptions options;
+                options.beamWidth = beamWidth;
+                options.maxGroupSize = maxGroupSize;
+                const Partition beam = partitionDag(dag, target, options);
+                expectSamePartition(
+                    beam, reference::partitionDag(dag, target, options),
+                    "seed " + std::to_string(round) + " beam " +
+                        std::to_string(beamWidth) + " max group " +
+                        std::to_string(maxGroupSize) + "\n" + dag.spec());
+                cyclicSinks += lineageCyclicSinks(dag, beam, options);
+            }
+    }
+    EXPECT_GT(cyclicSinks, 0)
+        << "no sink move of the corpus closes a quotient cycle";
 }
 
 TEST(GraphScheduleTest, TuneDagStitchesGroupsAndAccountsTraffic)

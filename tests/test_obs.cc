@@ -351,8 +351,8 @@ TEST(Metrics, WallProfileTimesEveryMeasurementPath)
     // Under wallProfile each fresh scoring adds to eval.decode.ns,
     // eval.lower.ns and eval.verify.ns and bumps verify.checked once,
     // on every path that scores: single points (traced, so each also
-    // becomes an eval.decode span), a pooled batch, and faulted batches
-    // and points.
+    // becomes an eval.decode span), a pooled batch, faulted batches and
+    // points, and a shape-family run.
     Tensor out = obsGemm();
     const Target target = Target::forGpu(v100());
     ScheduleSpace space = buildSpace(out.op(), target);
@@ -408,6 +408,25 @@ TEST(Metrics, WallProfileTimesEveryMeasurementPath)
         }
         EXPECT_EQ(decode_spans, path == Path::Single ? fresh : 0u);
     }
+
+    // A family run decodes each point once and lowers and verifies it
+    // once per sampled instance, into the same counters.
+    ShapeVar batch;
+    batch.name = "batch";
+    batch.lo = 1;
+    batch.hi = 16;
+    MetricsRegistry metrics;
+    FamilyTuneOptions options;
+    options.method = Method::Random;
+    options.explore.trials = 6;
+    options.explore.obs = {nullptr, &metrics, true};
+    tuneFamily(gemmOverM(64, 64, batch), target, options);
+    const MetricsSnapshot snap = metrics.snapshot();
+    EXPECT_GT(snap.counter("explore.evals"), 0u);
+    EXPECT_GT(snap.counter("verify.checked"), snap.counter("explore.evals"));
+    EXPECT_GT(snap.counter("eval.decode.ns"), 0u);
+    EXPECT_GT(snap.counter("eval.lower.ns"), 0u);
+    EXPECT_GT(snap.counter("eval.verify.ns"), 0u);
 }
 
 TEST(TraceReport, JsonOmitsEmptySections)

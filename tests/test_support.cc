@@ -1,13 +1,16 @@
 /**
  * @file
  * Tests for support utilities: RNG determinism and distribution sanity,
- * divisor/factorization enumeration, and small math helpers.
+ * divisor/factorization enumeration, small math helpers, and the
+ * logging level gate.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
+#include "support/logging.h"
 #include "support/math_util.h"
 #include "support/rng.h"
 
@@ -170,6 +173,41 @@ TEST(MathUtil, Geomean)
 {
     EXPECT_DOUBLE_EQ(geomean({4.0, 1.0}), 2.0);
     EXPECT_NEAR(geomean({2.0, 2.0, 2.0}), 2.0, 1e-12);
+}
+
+/** Counts how often a log call formats it. */
+struct FormatCounter
+{
+    int *formatted;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const FormatCounter &c)
+{
+    ++*c.formatted;
+    return os << "counted";
+}
+
+TEST(Logging, DroppedMessagesAreNeverFormatted)
+{
+    const LogLevel saved = logLevel();
+    int formatted = 0;
+    const FormatCounter counter{&formatted};
+
+    setLogLevel(LogLevel::Silent);
+    inform("dropped ", counter);
+    warn("dropped ", counter);
+    debug("dropped ", counter);
+    EXPECT_EQ(formatted, 0);
+
+    // At Warning only warn() prints, so only it formats.
+    setLogLevel(LogLevel::Warning);
+    inform("dropped ", counter);
+    debug("dropped ", counter);
+    EXPECT_EQ(formatted, 0);
+    warn("printed ", counter);
+    EXPECT_EQ(formatted, 1);
+    setLogLevel(saved);
 }
 
 } // namespace
