@@ -100,8 +100,9 @@ serializeCheckpointBody(const CheckpointState &state)
 
     {
         std::ostringstream oss;
-        oss << "ftckpt|v=2|method=" << state.method
-            << "|seed=" << state.seed << "|space=" << state.spaceSig
+        oss << "ftckpt|v=3|method=" << state.method
+            << "|seed=" << state.seed << "|key=" << state.workloadKey
+            << "|space=" << state.spaceSig
             << "|trial=" << state.trial;
         emit(oss.str());
     }
@@ -207,14 +208,16 @@ parseCheckpointBody(const std::string &text)
         const std::string &tag = fields[0];
         std::string value;
         if (tag == "ftckpt") {
-            ok = fields.size() == 6 && keyed(fields[1], "v", &value) &&
-                 value == "2" &&
+            ok = fields.size() == 7 && keyed(fields[1], "v", &value) &&
+                 value == "3" &&
                  keyed(fields[2], "method", &state.method) &&
-                     keyed(fields[3], "seed", &value) &&
-                     parseInt(value, &state.seed) &&
-                     keyed(fields[4], "space", &state.spaceSig) &&
-                     keyed(fields[5], "trial", &value) &&
-                     parseInt(value, &state.trial);
+                 keyed(fields[3], "seed", &value) &&
+                 parseInt(value, &state.seed) &&
+                 keyed(fields[4], "key", &value) &&
+                 parseInt(value, &state.workloadKey) &&
+                 keyed(fields[5], "space", &state.spaceSig) &&
+                 keyed(fields[6], "trial", &value) &&
+                 parseInt(value, &state.trial);
             saw_header = ok;
         } else if (tag == "clock") {
             ok = fields.size() == 2 && keyed(fields[1], "sim", &value) &&
@@ -333,23 +336,31 @@ loadCheckpoint(const std::string &path)
 
 bool
 checkpointCompatible(const CheckpointState &state, const std::string &method,
-                     uint64_t seed, const ScheduleSpace &space)
+                     uint64_t seed, const Evaluator &eval)
 {
+    const ScheduleSpace &space = eval.space();
     if (state.method != method || state.seed != seed ||
+        state.workloadKey != eval.workloadKey() ||
         state.spaceSig != spaceSignature(space)) {
         return false;
     }
-    const size_t dims = static_cast<size_t>(space.numSubSpaces());
+    auto inSpace = [&space](const std::vector<int64_t> &idx) {
+        bool ok = idx.size() == static_cast<size_t>(space.numSubSpaces());
+        for (int i = 0; ok && i < space.numSubSpaces(); ++i)
+            ok = idx[i] >= 0 && idx[i] < space.sub(i).size();
+        return ok;
+    };
     for (const Evaluated &e : state.history) {
-        if (e.point.idx.size() != dims)
+        if (!inSpace(e.point.idx))
             return false;
     }
     for (const ReplayTransition &t : state.replay) {
-        if (t.start.size() != dims || t.next.size() != dims)
+        if (!inSpace(t.start) || !inSpace(t.next) || t.direction < 0 ||
+            t.direction >= space.numDirections())
             return false;
     }
     for (const Point &p : state.quarantine) {
-        if (p.idx.size() != dims)
+        if (!inSpace(p.idx))
             return false;
     }
     return true;
@@ -363,6 +374,7 @@ captureCommon(const std::string &method, uint64_t seed, int nextTrial,
     CheckpointState state;
     state.method = method;
     state.seed = seed;
+    state.workloadKey = eval.workloadKey();
     state.spaceSig = spaceSignature(eval.space());
     state.trial = nextTrial;
     state.simSeconds = eval.simulatedSeconds();

@@ -50,6 +50,7 @@ struct CheckpointState
 {
     std::string method;   ///< methodName() of the writing explorer
     uint64_t seed = 0;    ///< ExploreOptions::seed of the run
+    uint64_t workloadKey = 0; ///< Evaluator::workloadKey() of the run
     std::string spaceSig; ///< spaceSignature() of the schedule space
     int trial = 0;        ///< next outer trial index to execute
     double simSeconds = 0.0;
@@ -83,12 +84,15 @@ bool saveCheckpoint(const std::string &path, const CheckpointState &state);
 std::optional<CheckpointState> loadCheckpoint(const std::string &path);
 
 /**
- * Whether a loaded snapshot belongs to this run: same method, seed, and
- * space shape, with a trial index and history consistent with it.
+ * Whether a loaded snapshot belongs to this run: same method, seed,
+ * workload (the evaluator's anchor and device) and space shape, with
+ * every history, replay and quarantine point inside the evaluator's
+ * space. The file is outside input, so a snapshot that fails any of
+ * these is rejected here rather than trusted by the resumed run.
  */
 bool checkpointCompatible(const CheckpointState &state,
                           const std::string &method, uint64_t seed,
-                          const ScheduleSpace &space);
+                          const Evaluator &eval);
 
 /** Capture the state every method shares (H, clock, RNG, resilience). */
 CheckpointState captureCommon(const std::string &method, uint64_t seed,

@@ -73,33 +73,27 @@ Evaluator::evaluate(const Point &p, PointKey key)
 double
 Evaluator::score(const Point &p, EvalScratch &scratch, bool traced) const
 {
-    // Each profiled stage ends with one clock read; its time goes to the
-    // stage's counter and, when traced, into a span of its own.
-    const bool timed = traced || decodeNsCounter_;
-    WallClock::time_point mark;
-    if (timed)
-        mark = WallClock::now();
-    auto stage = [&](const char *name, Counter *ns_counter) {
-        if (!timed)
-            return;
-        const int64_t ns = wallLapNs(mark);
-        if (ns_counter)
-            ns_counter->add(static_cast<uint64_t>(ns));
-        if (traced) {
-            obs_.trace->begin(name, simSeconds_);
-            obs_.trace->end(name, simSeconds_, {tint("ns", ns)});
+    // Each profiled stage ends with one clock read; when traced it also
+    // becomes a span of its own carrying its nanoseconds.
+    TraceRecorder *trace = traced ? obs_.trace : nullptr;
+    WallMark mark = decodeTimer_.start(trace);
+    auto stage = [&](const StageTimer &timer, const char *name) {
+        const int64_t ns = timer.lap(mark);
+        if (trace) {
+            trace->begin(name, simSeconds_);
+            trace->end(name, simSeconds_, {tint("ns", ns)});
         }
     };
 
     const OpConfig &config = space_.decodeInto(p, scratch.decode);
-    stage("eval.decode", decodeNsCounter_);
+    stage(decodeTimer_, "eval.decode");
     generateInto(anchor_, config, target_, scratch.sched);
-    stage("eval.lower", lowerNsCounter_);
+    stage(lowerTimer_, "eval.lower");
     const bool rejected = verifyRejects(config, scratch);
-    stage("eval.verify", verifyNsCounter_);
+    stage(verifyTimer_, "eval.verify");
     if (rejected) {
-        if (traced) {
-            obs_.trace->point(
+        if (trace) {
+            trace->point(
                 "verify.reject", simSeconds_,
                 {tstr("code", scratch.diags.firstError()->code)});
         }
@@ -144,15 +138,9 @@ Evaluator::setObs(const ObsContext &obs)
     simGauge_ = maybeGauge(obs_.metrics, "explore.sim_seconds");
     gflopsHist_ = maybeHistogram(obs_.metrics, "eval.gflops",
                                  {1.0, 10.0, 100.0, 1000.0, 10000.0});
-    if (obs_.wallProfile) {
-        decodeNsCounter_ = maybeCounter(obs_.metrics, "eval.decode.ns");
-        lowerNsCounter_ = maybeCounter(obs_.metrics, "eval.lower.ns");
-        verifyNsCounter_ = maybeCounter(obs_.metrics, "eval.verify.ns");
-    } else {
-        decodeNsCounter_ = nullptr;
-        lowerNsCounter_ = nullptr;
-        verifyNsCounter_ = nullptr;
-    }
+    decodeTimer_ = StageTimer(obs_, "eval.decode.ns");
+    lowerTimer_ = StageTimer(obs_, "eval.lower.ns");
+    verifyTimer_ = StageTimer(obs_, "eval.verify.ns");
     verifyCheckedCounter_ = maybeCounter(obs_.metrics, "verify.checked");
     verifyRejectedCounter_ = maybeCounter(obs_.metrics, "verify.rejected");
     verifyCodeCounters_.clear();

@@ -221,11 +221,9 @@ class Evaluator
      */
     bool verifyRejects(const OpConfig &config, EvalScratch &scratch) const;
 
-    /** The eval.decode/lower/verify.ns wall counters score() adds each
-     *  stage to (null unless obs().wallProfile). */
-    Counter *decodeNsCounter() const { return decodeNsCounter_; }
-    Counter *lowerNsCounter() const { return lowerNsCounter_; }
-    Counter *verifyNsCounter() const { return verifyNsCounter_; }
+    /** Wall timers of the eval.decode/lower/verify stages score()
+     *  runs, set by setObs. */
+    StageTimer decodeTimer_, lowerTimer_, verifyTimer_;
 
   private:
     Operation anchor_;
@@ -239,10 +237,6 @@ class Evaluator
     Gauge *bestGauge_ = nullptr;
     Gauge *simGauge_ = nullptr;
     Histogram *gflopsHist_ = nullptr;
-    /** Wall-profiling counters (null unless obs.wallProfile). */
-    Counter *decodeNsCounter_ = nullptr;
-    Counter *lowerNsCounter_ = nullptr;
-    Counter *verifyNsCounter_ = nullptr;
     /** Verifier gate counters (null when metrics are off). */
     Counter *verifyCheckedCounter_ = nullptr;
     Counter *verifyRejectedCounter_ = nullptr;

@@ -247,14 +247,6 @@ toFloat(const std::vector<double> &v)
     return std::vector<float>(v.begin(), v.end());
 }
 
-/** A wall-time counter, or null unless the run profiles wall time. */
-Counter *
-wallCounter(const SearchRun &run, const char *name)
-{
-    return run.options.obs.wallProfile ? maybeCounter(run.metrics, name)
-                                       : nullptr;
-}
-
 /**
  * SA starting points, then one direction per start chosen by a
  * Q-learning network trained online from a replay buffer against a
@@ -271,10 +263,12 @@ class QPolicy final : public SearchPolicy
           order_(numDirs_),
           forwardCounter_(maybeCounter(run.metrics, "q.forward_passes")),
           trainCounter_(maybeCounter(run.metrics, "q.train_rounds")),
-          forwardNsCounter_(wallCounter(run, "q.forward_batch.ns")),
-          initNsCounter_(wallCounter(run, "q.init.ns")),
-          initReusedCounter_(wallCounter(run, "q.init.reused")),
-          trainNsCounter_(wallCounter(run, "q.train.ns"))
+          initReusedCounter_(run.options.obs.wallProfile
+                                 ? maybeCounter(run.metrics, "q.init.reused")
+                                 : nullptr),
+          forwardTimer_(run.options.obs, "q.forward_batch.ns"),
+          initTimer_(run.options.obs, "q.init.ns"),
+          trainTimer_(run.options.obs, "q.train.ns")
     {
         // At most one transition lands per start per trial; cap the
         // reserve so a huge trial budget cannot pre-claim unbounded
@@ -350,17 +344,14 @@ class QPolicy final : public SearchPolicy
      *  the same dims; the init memo then skips the draws. */
     void initNets()
     {
-        WallClock::time_point t0;
-        if (initNsCounter_)
-            t0 = WallClock::now();
+        WallMark mark = initTimer_.start();
         const int hidden = run_.options.hidden;
         bool reused = false;
         netX_.emplace(initMlpMemoized({featureDim_, hidden, hidden, hidden,
                                        numDirs_},
                                       run_.rng, &reused));
         netY_ = netX_;
-        if (initNsCounter_)
-            initNsCounter_->add(static_cast<uint64_t>(wallLapNs(t0)));
+        initTimer_.lap(mark);
         if (initReusedCounter_ && reused)
             initReusedCounter_->add();
     }
@@ -378,10 +369,7 @@ class QPolicy final : public SearchPolicy
                               run_.eval.simulatedSeconds(),
                               {tint("starts", m)});
         }
-        const bool profiled = run_.options.obs.wallProfile;
-        WallClock::time_point t0;
-        if (profiled)
-            t0 = WallClock::now();
+        WallMark mark = forwardTimer_.start(run_.trace);
         batchFeat_.resize(static_cast<size_t>(m) * featureDim_);
         for (int s = 0; s < m; ++s) {
             run_.space.featuresInto(starts[s], decodeScratch_, featD_);
@@ -393,18 +381,10 @@ class QPolicy final : public SearchPolicy
         const float *q =
             m > 0 ? netX_->forwardBatch(batchFeat_.data(), m, netScratch_)
                   : nullptr;
-        const int64_t ns = profiled ? wallLapNs(t0) : 0;
-        if (forwardNsCounter_)
-            forwardNsCounter_->add(static_cast<uint64_t>(ns));
+        const int64_t ns = forwardTimer_.lap(mark);
         if (run_.trace) {
-            if (profiled) {
-                run_.trace->end("q_forward_batch",
-                                run_.eval.simulatedSeconds(),
-                                {tint("ns", ns)});
-            } else {
-                run_.trace->end("q_forward_batch",
-                                run_.eval.simulatedSeconds());
-            }
+            run_.trace->end("q_forward_batch", run_.eval.simulatedSeconds(),
+                            {}, mark.nsField(ns));
         }
         if (forwardCounter_)
             forwardCounter_->add(static_cast<uint64_t>(m));
@@ -509,10 +489,7 @@ class QPolicy final : public SearchPolicy
     {
         if (run_.trace)
             run_.trace->begin("q_train", run_.eval.simulatedSeconds());
-        const bool profiled = run_.options.obs.wallProfile;
-        WallClock::time_point t0;
-        if (profiled)
-            t0 = WallClock::now();
+        WallMark mark = trainTimer_.start(run_.trace);
         netX_->zeroGrad();
         const int batch = std::min<int>(run_.options.replayBatch,
                                         static_cast<int>(replay_.size()));
@@ -563,17 +540,10 @@ class QPolicy final : public SearchPolicy
                                    targets.data(), netScratch_);
         netX_->step(adadelta_);
         netY_->copyValuesFrom(*netX_);
-        const int64_t ns = profiled ? wallLapNs(t0) : 0;
-        if (trainNsCounter_)
-            trainNsCounter_->add(static_cast<uint64_t>(ns));
+        const int64_t ns = trainTimer_.lap(mark);
         if (run_.trace) {
-            if (profiled) {
-                run_.trace->end("q_train", run_.eval.simulatedSeconds(),
-                                {tint("batch", batch), tint("ns", ns)});
-            } else {
-                run_.trace->end("q_train", run_.eval.simulatedSeconds(),
-                                {tint("batch", batch)});
-            }
+            run_.trace->end("q_train", run_.eval.simulatedSeconds(),
+                            {tint("batch", batch)}, mark.nsField(ns));
         }
         if (trainCounter_)
             trainCounter_->add();
@@ -600,11 +570,8 @@ class QPolicy final : public SearchPolicy
 
     Counter *forwardCounter_;
     Counter *trainCounter_;
-    // Wall-time counters (null unless obs.wallProfile).
-    Counter *forwardNsCounter_;
-    Counter *initNsCounter_;
-    Counter *initReusedCounter_;
-    Counter *trainNsCounter_;
+    Counter *initReusedCounter_; ///< null unless obs.wallProfile
+    StageTimer forwardTimer_, initTimer_, trainTimer_;
 };
 
 // ---------------------------------------------------------------------
@@ -695,7 +662,7 @@ class AutoTvmPolicy final : public SearchPolicy
     explicit AutoTvmPolicy(SearchRun &run)
         : SearchPolicy(run),
           fitCounter_(maybeCounter(run.metrics, "autotvm.model_fits")),
-          fitNsCounter_(wallCounter(run, "autotvm.fit.ns"))
+          fitTimer_(run.options.obs, "autotvm.fit.ns")
     {}
 
     /** AutoTVM measures from its first round: no warmup, no seeds. */
@@ -787,12 +754,9 @@ class AutoTvmPolicy final : public SearchPolicy
                               {tint("samples", static_cast<int64_t>(
                                                    trainX_.size()))});
         }
-        WallClock::time_point t0;
-        if (fitNsCounter_)
-            t0 = WallClock::now();
+        WallMark mark = fitTimer_.start();
         model_.fit(trainX_, trainY_, gbtOptions_, run_.rng);
-        if (fitNsCounter_)
-            fitNsCounter_->add(static_cast<uint64_t>(wallLapNs(t0)));
+        fitTimer_.lap(mark);
         run_.eval.chargeOverhead(kModelOverhead);
         if (run_.trace)
             run_.trace->end("model_fit", run_.eval.simulatedSeconds());
@@ -819,7 +783,7 @@ class AutoTvmPolicy final : public SearchPolicy
     DecodeScratch decodeScratch_;
     std::vector<double> feat_;
     Counter *fitCounter_;
-    Counter *fitNsCounter_; ///< null unless obs.wallProfile
+    StageTimer fitTimer_;
 };
 
 // ---------------------------------------------------------------------
@@ -840,14 +804,14 @@ makePolicy(Method method, SearchRun &run)
 /** Load the checkpoint named by the options if it belongs to this run. */
 std::optional<CheckpointState>
 loadCompatible(const ExploreOptions &options, const std::string &method,
-               const ScheduleSpace &space)
+               const Evaluator &eval)
 {
     if (options.checkpointPath.empty())
         return std::nullopt;
     auto state = loadCheckpoint(options.checkpointPath);
     if (!state)
         return std::nullopt;
-    if (!checkpointCompatible(*state, method, options.seed, space) ||
+    if (!checkpointCompatible(*state, method, options.seed, eval) ||
         state->trial > options.trials) {
         warn("checkpoint ", options.checkpointPath,
              " belongs to a different run; starting fresh");
@@ -912,7 +876,7 @@ explore(Method method, Evaluator &eval, const ExploreOptions &options)
     int start_trial = 0;
     bool resumed = false;
     std::optional<CheckpointState> ckpt =
-        loadCompatible(options, name, run.space);
+        loadCompatible(options, name, eval);
     if (ckpt && policy->load(*ckpt)) {
         restoreCommon(*ckpt, eval, run.rng, run.reval);
         policy->resume(*ckpt);

@@ -85,8 +85,11 @@ struct ExploreOptions
      * Checkpoint file (empty = disabled). The run snapshots its full
      * state every checkpointEveryTrials outer trials (AutoTVM:
      * measurement rounds), and on start resumes from a compatible
-     * snapshot at this path; a resumed run with the same seed and fault
-     * profile is bit-identical to an uninterrupted one.
+     * snapshot at this path (same method, seed, workloadKey and space);
+     * a resumed run with the same seed and fault profile is
+     * bit-identical to an uninterrupted one. graph::tuneDag gives each
+     * searched anchor its own file, `<path>.<workloadKey as 16 hex
+     * digits>`.
      */
     std::string checkpointPath;
     int checkpointEveryTrials = 10;

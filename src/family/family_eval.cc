@@ -1,6 +1,5 @@
 #include "family/family_eval.h"
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/logging.h"
 #include "support/math_util.h"
@@ -49,35 +48,23 @@ FamilyEvaluator::score(const Point &p, EvalScratch &scratch,
     TraceRecorder *trace = traced ? obs().trace : nullptr;
     // Each timed stage ends with one clock read, as in Evaluator::score;
     // the model query ends the instance's span without a counter.
-    const bool timed = trace || decodeNsCounter();
-    WallClock::time_point mark;
-    if (timed)
-        mark = WallClock::now();
-    auto lap = [&](Counter *counter) -> int64_t {
-        if (!timed)
-            return 0;
-        const int64_t ns = wallLapNs(mark);
-        if (counter)
-            counter->add(static_cast<uint64_t>(ns));
-        return ns;
-    };
-
+    WallMark mark = decodeTimer_.start(trace);
     const OpConfig &generic = space().decodeInto(p, scratch.decode);
-    lap(decodeNsCounter());
+    decodeTimer_.lap(mark);
     double total = 0.0;
     for (size_t i = 0; i < anchors_.size(); ++i) {
         scratch.adapted = generic;
         adaptSplitToExtent(scratch.adapted, dynamicAxis_, extents_[i]);
         generateInto(anchors_[i], scratch.adapted, target(), scratch.sched);
-        int64_t ns = lap(lowerNsCounter());
+        int64_t ns = lowerTimer_.lap(mark);
         const bool rejected = verifyRejects(scratch.adapted, scratch);
-        ns += lap(verifyNsCounter());
+        ns += verifyTimer_.lap(mark);
         double gflops = 0.0;
         if (!rejected) {
             PerfResult perf = modelPerf(scratch.sched.features, target());
             gflops = perf.valid ? perf.gflops : 0.0;
         }
-        ns += lap(nullptr);
+        ns += StageTimer().lap(mark);
         if (trace) {
             const double sim = simulatedSeconds();
             trace->begin("family.instance", sim);

@@ -1,6 +1,8 @@
 #include "graph/schedule_dag.h"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <functional>
 #include <thread>
 #include <unordered_map>
@@ -9,6 +11,7 @@
 #include "graph/lower.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "schedule/serialize.h"
 #include "support/logging.h"
 #include "support/thread_pool.h"
 
@@ -19,15 +22,15 @@ namespace {
 
 /**
  * True when tune() is a pure function of (anchor OpKey, target,
- * options): no learned cost model or checkpoint file carries state from
- * one run into the next. A tuning cache keys on the OpKey, so it does
- * not: a repeat reuses what a sequential cache hit would give.
+ * options): no learned cost model carries state from one run into the
+ * next. A tuning cache keys on the OpKey, so it does not: a repeat
+ * reuses what a sequential cache hit would give. Nor does a checkpoint,
+ * since each anchor's search snapshots to a file of its own.
  */
 bool
 searchIsPure(const TuneOptions &options)
 {
-    return options.explore.costModel == nullptr &&
-           options.explore.checkpointPath.empty();
+    return options.explore.costModel == nullptr;
 }
 
 /**
@@ -82,16 +85,10 @@ tuneChosen(const ComputeDag &dag, const Target &target,
     }
     // Wall attribution of the partitioner, like the evaluator's eval.*.ns
     // counters: opt-in, and never written to the sim-clocked trace.
-    Counter *partition_ns = obs.wallProfile
-                                ? maybeCounter(obs.metrics,
-                                               "graph.partition.ns")
-                                : nullptr;
-    WallClock::time_point t0;
-    if (partition_ns)
-        t0 = WallClock::now();
+    const StageTimer partitionTimer(obs, "graph.partition.ns");
+    WallMark mark = partitionTimer.start();
     rep.partition = choose();
-    if (partition_ns)
-        partition_ns->add(static_cast<uint64_t>(wallLapNs(t0)));
+    partitionTimer.lap(mark);
     rep.trafficBytes = rep.partition.totalTrafficBytes;
     rep.ephemeralBytes = rep.partition.ephemeralBytes;
     if (obs.trace) {
@@ -161,24 +158,24 @@ tuneChosen(const ComputeDag &dag, const Target &target,
     // into the group's span, where a sequential run would have written.
     std::vector<AnchorSearch> searches(searchGroups.size());
     auto runSearch = [&](size_t i) {
+        const Tensor &anchor = lowered[searchGroups[i]].output;
         TuneOptions searchOptions = options;
+        if (!options.explore.checkpointPath.empty()) {
+            char suffix[18]; // ".<workloadKey as 16 hex digits>"
+            std::snprintf(suffix, sizeof(suffix), ".%016" PRIx64,
+                          workloadKey(anchor.op(), rep.device));
+            searchOptions.explore.checkpointPath += suffix;
+        }
         if (obs.trace)
             searchOptions.explore.obs.trace = &searches[i].trace;
-        searches[i].report =
-            tune(lowered[searchGroups[i]].output, target, searchOptions);
+        searches[i].report = tune(anchor, target, searchOptions);
     };
     if (pure) {
         // Pure searches are independent: run them all at once.
-        Counter *search_ns = obs.wallProfile
-                                 ? maybeCounter(obs.metrics,
-                                                "graph.search.ns")
-                                 : nullptr;
-        WallClock::time_point s0;
-        if (search_ns)
-            s0 = WallClock::now();
+        const StageTimer searchTimer(obs, "graph.search.ns");
+        WallMark searchMark = searchTimer.start();
         searchPool().parallelFor(searches.size(), runSearch);
-        if (search_ns)
-            search_ns->add(static_cast<uint64_t>(wallLapNs(s0)));
+        searchTimer.lap(searchMark);
     }
 
     // Stitch in group order, so sums and trace match a sequential run.

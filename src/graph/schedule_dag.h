@@ -15,9 +15,11 @@
  *
  * Repeated anchors are tuned once per call. A search is a pure function
  * of the anchor's OpKey, the target and the options unless a learned
- * cost model or a checkpoint file carries state between runs; a tuning
- * cache keys on the OpKey too (workloadKey), so distinct anchors never
- * share an entry. A group whose lowered anchor keys like an earlier
+ * cost model carries state between runs; a tuning cache keys on the
+ * OpKey too (workloadKey), so distinct anchors never share an entry,
+ * and with ExploreOptions::checkpointPath set each searched anchor
+ * snapshots to and resumes from its own file, `<checkpointPath>.<its
+ * workloadKey as 16 hex digits>`. A group whose lowered anchor keys like an earlier
  * group's reuses that report as a tuning-cache hit would (cachedReport):
  * same config, gflops, kernelSeconds, spaceSize and device, fromCache
  * set, no trials, curve or simulated explore time. Trials and
@@ -29,8 +31,8 @@
  * pool, built on first use, claim them one at a time, one runner per
  * two hardware threads. Their reports are then stitched in group
  * order, so every DagTuneReport (sums included) is bit-identical to a
- * one-at-a-time run. Runs with a cost model or checkpoint search one at
- * a time, in group order. Concurrent calls share the pool; a call must
+ * one-at-a-time run. Runs with a cost model search one at a time, in
+ * group order. Concurrent calls share the pool; a call must
  * not come from a search running on it.
  *
  * Tracing: a `graph_run` meta line, one `graph.partition` span around

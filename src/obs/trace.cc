@@ -77,7 +77,8 @@ tbool(std::string_view key, bool value)
 
 void
 TraceRecorder::emit(char type, std::string_view name, const double *sim,
-                    std::initializer_list<TraceField> fields)
+                    std::initializer_list<TraceField> fields,
+                    const TraceField *last)
 {
     std::lock_guard<std::mutex> lock(mu_);
     std::string line;
@@ -93,12 +94,16 @@ TraceRecorder::emit(char type, std::string_view name, const double *sim,
         line += ",\"sim\":";
         line += formatTraceDouble(*sim);
     }
-    for (const TraceField &f : fields) {
+    auto field = [&line](const TraceField &f) {
         line += ",\"";
         line += escapeJson(f.key);
         line += "\":";
         line += f.json;
-    }
+    };
+    for (const TraceField &f : fields)
+        field(f);
+    if (last)
+        field(*last);
     line += "}";
     lines_.push_back(std::move(line));
 }
@@ -119,9 +124,10 @@ TraceRecorder::begin(std::string_view name, double sim,
 
 void
 TraceRecorder::end(std::string_view name, double sim,
-                   std::initializer_list<TraceField> fields)
+                   std::initializer_list<TraceField> fields,
+                   const std::optional<TraceField> &last)
 {
-    emit('E', name, &sim, fields);
+    emit('E', name, &sim, fields, last ? &*last : nullptr);
 }
 
 void

@@ -64,9 +64,11 @@ class TraceRecorder
     void begin(std::string_view name, double sim,
                std::initializer_list<TraceField> fields = {});
 
-    /** Close the innermost open span named `name`. */
+    /** Close the innermost open span named `name`; `last`, if set,
+     *  follows `fields`. */
     void end(std::string_view name, double sim,
-             std::initializer_list<TraceField> fields = {});
+             std::initializer_list<TraceField> fields = {},
+             const std::optional<TraceField> &last = std::nullopt);
 
     /** Instantaneous event. */
     void point(std::string_view name, double sim,
@@ -93,7 +95,8 @@ class TraceRecorder
 
   private:
     void emit(char type, std::string_view name, const double *sim,
-              std::initializer_list<TraceField> fields);
+              std::initializer_list<TraceField> fields,
+              const TraceField *last = nullptr);
 
     mutable std::mutex mu_;
     std::vector<std::string> lines_;

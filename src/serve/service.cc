@@ -336,11 +336,13 @@ TuningService::admitAnchor(const Operation &anchor, const Target &target,
         out.outcome = decision.outcome;
         out.reason = decision.reason;
         if (decision.outcome == AdmissionOutcome::Brownout) {
-            // Degraded mode: only the LRU report cache may answer —
-            // never start fresh tuning work while saturated.
+            // Degraded mode: only a valid report in the LRU cache may
+            // answer — never start fresh tuning work while saturated.
             prepare(options);
             out.report =
                 reports_.cached(RequestKey::op(anchor, target, options));
+            if (out.report && !out.report->valid)
+                out.report.reset();
             if (out.report) {
                 brownoutServed_.add();
                 out.report->fromCache = true;
@@ -362,7 +364,7 @@ TuningService::admitAnchor(const Operation &anchor, const Target &target,
             bool success = false;
             try {
                 out.report = tuneAnchor(anchor, target, std::move(options));
-                success = out.report->gflops > 0.0;
+                success = out.report->valid;
             } catch (...) {
                 admission_->onComplete(opKey, ticket, options_.clock(),
                                        false);

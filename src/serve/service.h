@@ -213,10 +213,13 @@ class TuningService
     /**
      * Admission-gated tune: the controller decides *synchronously* —
      * shed and breaker rejections return immediately with a structured
-     * reason, a brownout is answered from the LRU report cache or
-     * refused, and an admitted request runs with its remaining wall
-     * budget propagated into the explorer's simulated deadline and the
-     * per-trial deadline (see ServiceOptions::simBudgetPerSecond).
+     * reason, a brownout is answered from a valid report in the LRU
+     * report cache or refused, and an admitted request runs with its
+     * remaining wall budget propagated into the explorer's simulated
+     * deadline and the per-trial deadline (see
+     * ServiceOptions::simBudgetPerSecond). An admitted run whose
+     * report is not valid (no schedule found) is refused with
+     * FT-ADM-RUN-FAILED and counts as a failure for the op's breaker.
      */
     AdmittedReport tuneAdmitted(const Tensor &output, const Target &target,
                                 TuneOptions options = {},

@@ -1,6 +1,5 @@
 #include "space/builder.h"
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "schedule/generator.h"
 #include "support/logging.h"
@@ -92,26 +91,16 @@ buildSpaceObserved(const Operation &anchor, const Target &target,
 {
     if (obs.trace)
         obs.trace->begin("space_build", 0.0);
-    WallClock::time_point t0;
-    if (obs.wallProfile)
-        t0 = WallClock::now();
+    const StageTimer timer(obs, "space.build.ns");
+    WallMark mark = timer.start(obs.trace);
     ScheduleSpace space = buildSpace(anchor, target, options);
-    const int64_t ns = obs.wallProfile ? wallLapNs(t0) : 0;
-    if (obs.wallProfile) {
-        if (Counter *c = maybeCounter(obs.metrics, "space.build.ns"))
-            c->add(static_cast<uint64_t>(ns));
-    }
-    if (obs.trace && obs.wallProfile) {
+    const int64_t ns = timer.lap(mark);
+    if (obs.trace) {
         obs.trace->end("space_build", 0.0,
                        {treal("size", space.size()),
                         tint("dims", space.numSubSpaces()),
-                        tint("directions", space.numDirections()),
-                        tint("ns", ns)});
-    } else if (obs.trace) {
-        obs.trace->end("space_build", 0.0,
-                       {treal("size", space.size()),
-                        tint("dims", space.numSubSpaces()),
-                        tint("directions", space.numDirections())});
+                        tint("directions", space.numDirections())},
+                       mark.nsField(ns));
     }
     return space;
 }

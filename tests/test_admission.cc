@@ -17,8 +17,11 @@
 #include <limits>
 
 #include "family/tune_family.h"
+#include "ir/graph.h"
+#include "ir/inline.h"
 #include "obs/trace_report.h"
 #include "ops/ops.h"
+#include "ops/shapes.h"
 #include "serve/admission.h"
 #include "serve/service.h"
 
@@ -422,6 +425,71 @@ TEST(ServiceAdmission, BrownoutAnswersFromReportCacheOnly)
     EXPECT_EQ(stats.admission.brownouts, 2u);
     // Brownout never started fresh tuning work.
     EXPECT_EQ(stats.tuningRuns, 1u);
+}
+
+/**
+ * A search that finds no valid schedule is a failed run, not an answer.
+ * Each Winograd stage of YOLO C13 on V100 (Random, 2 trials, seed 3:
+ * the all-failed case of TuneGraph.FailedNodeIsChargedItsExpertSchedule)
+ * is refused with FT-ADM-RUN-FAILED and charged to its op's breaker,
+ * and a brownout does not answer from the invalid report left cached.
+ */
+TEST(ServiceAdmission, FailedSearchIsRefusedAndNeverServedFromCache)
+{
+    const auto &layer = ops::yoloLayers()[12];
+    Tensor input = placeholder("I", {1, layer.inChannels, layer.imageSize,
+                                     layer.imageSize});
+    Tensor weight =
+        placeholder("W", {layer.outChannels, layer.inChannels, 3, 3});
+    Tensor wino = ops::conv2dWinograd(input, weight, 1);
+    const Target target = Target::forGpu(v100());
+    TuneOptions options;
+    options.method = Method::Random;
+    options.explore.trials = 2;
+    options.explore.seed = 3;
+
+    double now = 0.0;
+    ServiceOptions service_options;
+    service_options.clock = [&now] { return now; };
+    service_options.admission.breakerFailureThreshold = 1;
+    TuningService service(service_options);
+    std::vector<Operation> stages;
+    for (const Operation &op : postOrderTraverse(inlineGraph(wino))) {
+        if (op->isPlaceholder() || op->isConstant())
+            continue;
+        stages.push_back(op);
+        AdmittedReport got = service.tuneAnchorAdmitted(op, target, options);
+        EXPECT_EQ(got.outcome, AdmissionOutcome::Shed) << op->name();
+        EXPECT_FALSE(got.served()) << op->name();
+        EXPECT_NE(got.reason.find("code=FT-ADM-RUN-FAILED"),
+                  std::string::npos)
+            << op->name();
+    }
+    ASSERT_EQ(stages.size(), 4u);
+    EXPECT_EQ(service.stats().admission.breakersOpened, 4u);
+    EXPECT_EQ(service.stats().tuningRuns, 4u);
+
+    // Saturated past the brownout depth, the failed stage's cached
+    // report is not an answer.
+    ServiceOptions brownout_options;
+    brownout_options.clock = [&now] { return now; };
+    brownout_options.admission.maxQueueDepth = 8;
+    brownout_options.admission.brownoutDepth = 2;
+    TuningService saturated(brownout_options);
+    EXPECT_FALSE(
+        saturated.tuneAnchorAdmitted(stages[0], target, options).served());
+    for (int i = 0; i < 2; ++i)
+        ASSERT_TRUE(saturated.admission()
+                        .admit("occupier", RequestPriority::Interactive,
+                               now, kInf)
+                        .admitted());
+    AdmittedReport refused =
+        saturated.tuneAnchorAdmitted(stages[0], target, options);
+    EXPECT_EQ(refused.outcome, AdmissionOutcome::Brownout);
+    EXPECT_FALSE(refused.served());
+    EXPECT_NE(refused.reason.find("code=FT-ADM-BROWNOUT"), std::string::npos);
+    EXPECT_EQ(saturated.stats().brownoutServed, 0u);
+    EXPECT_EQ(saturated.stats().tuningRuns, 1u);
 }
 
 TEST(ServiceAdmission, DeadlinePropagatesIntoExploreBudget)

@@ -23,6 +23,7 @@
 #include "ml/costmodel.h"
 #include "ops/ops.h"
 #include "schedule/serialize.h"
+#include "space/builder.h"
 #include "support/fault_injector.h"
 #include "support/journal.h"
 
@@ -281,7 +282,89 @@ TEST_F(CheckpointDurability, SeededCrashScheduleNeverLosesOlderSnapshot)
         // Whatever snapshot survives must be internally consistent.
         EXPECT_EQ(state->seed, options.seed);
         EXPECT_TRUE(checkpointCompatible(*state, "random", options.seed,
-                                         space_));
+                                         eval));
+    }
+    std::remove(path.c_str());
+}
+
+/**
+ * A snapshot file is outside input. One conv's snapshot offered to
+ * another conv whose space has the same signature (a different
+ * workloadKey), and a full-space snapshot offered to the same conv's
+ * pow2Splits space (points past its sub-spaces), are both rejected
+ * with the "different run" warning: the run starts fresh and matches
+ * an uncheckpointed one instead of restoring foreign points.
+ */
+TEST(CheckpointCompatibility, SnapshotOfAnotherWorkloadOrSpaceStartsFresh)
+{
+    const Target target = Target::forGpu(v100());
+    auto conv = [](int64_t channels) {
+        Tensor input = placeholder("I", {1, channels, 14, 14});
+        Tensor weight = placeholder("W", {channels, channels, 3, 3});
+        ops::ConvParams params;
+        params.padding = 1;
+        return ops::conv2d(input, weight, params);
+    };
+    const Tensor narrow = conv(32);
+    const Tensor wide = conv(64);
+    SpaceOptions pow2;
+    pow2.pow2Splits = true;
+    const ScheduleSpace full = buildSpace(narrow.op(), target);
+    const ScheduleSpace other = buildSpace(wide.op(), target);
+    const ScheduleSpace pruned = buildSpace(narrow.op(), target, pow2);
+    ASSERT_EQ(spaceSignature(other), spaceSignature(full));
+    ASSERT_EQ(spaceSignature(pruned), spaceSignature(full));
+
+    const std::string path =
+        ::testing::TempDir() + "ft_ckpt_other_workload.ftc";
+    std::remove(path.c_str());
+    ExploreOptions options;
+    options.trials = 12;
+    options.seed = 0x5eed;
+    options.checkpointPath = path;
+    options.checkpointEveryTrials = 2;
+    Evaluator writer(narrow.op(), full, target);
+    explore(Method::QMethod, writer, options);
+    auto snapshot = loadCheckpoint(path);
+    ASSERT_TRUE(snapshot.has_value());
+    EXPECT_EQ(snapshot->workloadKey, writer.workloadKey());
+    const std::string bytes = readBytes(path);
+
+    // The full-space history reaches past the pruned sub-spaces.
+    bool outside = false;
+    for (const Evaluated &e : snapshot->history) {
+        for (int i = 0; i < pruned.numSubSpaces(); ++i)
+            outside = outside || e.point.idx[i] >= pruned.sub(i).size();
+    }
+    ASSERT_TRUE(outside);
+
+    struct Case
+    {
+        const char *what;
+        const Tensor &op;
+        const ScheduleSpace &space;
+    };
+    for (const Case &c : {Case{"another conv", wide, other},
+                          Case{"pow2Splits space", narrow, pruned}}) {
+        SCOPED_TRACE(c.what);
+        ExploreOptions plain = options;
+        plain.checkpointPath.clear();
+        Evaluator fresh(c.op.op(), c.space, target);
+        const ExploreResult want = explore(Method::QMethod, fresh, plain);
+
+        writeBytes(path, bytes);
+        Evaluator eval(c.op.op(), c.space, target);
+        EXPECT_FALSE(
+            checkpointCompatible(*snapshot, "Q-method", options.seed, eval));
+        ::testing::internal::CaptureStderr();
+        const ExploreResult got = explore(Method::QMethod, eval, options);
+        EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                      "belongs to a different run; starting fresh"),
+                  std::string::npos);
+        EXPECT_FALSE(got.resumed);
+        EXPECT_EQ(got.bestPoint.key(), want.bestPoint.key());
+        EXPECT_EQ(got.bestGflops, want.bestGflops);
+        EXPECT_EQ(got.simSeconds, want.simSeconds);
     }
     std::remove(path.c_str());
 }

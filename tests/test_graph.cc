@@ -25,7 +25,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -1237,6 +1240,65 @@ TEST(GraphScheduleTest, AnchorMemoOnWithTuningCache)
     EXPECT_EQ(keys.size(), 17u);
     EXPECT_EQ(cache.size(), keys.size());
     EXPECT_EQ(rep.totalSeconds, plain.totalSeconds);
+}
+
+/**
+ * A checkpointed call snapshots each searched anchor to a file of its
+ * own, `<checkpointPath>.<workloadKey as 16 hex digits>`, so its
+ * searches memoize and run concurrently like any other call's, with the
+ * reports of an uncheckpointed call. A repeat call resumes every search
+ * from its own file and reports the same configs and GFLOPS.
+ */
+TEST(GraphScheduleTest, CheckpointedCallResumesEachAnchorFromItsOwnFile)
+{
+    const std::string dir = ::testing::TempDir() + "ft_dag_ckpt";
+    for (const Sec66Job &job : sec66Jobs()) {
+        if (job.target.kind != DeviceKind::Gpu)
+            continue;
+        SCOPED_TRACE(job.dag.name);
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        TuneOptions options;
+        options.explore.trials = 6;
+        const DagTuneReport plain = tuneDag(job.dag, job.target, options);
+        options.explore.checkpointPath = dir + "/run.ckpt";
+        options.explore.checkpointEveryTrials = 2;
+        const DagTuneReport first = tuneDag(job.dag, job.target, options);
+        const DagTuneReport again = tuneDag(job.dag, job.target, options);
+
+        ASSERT_EQ(first.groups.size(), plain.groups.size());
+        ASSERT_EQ(again.groups.size(), plain.groups.size());
+        std::set<std::string> files;
+        for (size_t g = 0; g < plain.groups.size(); ++g) {
+            const SubgraphReport &sub = first.groups[g];
+            EXPECT_EQ(sub.reusedFrom, plain.groups[g].reusedFrom) << g;
+            EXPECT_EQ(again.groups[g].reusedFrom, sub.reusedFrom) << g;
+            if (sub.anchor < 0 || sub.reusedFrom >= 0)
+                continue;
+            expectSameSearch(sub.report, plain.groups[g].report, sub.name);
+            EXPECT_FALSE(sub.report.resumed) << sub.name;
+            const TuneReport &resumed = again.groups[g].report;
+            EXPECT_TRUE(resumed.resumed) << sub.name;
+            EXPECT_EQ(serializeConfig(resumed.config),
+                      serializeConfig(sub.report.config))
+                << sub.name;
+            EXPECT_EQ(resumed.gflops, sub.report.gflops) << sub.name;
+            char hexKey[17];
+            std::snprintf(
+                hexKey, sizeof(hexKey), "%016" PRIx64,
+                workloadKey(lowerAnchor(job.dag, sub.anchor).output.op(),
+                            first.device));
+            files.insert("run.ckpt." + std::string(hexKey));
+        }
+        EXPECT_EQ(first.totalSeconds, plain.totalSeconds);
+        EXPECT_EQ(again.totalSeconds, plain.totalSeconds);
+        std::set<std::string> written;
+        for (const auto &entry : std::filesystem::directory_iterator(dir))
+            written.insert(entry.path().filename().string());
+        EXPECT_EQ(written, files);
+        EXPECT_EQ(files.size(), job.dag.name == "OverFeat" ? 8u : 17u);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 /**

@@ -15,6 +15,8 @@
 
 #include "explore/tuner.h"
 #include "family/tune_family.h"
+#include "graph/dag.h"
+#include "graph/schedule_dag.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_report.h"
@@ -427,6 +429,68 @@ TEST(Metrics, WallProfileTimesEveryMeasurementPath)
     EXPECT_GT(snap.counter("eval.decode.ns"), 0u);
     EXPECT_GT(snap.counter("eval.lower.ns"), 0u);
     EXPECT_GT(snap.counter("eval.verify.ns"), 0u);
+
+    // Every wall counter advances under wallProfile on a Q, AutoTVM,
+    // family or DAG run that reaches its stage, and none exists without.
+    Network net;
+    net.name = "dense";
+    net.inputShape = {1, 16, 2, 2};
+    LayerSpec fc;
+    fc.kind = LayerSpec::Kind::Dense;
+    fc.name = "fc";
+    fc.units = 32;
+    net.layers.push_back(fc);
+    const graph::ComputeDag dag = graph::dagFromNetwork(net);
+    const std::vector<std::pair<std::string, std::vector<const char *>>>
+        runs = {
+            {"q", {"eval.decode.ns", "eval.lower.ns", "eval.verify.ns",
+                   "q.init.ns", "q.forward_batch.ns", "q.train.ns",
+                   "space.build.ns"}},
+            {"autotvm", {"autotvm.fit.ns", "space.build.ns"}},
+            {"family", {"eval.decode.ns", "eval.lower.ns",
+                        "eval.verify.ns", "space.build.ns"}},
+            {"dag", {"graph.partition.ns", "graph.search.ns",
+                     "eval.decode.ns", "space.build.ns"}},
+        };
+    for (bool profile : {false, true}) {
+        for (const auto &[kind, counters] : runs) {
+            SCOPED_TRACE(kind + (profile ? " profiled" : " unprofiled"));
+            MetricsRegistry registry;
+            ExploreOptions explore;
+            explore.trials = 12;
+            explore.warmupPoints = 4;
+            explore.trainEvery = 2;
+            explore.obs = {nullptr, &registry, profile};
+            TuneOptions tune_options;
+            tune_options.explore = explore;
+            if (kind == "q") {
+                tuneOp(out.op(), target, tune_options);
+            } else if (kind == "autotvm") {
+                tune_options.method = Method::AutoTvm;
+                tuneOp(out.op(), target, tune_options);
+            } else if (kind == "family") {
+                FamilyTuneOptions family_options;
+                family_options.method = Method::Random;
+                family_options.explore = explore;
+                tuneFamily(gemmOverM(64, 64, batch), target, family_options);
+            } else {
+                graph::tuneDag(dag, target, tune_options);
+            }
+            const MetricsSnapshot run_snap = registry.snapshot();
+            for (const char *name : counters) {
+                if (profile) {
+                    EXPECT_GT(run_snap.counter(name), 0u) << name;
+                }
+            }
+            if (!profile) {
+                for (const auto &[name, value] : run_snap.counters) {
+                    EXPECT_FALSE(name.size() > 3 &&
+                                 name.compare(name.size() - 3, 3, ".ns") == 0)
+                        << name;
+                }
+            }
+        }
+    }
 }
 
 TEST(TraceReport, JsonOmitsEmptySections)

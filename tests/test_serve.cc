@@ -13,6 +13,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -624,8 +625,15 @@ TEST(TuningService, EveryResultShapingFieldSeparatesRequests)
             EXPECT_EQ(stats.tuningRuns, 2u);
         }
     }
-    for (int i = 0; i < ckpts; ++i)
-        std::remove((ckpt + std::to_string(i)).c_str());
+    // tune() snapshots to each path itself, tuneDag to one file per
+    // searched anchor beside it (`<path>.<workloadKey>`).
+    const std::string prefix =
+        std::filesystem::path(ckpt).filename().string();
+    for (const auto &entry :
+         std::filesystem::directory_iterator(::testing::TempDir())) {
+        if (entry.path().filename().string().rfind(prefix, 0) == 0)
+            std::filesystem::remove(entry.path());
+    }
 }
 
 TEST(TuningService, CertifiedRequestGetsItsOwnCertifiedReport)
