@@ -6,7 +6,6 @@
  * or re-proved from first principles over the partition structures; the
  * certificate never trusts a flag another pass set without checking it.
  */
-#include <algorithm>
 #include <sstream>
 
 #include "analysis/verify/certificate.h"
@@ -388,111 +387,153 @@ PartitionCertificate::toJson() const
     return oss.str();
 }
 
-PartitionCertificate
-certifyPartition(const graph::ComputeDag &dag,
-                 const graph::Partition &partition, const Target &target)
+namespace {
+
+/**
+ * Record one partition obligation of group `gi` (-1: the partition
+ * level) into `obligations`, or, when that is null (no certificate is
+ * returned), only conjoin its verdict into `verdict`: then no id or
+ * detail text is built for it. `refuted` is the witness of a failed
+ * check; `proven()` builds the detail of a Proven one.
+ */
+template <class ProvenDetail>
+void
+recordFusion(std::vector<Obligation> *obligations, Verdict &verdict,
+             const char *name, int gi, Verdict v, std::string refuted,
+             ProvenDetail &&proven)
+{
+    verdict = conjoin(verdict, v);
+    if (!obligations)
+        return;
+    Obligation o;
+    o.id = std::string("fusion/") + name;
+    if (gi >= 0)
+        o.id += "/g" + std::to_string(gi);
+    o.transform = "fusion";
+    o.code = kDepFusionIllegal;
+    o.verdict = v;
+    o.detail = v == Verdict::Proven ? std::string(proven())
+                                    : std::move(refuted);
+    obligations->push_back(std::move(o));
+}
+
+/**
+ * The one checking body of certifyPartition and partitionCertifies.
+ * With `cert` every obligation is recorded there and the result is its
+ * verdict; without, the check stops at the first obligation that is
+ * not Proven. `consumers` is dag.consumers().
+ */
+Verdict
+checkPartition(const graph::ComputeDag &dag,
+               const graph::Partition &partition, const Target &target,
+               const std::vector<std::vector<int>> &consumers,
+               PartitionCertificate *cert)
 {
     using graph::FusionGroup;
-    PartitionCertificate cert;
+    const int numNodes = static_cast<int>(dag.nodes.size());
+    Verdict all = Verdict::Proven;
 
     // Partition-level: every compute node in exactly one group, Input
     // nodes in none. Without this, "equivalent to the reference graph"
     // is not even well-posed.
     {
-        Obligation o;
-        o.id = "fusion/cover";
-        o.transform = "fusion";
-        o.code = kDepFusionIllegal;
-        o.verdict = Verdict::Proven;
+        Verdict v = Verdict::Proven;
+        std::string why;
         std::vector<int> owners(dag.nodes.size(), 0);
         for (const FusionGroup &g : partition.groups)
             for (int id : g.members) {
-                if (id < 0 || id >= static_cast<int>(dag.nodes.size())) {
-                    o.verdict = Verdict::Refuted;
-                    o.detail = "member id " + std::to_string(id) +
-                               " is not a node of the DAG";
+                if (id < 0 || id >= numNodes) {
+                    v = Verdict::Refuted;
+                    why = "member id " + std::to_string(id) +
+                          " is not a node of the DAG";
                     break;
                 }
                 owners[static_cast<size_t>(id)]++;
             }
-        if (o.verdict == Verdict::Proven) {
+        if (v == Verdict::Proven) {
             for (size_t id = 0; id < dag.nodes.size(); ++id) {
                 const bool isInput =
                     dag.nodes[id].kind == graph::NodeKind::Input;
                 const int expect = isInput ? 0 : 1;
                 if (owners[id] != expect) {
-                    o.verdict = Verdict::Refuted;
-                    o.detail = "node " + std::to_string(id) + " ('" +
-                               dag.nodes[id].name + "') appears in " +
-                               std::to_string(owners[id]) +
-                               " group(s), expected " +
-                               std::to_string(expect);
+                    v = Verdict::Refuted;
+                    why = "node " + std::to_string(id) + " ('" +
+                          dag.nodes[id].name + "') appears in " +
+                          std::to_string(owners[id]) +
+                          " group(s), expected " + std::to_string(expect);
                     break;
                 }
             }
         }
-        if (o.verdict == Verdict::Proven)
-            o.detail = "every compute node is assigned to exactly one "
-                       "group and Input nodes to none";
-        cert.obligations.push_back(std::move(o));
+        recordFusion(cert ? &cert->obligations : nullptr, all, "cover", -1,
+                     v, std::move(why), [] {
+                         return "every compute node is assigned to "
+                                "exactly one group and Input nodes to none";
+                     });
+        if (!cert && all != Verdict::Proven)
+            return all;
     }
 
-    const auto consumers = dag.consumers();
+    // groupOf[id] == gi while group gi is checked: membership in O(1).
+    std::vector<int> groupOf(dag.nodes.size(), -1);
     for (size_t gi = 0; gi < partition.groups.size(); ++gi) {
         const FusionGroup &g = partition.groups[gi];
-        GroupCertificate gc;
-        gc.group = static_cast<int>(gi);
-        const std::string gid = "g" + std::to_string(gi);
-        auto inGroup = [&g](int id) {
-            return std::find(g.members.begin(), g.members.end(), id) !=
-                   g.members.end();
+        const int gid = static_cast<int>(gi);
+        for (int id : g.members)
+            if (id >= 0 && id < numNodes)
+                groupOf[static_cast<size_t>(id)] = gid;
+        auto inGroup = [&](int id) {
+            return groupOf[static_cast<size_t>(id)] == gid;
         };
+        std::vector<Obligation> *obligations = nullptr;
+        if (cert) {
+            cert->groups.emplace_back();
+            cert->groups.back().group = gid;
+            obligations = &cert->groups.back().obligations;
+        }
+        Verdict groupVerdict = Verdict::Proven;
 
         // Streaming order: members ascending (node ids are topological)
         // and every intra-group producer precedes its consumer, so the
         // executor's single pass visits producers first.
         {
-            Obligation o;
-            o.id = "fusion/order/" + gid;
-            o.transform = "fusion";
-            o.code = kDepFusionIllegal;
-            o.verdict = Verdict::Proven;
+            Verdict v = Verdict::Proven;
+            std::string why;
             for (size_t i = 0; i + 1 < g.members.size(); ++i) {
                 if (g.members[i] >= g.members[i + 1]) {
-                    o.verdict = Verdict::Refuted;
-                    o.detail = "members are not strictly ascending at "
-                               "position " + std::to_string(i) +
-                               ": the streaming pass would consume a "
-                               "row before its producer emits it";
+                    v = Verdict::Refuted;
+                    why = "members are not strictly ascending at "
+                          "position " + std::to_string(i) +
+                          ": the streaming pass would consume a "
+                          "row before its producer emits it";
                     break;
                 }
             }
-            if (o.verdict == Verdict::Proven) {
+            if (v == Verdict::Proven) {
                 for (int id : g.members) {
                     for (int p : dag.nodes[static_cast<size_t>(id)].inputs)
                         if (inGroup(p) && p >= id) {
-                            o.verdict = Verdict::Refuted;
-                            o.detail = "intra-group producer " +
-                                       std::to_string(p) +
-                                       " does not precede consumer " +
-                                       std::to_string(id);
+                            v = Verdict::Refuted;
+                            why = "intra-group producer " +
+                                  std::to_string(p) +
+                                  " does not precede consumer " +
+                                  std::to_string(id);
                         }
                 }
             }
-            if (o.verdict == Verdict::Proven)
-                o.detail = "members ascend in topological order; every "
-                           "intra-group flow dependence points forward";
-            gc.obligations.push_back(std::move(o));
+            recordFusion(obligations, groupVerdict, "order", gid, v,
+                         std::move(why), [] {
+                             return "members ascend in topological "
+                                    "order; every intra-group flow "
+                                    "dependence points forward";
+                         });
         }
 
         // Anchor uniqueness: the streaming executor tunes and drives
         // exactly one heavy anchor, which must lead the group.
         {
-            Obligation o;
-            o.id = "fusion/anchor/" + gid;
-            o.transform = "fusion";
-            o.code = kDepFusionIllegal;
-            o.verdict = Verdict::Proven;
+            Verdict v = Verdict::Proven;
+            std::string why;
             int heavy = 0;
             for (size_t i = 0; i < g.members.size(); ++i) {
                 const graph::DagNode &n =
@@ -501,65 +542,63 @@ certifyPartition(const graph::ComputeDag &dag,
                     continue;
                 ++heavy;
                 if (i != 0) {
-                    o.verdict = Verdict::Refuted;
-                    o.detail = "heavy anchor '" + n.name +
-                               "' is not the group's first member";
+                    v = Verdict::Refuted;
+                    why = "heavy anchor '" + n.name +
+                          "' is not the group's first member";
                 }
             }
             if (heavy > 1) {
-                o.verdict = Verdict::Refuted;
-                o.detail = "group has " + std::to_string(heavy) +
-                           " heavy anchors; the streaming executor can "
-                           "drive only one";
+                v = Verdict::Refuted;
+                why = "group has " + std::to_string(heavy) +
+                      " heavy anchors; the streaming executor can "
+                      "drive only one";
             }
-            if (o.verdict == Verdict::Proven)
-                o.detail = heavy ? "single heavy anchor leads the group"
-                                 : "anchor-free group";
-            gc.obligations.push_back(std::move(o));
+            recordFusion(obligations, groupVerdict, "anchor", gid, v,
+                         std::move(why), [heavy] {
+                             return heavy ? "single heavy anchor leads "
+                                            "the group"
+                                          : "anchor-free group";
+                         });
         }
 
         // Ephemeral non-escape: a tensor that never reaches DRAM must
         // provably never be needed outside its group (including as the
         // graph output).
         {
-            Obligation o;
-            o.id = "fusion/escape/" + gid;
-            o.transform = "fusion";
-            o.code = kDepFusionIllegal;
-            o.verdict = Verdict::Proven;
+            Verdict v = Verdict::Proven;
+            std::string why;
             for (size_t i = 0;
                  i < g.members.size() && i < g.ephemeral.size(); ++i) {
                 if (!g.ephemeral[i])
                     continue;
                 const int id = g.members[i];
                 if (dag.isOutput(id)) {
-                    o.verdict = Verdict::Refuted;
-                    o.detail = "ephemeral member " + std::to_string(id) +
-                               " ('" +
-                               dag.nodes[static_cast<size_t>(id)].name +
-                               "') is a graph output: its value escapes "
-                               "but is never written to DRAM";
+                    v = Verdict::Refuted;
+                    why = "ephemeral member " + std::to_string(id) +
+                          " ('" + dag.nodes[static_cast<size_t>(id)].name +
+                          "') is a graph output: its value escapes "
+                          "but is never written to DRAM";
                     break;
                 }
                 for (int c : consumers[static_cast<size_t>(id)]) {
                     if (!inGroup(c)) {
-                        o.verdict = Verdict::Refuted;
-                        o.detail =
-                            "ephemeral member " + std::to_string(id) +
-                            " is consumed by out-of-group node " +
-                            std::to_string(c) +
-                            ": the consumer would read a tensor that "
-                            "never reaches DRAM";
+                        v = Verdict::Refuted;
+                        why = "ephemeral member " + std::to_string(id) +
+                              " is consumed by out-of-group node " +
+                              std::to_string(c) +
+                              ": the consumer would read a tensor that "
+                              "never reaches DRAM";
                         break;
                     }
                 }
-                if (o.verdict == Verdict::Refuted)
+                if (v == Verdict::Refuted)
                     break;
             }
-            if (o.verdict == Verdict::Proven)
-                o.detail = "every ephemeral tensor is consumed only "
-                           "inside the group";
-            gc.obligations.push_back(std::move(o));
+            recordFusion(obligations, groupVerdict, "escape", gid, v,
+                         std::move(why), [] {
+                             return "every ephemeral tensor is consumed "
+                                    "only inside the group";
+                         });
         }
 
         // Retention windows: for each intra-group edge the executor's
@@ -568,11 +607,8 @@ certifyPartition(const graph::ComputeDag &dag,
         // must be consumed monotonically (stride >= 1) so eviction never
         // discards a row that is still needed.
         {
-            Obligation o;
-            o.id = "fusion/window/" + gid;
-            o.transform = "fusion";
-            o.code = kDepFusionIllegal;
-            o.verdict = Verdict::Proven;
+            Verdict v = Verdict::Proven;
+            std::string why;
             for (int id : g.members) {
                 const graph::DagNode &n =
                     dag.nodes[static_cast<size_t>(id)];
@@ -585,62 +621,79 @@ certifyPartition(const graph::ComputeDag &dag,
                 const int64_t needed =
                     n.kind == graph::NodeKind::Pool ? n.kernel : 1;
                 if (window < needed) {
-                    o.verdict = Verdict::Refuted;
-                    o.detail =
-                        "consumer '" + n.name + "' retains " +
-                        std::to_string(window) +
-                        " producer row(s) but one output row reads " +
-                        std::to_string(needed);
+                    v = Verdict::Refuted;
+                    why = "consumer '" + n.name + "' retains " +
+                          std::to_string(window) +
+                          " producer row(s) but one output row reads " +
+                          std::to_string(needed);
                     break;
                 }
                 if (n.kind == graph::NodeKind::Pool && n.stride < 1) {
-                    o.verdict = Verdict::Refuted;
-                    o.detail = "consumer '" + n.name + "' has stride " +
-                               std::to_string(n.stride) +
-                               ": row consumption is not monotone, so "
-                               "ring eviction would discard live rows";
+                    v = Verdict::Refuted;
+                    why = "consumer '" + n.name + "' has stride " +
+                          std::to_string(n.stride) +
+                          ": row consumption is not monotone, so "
+                          "ring eviction would discard live rows";
                     break;
                 }
             }
-            if (o.verdict == Verdict::Proven)
-                o.detail = "each ring buffer's retention window covers "
-                           "one output row's reads and rows are "
-                           "consumed monotonically";
-            gc.obligations.push_back(std::move(o));
+            recordFusion(obligations, groupVerdict, "window", gid, v,
+                         std::move(why), [] {
+                             return "each ring buffer's retention window "
+                                    "covers one output row's reads and "
+                                    "rows are consumed monotonically";
+                         });
         }
 
         // Working set: the retention windows must actually fit on chip;
         // recomputed from the roofline model, not read off g.cost.
         {
-            Obligation o;
-            o.id = "fusion/capacity/" + gid;
-            o.transform = "fusion";
-            o.code = kDepFusionIllegal;
-            graph::GroupCost cost = graph::rooflineGroupCost(
+            const graph::GroupCost cost = graph::rooflineGroupCost(
                 dag, consumers, g.members, g.ephemeral, target);
-            o.verdict =
+            const Verdict v =
                 cost.feasible ? Verdict::Proven : Verdict::Refuted;
-            o.detail =
-                cost.feasible
-                    ? "streaming working set (" +
-                          std::to_string(cost.workingSetBytes) +
-                          " bytes) fits within tier-2 capacity"
-                    : "streaming working set (" +
-                          std::to_string(cost.workingSetBytes) +
-                          " bytes) exceeds tier-2 capacity: the ring "
-                          "buffers cannot be allocated on chip";
-            gc.obligations.push_back(std::move(o));
+            std::string why;
+            if (!cost.feasible)
+                why = "streaming working set (" +
+                      std::to_string(cost.workingSetBytes) +
+                      " bytes) exceeds tier-2 capacity: the ring "
+                      "buffers cannot be allocated on chip";
+            recordFusion(obligations, groupVerdict, "capacity", gid, v,
+                         std::move(why), [&cost] {
+                             return "streaming working set (" +
+                                    std::to_string(cost.workingSetBytes) +
+                                    " bytes) fits within tier-2 capacity";
+                         });
         }
 
-        gc.verdict = verdictOf(gc.obligations);
-        cert.groups.push_back(std::move(gc));
+        if (cert)
+            cert->groups.back().verdict = groupVerdict;
+        all = conjoin(all, groupVerdict);
+        if (!cert && all != Verdict::Proven)
+            return all;
     }
+    return all;
+}
 
-    Verdict v = verdictOf(cert.obligations);
-    for (const GroupCertificate &g : cert.groups)
-        v = conjoin(v, g.verdict);
-    cert.verdict = v;
+} // namespace
+
+PartitionCertificate
+certifyPartition(const graph::ComputeDag &dag,
+                 const graph::Partition &partition, const Target &target)
+{
+    PartitionCertificate cert;
+    cert.verdict =
+        checkPartition(dag, partition, target, dag.consumers(), &cert);
     return cert;
+}
+
+bool
+partitionCertifies(const graph::ComputeDag &dag,
+                   const graph::Partition &partition, const Target &target,
+                   const std::vector<std::vector<int>> &consumers)
+{
+    return checkPartition(dag, partition, target, consumers, nullptr) ==
+           Verdict::Proven;
 }
 
 } // namespace verify

@@ -126,6 +126,17 @@ PartitionCertificate certifyPartition(const graph::ComputeDag &dag,
                                       const graph::Partition &partition,
                                       const Target &target);
 
+/**
+ * certifyPartition(dag, partition, target).equivalent(), without the
+ * certificate: no obligation text is built unless a check fails, and it
+ * stops at the first failure. `consumers` is dag.consumers(), which the
+ * partitioner already holds. The partitioner's legality gate.
+ */
+bool partitionCertifies(const graph::ComputeDag &dag,
+                        const graph::Partition &partition,
+                        const Target &target,
+                        const std::vector<std::vector<int>> &consumers);
+
 } // namespace verify
 } // namespace ft
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -72,6 +74,20 @@ keyed(const std::string &field, const char *key, std::string *out)
 }
 
 } // namespace
+
+std::string
+searchCheckpointPath(const std::string &base, uint64_t workloadKey,
+                     int repeat)
+{
+    char suffix[18]; // ".<workloadKey as 16 hex digits>"
+    std::snprintf(suffix, sizeof(suffix), ".%016" PRIx64, workloadKey);
+    std::string path = base + suffix;
+    if (repeat > 0) {
+        path += '.';
+        path += std::to_string(repeat);
+    }
+    return path;
+}
 
 std::string
 spaceSignature(const ScheduleSpace &space)

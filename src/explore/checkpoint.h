@@ -94,6 +94,16 @@ bool checkpointCompatible(const CheckpointState &state,
                           const std::string &method, uint64_t seed,
                           const Evaluator &eval);
 
+/**
+ * The file of one search among several that share a checkpoint path
+ * (graph::tuneDag's anchors, tuneGraph's nodes): `<base>.<workloadKey
+ * as 16 hex digits>` for the first search of a workload in one call,
+ * and `<base>.<key>.<repeat>` for its repeat-th search after that, so
+ * no search resumes or overwrites another's snapshot.
+ */
+std::string searchCheckpointPath(const std::string &base,
+                                 uint64_t workloadKey, int repeat);
+
 /** Capture the state every method shares (H, clock, RNG, resilience). */
 CheckpointState captureCommon(const std::string &method, uint64_t seed,
                               int nextTrial, const Evaluator &eval,

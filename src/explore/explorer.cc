@@ -249,8 +249,7 @@ toFloat(const std::vector<double> &v)
 
 /**
  * SA starting points, then one direction per start chosen by a
- * Q-learning network trained online from a replay buffer against a
- * target network.
+ * Q-learning network trained online from a replay buffer.
  */
 class QPolicy final : public SearchPolicy
 {
@@ -294,7 +293,6 @@ class QPolicy final : public SearchPolicy
             warn("checkpoint network shape mismatch; starting fresh");
             return false;
         }
-        netY_->copyValuesFrom(*netX_);
         return true;
     }
 
@@ -321,7 +319,7 @@ class QPolicy final : public SearchPolicy
     {
         propose(chooser_.chooseMany(run_.eval, run_.rng,
                                     run_.options.startingPoints));
-        // Periodic online training of X against the target network Y.
+        // Periodic online training of the Q-network.
         if ((trial + 1) % run_.options.trainEvery == 0 && !replay_.empty())
             train();
         run_.eval.chargeOverhead(run_.options.stepOverheadSeconds);
@@ -338,8 +336,9 @@ class QPolicy final : public SearchPolicy
 
   private:
     /** Section 5.1: four fully-connected layers with ReLU, online
-     *  training with AdaDelta, and a target network Y stabilizing the
-     *  updates. Y starts from X's initial parameters. Runs of one
+     *  training with AdaDelta. The paper's target network Y is synced
+     *  from X after every training step and X changes only there, so Y
+     *  always equals X when read and X stands in for it. Runs of one
      *  request often reach this point in the same generator state with
      *  the same dims; the init memo then skips the draws. */
     void initNets()
@@ -350,7 +349,6 @@ class QPolicy final : public SearchPolicy
         netX_.emplace(initMlpMemoized({featureDim_, hidden, hidden, hidden,
                                        numDirs_},
                                       run_.rng, &reused));
-        netY_ = netX_;
         initTimer_.lap(mark);
         if (initReusedCounter_ && reused)
             initReusedCounter_->add();
@@ -484,7 +482,7 @@ class QPolicy final : public SearchPolicy
         }
     }
 
-    /** One AdaDelta step of X on a replay sample, then sync Y. */
+    /** One AdaDelta step of X on a replay sample. */
     void train()
     {
         if (run_.trace)
@@ -494,8 +492,8 @@ class QPolicy final : public SearchPolicy
         const int batch = std::min<int>(run_.options.replayBatch,
                                         static_cast<int>(replay_.size()));
         // Pre-draw the replay sample (nothing between the draws consumes
-        // randomness), then run the target network over the whole
-        // sample in one blocked pass.
+        // randomness), then run the network over the whole sample's
+        // next states in one blocked pass.
         std::vector<const Transition *> sample(batch);
         for (int b = 0; b < batch; ++b)
             sample[b] = &replay_[run_.rng.index(replay_.size())];
@@ -508,7 +506,7 @@ class QPolicy final : public SearchPolicy
                           static_cast<size_t>(b) * featureDim_);
         }
         const float *next_q_all =
-            netY_->forwardBatch(next_feat.data(), batch, netScratch_);
+            netX_->forwardBatch(next_feat.data(), batch, netScratch_);
         std::vector<float> targets(batch);
         for (int b = 0; b < batch; ++b) {
             const float *row =
@@ -539,7 +537,6 @@ class QPolicy final : public SearchPolicy
         netX_->accumulateGradBatch(state_feat.data(), batch, actions.data(),
                                    targets.data(), netScratch_);
         netX_->step(adadelta_);
-        netY_->copyValuesFrom(*netX_);
         const int64_t ns = trainTimer_.lap(mark);
         if (run_.trace) {
             run_.trace->end("q_train", run_.eval.simulatedSeconds(),
@@ -552,7 +549,7 @@ class QPolicy final : public SearchPolicy
     const int featureDim_;
     const int numDirs_;
     SaChooser chooser_;
-    std::optional<Mlp> netX_, netY_;
+    std::optional<Mlp> netX_;
     std::vector<Transition> replay_;
     AdaDeltaOptions adadelta_;
 

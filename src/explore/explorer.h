@@ -87,9 +87,9 @@ struct ExploreOptions
      * measurement rounds), and on start resumes from a compatible
      * snapshot at this path (same method, seed, workloadKey and space);
      * a resumed run with the same seed and fault profile is
-     * bit-identical to an uninterrupted one. graph::tuneDag gives each
-     * searched anchor its own file, `<path>.<workloadKey as 16 hex
-     * digits>`.
+     * bit-identical to an uninterrupted one. graph::tuneDag and
+     * tuneGraph give each search its own file (searchCheckpointPath,
+     * explore/checkpoint.h).
      */
     std::string checkpointPath;
     int checkpointEveryTrials = 10;

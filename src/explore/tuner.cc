@@ -1,10 +1,12 @@
 #include "explore/tuner.h"
 
 #include <limits>
+#include <unordered_map>
 
 #include "analysis/static_analyzer.h"
 #include "analysis/verify/certificate.h"
 #include "analysis/verify/verify.h"
+#include "explore/checkpoint.h"
 #include "ir/inline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -99,8 +101,9 @@ tuneOp(const Operation &anchor, const Target &target,
     SpaceOptions space_options;
     space_options.templateRestricted =
         options.templateRestricted || options.method == Method::AutoTvm;
-    ScheduleSpace space =
+    const std::shared_ptr<const ScheduleSpace> stored =
         buildSpaceObserved(anchor, target, space_options, obs);
+    const ScheduleSpace &space = *stored;
     if (obs.metrics)
         obs.metrics->counter("tuner.runs").add();
 
@@ -192,10 +195,18 @@ tuneGraph(const Tensor &root, const Target &target,
     // every remaining node bottom-up (Algorithm 1).
     Tensor fused_root = inlineGraph(root);
     GraphTuneReport report;
+    TuneOptions node_options = options;
+    std::unordered_map<uint64_t, int> searches; // per workloadKey
     for (const auto &op : postOrderTraverse(fused_root)) {
         if (op->isPlaceholder() || op->isConstant())
             continue;
-        TuneReport node_report = tuneOp(op, target, options);
+        // Each node snapshots to and resumes from a file of its own.
+        if (!options.explore.checkpointPath.empty()) {
+            const uint64_t key = workloadKey(op, target.deviceName());
+            node_options.explore.checkpointPath = searchCheckpointPath(
+                options.explore.checkpointPath, key, searches[key]++);
+        }
+        TuneReport node_report = tuneOp(op, target, node_options);
         double kernel = node_report.kernelSeconds;
         if (!node_report.valid) {
             ++report.fallbackNodes;

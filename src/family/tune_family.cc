@@ -67,8 +67,9 @@ tuneFamily(const ShapeFamily &family, const Target &target,
         space_options.spatialExtentOverride.resize(family.dynamicAxis + 1, 0);
     space_options.spatialExtentOverride[family.dynamicAxis] =
         nextPow2(family.var.hi);
-    ScheduleSpace space =
+    const std::shared_ptr<const ScheduleSpace> stored =
         buildSpaceObserved(generic, target, space_options, obs);
+    const ScheduleSpace &space = *stored;
 
     if (obs.metrics)
         obs.metrics->counter("family.runs").add();

@@ -30,8 +30,19 @@ struct LoweredAnchor
     std::vector<std::pair<int, Tensor>> operands;
 };
 
-/** Lower the heavy DAG node `anchorId` (conv or dense) to IR. */
+/**
+ * Lower the heavy DAG node `anchorId` (conv or dense) to IR. The IR
+ * comes from a process-wide SetupStore (support/setup_store.h) keyed by
+ * exactly what lowering reads: the anchor's kind, a conv's stride and
+ * padding, and each operand node's name and shape. Anchors that agree
+ * on those, in one DAG or across DAGs and calls, share one immutable
+ * mini-graph, and with it the IndexAnalysis its operator builds on
+ * first use; only the producer ids in `operands` are the caller's.
+ */
 LoweredAnchor lowerAnchor(const ComputeDag &dag, int anchorId);
+
+/** Anchors the store behind lowerAnchor holds now. */
+size_t storedAnchors();
 
 /**
  * Bind the anchor's placeholders to DAG input data: copies each operand

@@ -429,7 +429,7 @@ partitionDag(const ComputeDag &dag, const Target &target,
     for (const BeamState &state : beam) {
         Partition p =
             finalizePartition(dag, ctx.consumers, state.assignment, target);
-        if (verify::certifyPartition(dag, p, target).equivalent())
+        if (verify::partitionCertifies(dag, p, target, ctx.consumers))
             return p;
     }
     return nonePartition(dag, target);

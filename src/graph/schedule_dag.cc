@@ -1,13 +1,12 @@
 #include "graph/schedule_dag.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <functional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "explore/checkpoint.h"
 #include "graph/lower.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,7 +24,7 @@ namespace {
  * options): no learned cost model carries state from one run into the
  * next. A tuning cache keys on the OpKey, so it does not: a repeat
  * reuses what a sequential cache hit would give. Nor does a checkpoint,
- * since each anchor's search snapshots to a file of its own.
+ * since each search snapshots to a file of its own.
  */
 bool
 searchIsPure(const TuneOptions &options)
@@ -40,9 +39,7 @@ searchIsPure(const TuneOptions &options)
  * host preempts holds up the whole call: one runner per hardware
  * thread is faster on an idle host, but its call times then follow
  * whatever else the host runs. Built on first use and kept for the
- * process, so a call never starts threads and each worker's
- * thread-local Q-network init memo (initMlpMemoized) carries over from
- * one call to the next.
+ * process, so a call never starts threads.
  */
 ThreadPool &
 searchPool()
@@ -123,13 +120,17 @@ tuneChosen(const ComputeDag &dag, const Target &target,
                                                  "graph.anchors_reused")
                                   : nullptr;
 
-    // Lower every anchor once and decide which groups search: all of
-    // them when runs carry state, else the first group of each OpKey.
+    // Fetch every anchor's IR from the lowering store and decide which
+    // groups search: all of them when runs carry state, else the first
+    // group of each OpKey. Each search gets its own checkpoint file.
     const bool pure = searchIsPure(options);
     const size_t numGroups = rep.partition.groups.size();
+    const std::string &checkpointBase = options.explore.checkpointPath;
     std::vector<LoweredAnchor> lowered(numGroups);
     std::vector<int> searchGroups;
+    std::vector<std::string> checkpointPaths;
     std::unordered_map<OpKey, int> firstOf;
+    std::unordered_map<uint64_t, int> searchesOf; // per workloadKey
     rep.groups.resize(numGroups);
     for (size_t g = 0; g < numGroups; ++g) {
         const FusionGroup &group = rep.partition.groups[g];
@@ -152,6 +153,12 @@ tuneChosen(const ComputeDag &dag, const Target &target,
             }
         }
         searchGroups.push_back(static_cast<int>(g));
+        if (!checkpointBase.empty()) {
+            const uint64_t key =
+                workloadKey(lowered[g].output.op(), rep.device);
+            checkpointPaths.push_back(searchCheckpointPath(
+                checkpointBase, key, searchesOf[key]++));
+        }
     }
 
     // Each search records into its own trace; the loop below splices it
@@ -160,12 +167,8 @@ tuneChosen(const ComputeDag &dag, const Target &target,
     auto runSearch = [&](size_t i) {
         const Tensor &anchor = lowered[searchGroups[i]].output;
         TuneOptions searchOptions = options;
-        if (!options.explore.checkpointPath.empty()) {
-            char suffix[18]; // ".<workloadKey as 16 hex digits>"
-            std::snprintf(suffix, sizeof(suffix), ".%016" PRIx64,
-                          workloadKey(anchor.op(), rep.device));
-            searchOptions.explore.checkpointPath += suffix;
-        }
+        if (!checkpointBase.empty())
+            searchOptions.explore.checkpointPath = checkpointPaths[i];
         if (obs.trace)
             searchOptions.explore.obs.trace = &searches[i].trace;
         searches[i].report = tune(anchor, target, searchOptions);

@@ -11,15 +11,20 @@
  * key, exactly as tune() sees the layer alone) and charges each group
  * max(tuned compute, roofline memory). Anchor-free groups (standalone
  * pooling, and unfused bias/ReLU) are bandwidth-bound and take their
- * roofline seconds directly.
+ * roofline seconds directly. The lowered anchors and their spaces come
+ * from process-wide stores (lowerAnchor, buildSpaceObserved), so a call
+ * that repeats an earlier call's layers builds neither again; the
+ * partition is computed on every call.
  *
  * Repeated anchors are tuned once per call. A search is a pure function
  * of the anchor's OpKey, the target and the options unless a learned
  * cost model carries state between runs; a tuning cache keys on the
  * OpKey too (workloadKey), so distinct anchors never share an entry,
- * and with ExploreOptions::checkpointPath set each searched anchor
- * snapshots to and resumes from its own file, `<checkpointPath>.<its
- * workloadKey as 16 hex digits>`. A group whose lowered anchor keys like an earlier
+ * and with ExploreOptions::checkpointPath set each search snapshots to
+ * and resumes from its own file (searchCheckpointPath,
+ * explore/checkpoint.h: `<checkpointPath>.<its workloadKey as 16 hex
+ * digits>`, plus `.<n>` for the n-th repeat search of one anchor that a
+ * cost-model run makes). A group whose lowered anchor keys like an earlier
  * group's reuses that report as a tuning-cache hit would (cachedReport):
  * same config, gflops, kernelSeconds, spaceSize and device, fromCache
  * set, no trials, curve or simulated explore time. Trials and

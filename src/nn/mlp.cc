@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 
 #include "support/logging.h"
 #include "support/rng.h"
+#include "support/thread_annotations.h"
 
 /**
  * Runtime-dispatched AVX2 clones for the hot kernels. "avx2"
@@ -449,7 +451,7 @@ struct InitMemoEntry
     std::vector<int> dims;
     RngState before;
     RngState after;
-    Mlp net;
+    std::shared_ptr<const Mlp> net;
 };
 
 /** Bitwise state equality: a spare differing in any bit is a miss. */
@@ -463,35 +465,67 @@ sameState(const RngState &a, const RngState &b)
 
 constexpr size_t kInitMemoEntries = 8;
 
+/** The process-wide memo; full, it overwrites its oldest entry. */
+struct InitMemo
+{
+    Mutex mu;
+    std::vector<InitMemoEntry> entries FT_GUARDED_BY(mu);
+    size_t oldest FT_GUARDED_BY(mu) = 0;
+
+    const InitMemoEntry *find(const std::vector<int> &dims,
+                              const RngState &before) FT_REQUIRES(mu)
+    {
+        for (const InitMemoEntry &entry : entries)
+            if (entry.dims == dims && sameState(entry.before, before))
+                return &entry;
+        return nullptr;
+    }
+};
+
+InitMemo &
+initMemo()
+{
+    static InitMemo memo;
+    return memo;
+}
+
 } // namespace
 
 Mlp
 initMlpMemoized(const std::vector<int> &dims, Rng &rng, bool *reused)
 {
-    // Per thread, so concurrent searches share neither entries nor a
-    // lock; full, it overwrites its oldest entry.
-    thread_local std::vector<InitMemoEntry> memo;
-    thread_local size_t oldest = 0;
+    // One memo for the process, so searches on different threads share
+    // their inits; the lock covers lookup and insert, never the draws
+    // or the copy handed back.
+    InitMemo &memo = initMemo();
     const RngState before = rng.state();
-    for (const InitMemoEntry &entry : memo) {
-        if (entry.dims == dims && sameState(entry.before, before)) {
-            rng.setState(entry.after);
-            if (reused)
-                *reused = true;
-            return entry.net;
+    std::shared_ptr<const Mlp> net;
+    {
+        MutexLock lock(memo.mu);
+        if (const InitMemoEntry *hit = memo.find(dims, before)) {
+            net = hit->net;
+            rng.setState(hit->after);
         }
     }
-    Mlp net(dims, rng);
-    InitMemoEntry entry{dims, before, rng.state(), net};
-    if (memo.size() < kInitMemoEntries) {
-        memo.push_back(std::move(entry));
-    } else {
-        memo[oldest] = std::move(entry);
-        oldest = (oldest + 1) % kInitMemoEntries;
-    }
     if (reused)
-        *reused = false;
-    return net;
+        *reused = net != nullptr;
+    if (net)
+        return *net;
+    net = std::make_shared<const Mlp>(dims, rng);
+    InitMemoEntry entry{dims, before, rng.state(), net};
+    {
+        MutexLock lock(memo.mu);
+        // Skipped when another thread drew the same init meanwhile.
+        if (!memo.find(dims, before)) {
+            if (memo.entries.size() < kInitMemoEntries) {
+                memo.entries.push_back(std::move(entry));
+            } else {
+                memo.entries[memo.oldest] = std::move(entry);
+                memo.oldest = (memo.oldest + 1) % kInitMemoEntries;
+            }
+        }
+    }
+    return *net;
 }
 
 int

@@ -3,10 +3,11 @@
  * Minimal dense neural network: the Q-value predictor of Section 5.1.
  *
  * The paper's network is four fully-connected layers with ReLU activations,
- * trained online with AdaDelta against a target network. This module
- * implements exactly that: Linear layers with per-parameter AdaDelta state,
- * an Mlp wrapper, and single-output backpropagation (Q-learning updates
- * touch one action's Q-value per sample).
+ * trained online with AdaDelta against a target network (synced after
+ * every update, so the explorer reads the network itself in its place).
+ * This module implements exactly that: Linear layers with per-parameter
+ * AdaDelta state, an Mlp wrapper, and single-output backpropagation
+ * (Q-learning updates touch one action's Q-value per sample).
  */
 #ifndef FLEXTENSOR_NN_MLP_H
 #define FLEXTENSOR_NN_MLP_H
@@ -218,13 +219,14 @@ class Mlp
 };
 
 /**
- * Mlp(dims, rng) through a small, bounded, per-thread memo. He-init
+ * Mlp(dims, rng) through a small, bounded, process-wide memo. He-init
  * output is a pure function of the dims and the complete generator
  * state (the four words, the banked-spare flag and the spare's bits),
  * so a repeat of a memoized (dims, state) pair copies the stored
  * network and sets `rng` to the state the first init left: values,
  * packed copies and the stream continue bit-identically to a fresh
  * init. `*reused` (when non-null) reports whether the memo answered.
+ * Safe from any thread: searches on different threads share the memo.
  */
 Mlp initMlpMemoized(const std::vector<int> &dims, Rng &rng,
                     bool *reused = nullptr);

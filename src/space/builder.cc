@@ -2,9 +2,50 @@
 
 #include "obs/trace.h"
 #include "schedule/generator.h"
+#include "support/hash.h"
 #include "support/logging.h"
+#include "support/setup_store.h"
 
 namespace ft {
+
+namespace {
+
+/** Everything buildSpace reads, compared exactly. */
+struct SpaceKey
+{
+    DeviceKind kind = DeviceKind::Gpu;
+    std::vector<int64_t> spatial; ///< the anchor's axis extents
+    std::vector<int64_t> reduce;  ///< its reduce-axis extents
+    SpaceOptions options;
+
+    bool operator==(const SpaceKey &) const = default;
+
+    uint64_t hash() const
+    {
+        Fnv1a h;
+        h.word(static_cast<uint64_t>(kind));
+        for (const auto *extents :
+             {&spatial, &reduce, &options.spatialExtentOverride,
+              &options.reduceExtentOverride}) {
+            h.word(extents->size());
+            for (int64_t e : *extents)
+                h.word(static_cast<uint64_t>(e));
+        }
+        h.word(options.templateRestricted | (options.pow2Splits << 1) |
+               (options.exploreReorderUnroll << 2) |
+               (options.exploreCacheAt << 3));
+        return h.value();
+    }
+};
+
+SetupStore<SpaceKey, ScheduleSpace> &
+spaceStore()
+{
+    static SetupStore<SpaceKey, ScheduleSpace> store;
+    return store;
+}
+
+} // namespace
 
 ScheduleSpace
 buildSpace(const Operation &anchor, const Target &target,
@@ -85,24 +126,38 @@ buildSpace(const Operation &anchor, const Target &target,
     return space;
 }
 
-ScheduleSpace
+std::shared_ptr<const ScheduleSpace>
 buildSpaceObserved(const Operation &anchor, const Target &target,
                    const SpaceOptions &options, const ObsContext &obs)
 {
+    FT_ASSERT(!anchor->isPlaceholder(), "cannot build space for placeholder");
     if (obs.trace)
         obs.trace->begin("space_build", 0.0);
     const StageTimer timer(obs, "space.build.ns");
     WallMark mark = timer.start(obs.trace);
-    ScheduleSpace space = buildSpace(anchor, target, options);
+    const auto *op = static_cast<const ComputeOp *>(anchor.get());
+    SpaceKey key{target.kind, {}, {}, options};
+    for (const auto &iv : op->axis())
+        key.spatial.push_back(iv->extent);
+    for (const auto &iv : op->reduceAxis())
+        key.reduce.push_back(iv->extent);
+    auto space = spaceStore().get(
+        key, [&] { return buildSpace(anchor, target, options); });
     const int64_t ns = timer.lap(mark);
     if (obs.trace) {
         obs.trace->end("space_build", 0.0,
-                       {treal("size", space.size()),
-                        tint("dims", space.numSubSpaces()),
-                        tint("directions", space.numDirections())},
+                       {treal("size", space->size()),
+                        tint("dims", space->numSubSpaces()),
+                        tint("directions", space->numDirections())},
                        mark.nsField(ns));
     }
     return space;
+}
+
+size_t
+storedSpaces()
+{
+    return spaceStore().size();
 }
 
 } // namespace ft

@@ -10,6 +10,8 @@
 #ifndef FLEXTENSOR_SPACE_BUILDER_H
 #define FLEXTENSOR_SPACE_BUILDER_H
 
+#include <memory>
+
 #include "analysis/static_analyzer.h"
 #include "obs/obs.h"
 #include "sim/hw_spec.h"
@@ -53,6 +55,9 @@ struct SpaceOptions
      */
     std::vector<int64_t> spatialExtentOverride;
     std::vector<int64_t> reduceExtentOverride;
+
+    /** Every field compares, so each one separates stored spaces. */
+    bool operator==(const SpaceOptions &) const = default;
 };
 
 /** Build the schedule space of one compute node for a target. */
@@ -60,16 +65,24 @@ ScheduleSpace buildSpace(const Operation &anchor, const Target &target,
                          const SpaceOptions &options = {});
 
 /**
- * buildSpace inside a `space_build` trace span at sim time 0 (the space
- * is built before any measurement); the span's end carries the space's
- * size, dims and directions. Under obs.wallProfile the build's wall
- * nanoseconds also go to the `space.build.ns` counter and onto the
- * span's end as `ns`.
+ * The space buildSpace(anchor, target, options) builds, fetched from a
+ * process-wide SetupStore (support/setup_store.h) keyed by exactly what
+ * buildSpace reads: the device kind, the anchor's spatial and reduce
+ * extents and every SpaceOptions field. The search set-up of every
+ * single-op path (tune, tuneGraph, graph::tuneDag, TuningService,
+ * tuneFamily) comes through here, so a repeated layer shape reuses its
+ * space. Fetched inside a `space_build` trace span at sim time 0 (the
+ * space exists before any measurement) whose end carries the space's
+ * size, dims and directions, hit or miss alike. Under obs.wallProfile
+ * the fetch's wall nanoseconds also go to the `space.build.ns` counter
+ * and onto the span's end as `ns`.
  */
-ScheduleSpace buildSpaceObserved(const Operation &anchor,
-                                 const Target &target,
-                                 const SpaceOptions &options,
-                                 const ObsContext &obs);
+std::shared_ptr<const ScheduleSpace>
+buildSpaceObserved(const Operation &anchor, const Target &target,
+                   const SpaceOptions &options, const ObsContext &obs);
+
+/** Spaces the store behind buildSpaceObserved holds now. */
+size_t storedSpaces();
 
 } // namespace ft
 

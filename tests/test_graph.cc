@@ -43,6 +43,7 @@
 #include "graph/partition.h"
 #include "graph/schedule_dag.h"
 #include "ir/printer.h"
+#include "ml/costmodel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_report.h"
@@ -1298,6 +1299,54 @@ TEST(GraphScheduleTest, CheckpointedCallResumesEachAnchorFromItsOwnFile)
         EXPECT_EQ(written, files);
         EXPECT_EQ(files.size(), job.dag.name == "OverFeat" ? 8u : 17u);
     }
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * A learned cost model carries state from one search into the next, so
+ * such a run searches every group again, repeats included, one at a
+ * time. Each of those searches snapshots to its own file: the first
+ * checkpointed call resumes nothing and equals an uncheckpointed call
+ * over an identically trained model.
+ */
+TEST(GraphScheduleTest, CheckpointedCostModelCallSearchesEveryRepeatAfresh)
+{
+    const Sec66Job job = sec66Jobs().front(); // YOLO-v1 on V100
+    const std::string dir = ::testing::TempDir() + "ft_dag_model_ckpt";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    CostModelOptions modelOptions;
+    modelOptions.syncRefit = true;
+    modelOptions.gbt.trees = 4; // a cheap model still carries state
+    CostModel plainModel(modelOptions), checkpointedModel(modelOptions);
+    TuneOptions options;
+    options.explore.trials = 6;
+    options.explore.costModel = &plainModel;
+    const DagTuneReport plain = tuneDag(job.dag, job.target, options);
+    options.explore.costModel = &checkpointedModel;
+    options.explore.checkpointPath = dir + "/run.ckpt";
+    options.explore.checkpointEveryTrials = 2;
+    const DagTuneReport got = tuneDag(job.dag, job.target, options);
+
+    ASSERT_EQ(got.groups.size(), plain.groups.size());
+    size_t searches = 0;
+    for (size_t g = 0; g < plain.groups.size(); ++g) {
+        const SubgraphReport &sub = got.groups[g];
+        EXPECT_EQ(sub.reusedFrom, -1) << sub.name;
+        if (sub.anchor < 0)
+            continue;
+        ++searches;
+        EXPECT_FALSE(sub.report.resumed) << sub.name;
+        expectSameSearch(sub.report, plain.groups[g].report, sub.name);
+    }
+    EXPECT_EQ(got.totalSeconds, plain.totalSeconds);
+    EXPECT_GT(checkpointedModel.refits(), 0u);
+    size_t files = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator(dir))
+        ++files;
+    EXPECT_EQ(files, searches);
+    EXPECT_EQ(searches, 26u);
     std::filesystem::remove_all(dir);
 }
 

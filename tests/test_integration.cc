@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 
 #include "core/flextensor.h"
@@ -37,6 +38,47 @@ TEST(TuneGraph, SchedulesEveryReductionNode)
     EXPECT_GT(report.simExploreSeconds, 0.0);
     for (const auto &[name, node] : report.nodes)
         EXPECT_GT(node.gflops, kInvalidGflops) << name;
+}
+
+/**
+ * Every node of a checkpointed tuneGraph call snapshots to its own file
+ * (searchCheckpointPath), so a second call resumes each node's search
+ * and reproduces its result.
+ */
+TEST(TuneGraph, CheckpointedSecondCallResumesEveryNode)
+{
+    Tensor a = placeholder("A", {32, 24});
+    Tensor b = placeholder("B", {24, 16});
+    Tensor c = placeholder("C", {16, 8});
+    Tensor out = ops::gemm(ops::relu(ops::gemm(a, b)), c);
+    const Target target = Target::forGpu(v100());
+    const std::string dir = ::testing::TempDir() + "ft_graph_ckpt";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    TuneOptions options;
+    options.explore.trials = 6;
+    options.explore.checkpointPath = dir + "/run.ckpt";
+    options.explore.checkpointEveryTrials = 2;
+    const GraphTuneReport first = tuneGraph(out, target, options);
+    const GraphTuneReport again = tuneGraph(out, target, options);
+    ASSERT_EQ(first.nodes.size(), 2u);
+    ASSERT_EQ(again.nodes.size(), first.nodes.size());
+    for (size_t n = 0; n < first.nodes.size(); ++n) {
+        const TuneReport &want = first.nodes[n].second;
+        const TuneReport &got = again.nodes[n].second;
+        EXPECT_FALSE(want.resumed) << n;
+        EXPECT_TRUE(got.resumed) << n;
+        EXPECT_EQ(serializeConfig(got.config), serializeConfig(want.config))
+            << n;
+        EXPECT_EQ(got.gflops, want.gflops) << n;
+    }
+    size_t files = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator(dir))
+        ++files;
+    EXPECT_EQ(files, first.nodes.size());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TuneGraph, ConvGraphCollapsesToSingleNode)
