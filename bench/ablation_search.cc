@@ -54,7 +54,6 @@ runNoSa(const Operation &anchor, const ScheduleSpace &space,
     Evaluator eval(anchor, space, target);
     Rng rng(seed);
     Mlp net({space.featureDim(), 64, 64, 64, space.numDirections()}, rng);
-    AdaDeltaOptions adadelta;
     int steps = 0;
     while (eval.numTrials() < kBudget) {
         // Random start instead of SA selection.
@@ -79,7 +78,7 @@ runNoSa(const Operation &anchor, const ScheduleSpace &space,
         if (++steps % 5 == 0) {
             net.zeroGrad();
             net.accumulateGrad(x, best_dir, reward);
-            net.step(adadelta);
+            net.step();
         }
     }
     return eval.best();

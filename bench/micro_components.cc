@@ -260,12 +260,11 @@ BM_QNetworkTrainStep(benchmark::State &state)
         targets[s] = static_cast<float>(rng.uniform(-1.0, 1.0));
     }
     MlpScratch scratch;
-    AdaDeltaOptions opt;
     for (auto _ : state) {
         net.zeroGrad();
         benchmark::DoNotOptimize(net.accumulateGradBatch(
             x.data(), m, actions.data(), targets.data(), scratch));
-        net.step(opt);
+        net.step();
         benchmark::ClobberMemory();
     }
 }

@@ -194,14 +194,6 @@ Evaluator::costFeaturesFor(const Point &p, std::vector<double> &out) const
     costFeaturesInto(costScratch_.sched, target_, out);
 }
 
-verify::ScheduleCertificate
-Evaluator::certifyPoint(const Point &p) const
-{
-    const OpConfig &config = space_.decodeInto(p, costScratch_.decode);
-    generateInto(anchor_, config, target_, costScratch_.sched);
-    return verify::certifySchedule(costScratch_.sched, target_, &config);
-}
-
 void
 Evaluator::restore(const std::vector<Evaluated> &history,
                    const std::vector<double> &commitSim, double simSeconds)

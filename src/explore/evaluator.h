@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/verify/certificate.h"
 #include "analysis/verify/diag.h"
 #include "obs/obs.h"
 #include "schedule/generator.h"
@@ -186,15 +185,6 @@ class Evaluator
      * reuses a dedicated scratch so it may interleave with scoring.
      */
     void costFeaturesFor(const Point &p, std::vector<double> &out) const;
-
-    /**
-     * Transformation-legality certificate of one candidate point
-     * (decode + lower + certifySchedule; no cache, no clock charge).
-     * The certification sweeps and the differential soundness oracle
-     * sample spaces through this, reusing the evaluator's decode
-     * machinery. Single-threaded like costFeaturesFor().
-     */
-    verify::ScheduleCertificate certifyPoint(const Point &p) const;
 
     /**
      * Workload fingerprint grouping this evaluator's trials for the

@@ -21,6 +21,18 @@ namespace ft {
 
 namespace {
 
+/**
+ * The Q-method's fixed learning set-up (Section 5.1): the exploration
+ * rate of its epsilon-greedy moves (AutoTVM's batches use the same
+ * rate), the discount on the next state's best Q-value, the replay
+ * sample per training round, and the width of the network's three
+ * hidden layers.
+ */
+constexpr double kEpsilon = 0.10;
+constexpr double kQAlpha = 0.7;
+constexpr int kReplayBatch = 32;
+constexpr int kHidden = 64;
+
 /** State one run shares between the driver and its proposal policy. */
 struct SearchRun
 {
@@ -31,7 +43,7 @@ struct SearchRun
           trace(options.obs.trace),
           metrics(options.obs.metrics),
           rng(options.seed),
-          reval(eval, options.evalPool, options.measureParallelism,
+          reval(eval, options.evalPool, /*parallelism=*/0,
                 options.resilience)
     {
         eval.setObs(options.obs);
@@ -322,7 +334,6 @@ class QPolicy final : public SearchPolicy
         // Periodic online training of the Q-network.
         if ((trial + 1) % run_.options.trainEvery == 0 && !replay_.empty())
             train();
-        run_.eval.chargeOverhead(run_.options.stepOverheadSeconds);
         return true;
     }
 
@@ -344,10 +355,9 @@ class QPolicy final : public SearchPolicy
     void initNets()
     {
         WallMark mark = initTimer_.start();
-        const int hidden = run_.options.hidden;
         bool reused = false;
-        netX_.emplace(initMlpMemoized({featureDim_, hidden, hidden, hidden,
-                                       numDirs_},
+        netX_.emplace(initMlpMemoized({featureDim_, kHidden, kHidden,
+                                       kHidden, numDirs_},
                                       run_.rng, &reused));
         initTimer_.lap(mark);
         if (initReusedCounter_ && reused)
@@ -450,7 +460,7 @@ class QPolicy final : public SearchPolicy
             // Rank directions by predicted Q-value; epsilon-greedy.
             for (int d = 0; d < numDirs_; ++d)
                 order_[d] = d;
-            const bool greedy = !run_.rng.chance(run_.options.epsilon);
+            const bool greedy = !run_.rng.chance(kEpsilon);
             if (!greedy) {
                 run_.rng.shuffle(order_);
             } else {
@@ -489,8 +499,8 @@ class QPolicy final : public SearchPolicy
             run_.trace->begin("q_train", run_.eval.simulatedSeconds());
         WallMark mark = trainTimer_.start(run_.trace);
         netX_->zeroGrad();
-        const int batch = std::min<int>(run_.options.replayBatch,
-                                        static_cast<int>(replay_.size()));
+        const int batch =
+            std::min<int>(kReplayBatch, static_cast<int>(replay_.size()));
         // Pre-draw the replay sample (nothing between the draws consumes
         // randomness), then run the network over the whole sample's
         // next states in one blocked pass.
@@ -517,8 +527,7 @@ class QPolicy final : public SearchPolicy
                 if (row[d] > max_next)
                     max_next = row[d];
             }
-            targets[b] = static_cast<float>(run_.options.qAlpha) *
-                             max_next +
+            targets[b] = static_cast<float>(kQAlpha) * max_next +
                          sample[b]->reward;
         }
         // One batched gradient pass: forward runs once over the sample
@@ -536,7 +545,7 @@ class QPolicy final : public SearchPolicy
         }
         netX_->accumulateGradBatch(state_feat.data(), batch, actions.data(),
                                    targets.data(), netScratch_);
-        netX_->step(adadelta_);
+        netX_->step();
         const int64_t ns = trainTimer_.lap(mark);
         if (run_.trace) {
             run_.trace->end("q_train", run_.eval.simulatedSeconds(),
@@ -551,7 +560,6 @@ class QPolicy final : public SearchPolicy
     SaChooser chooser_;
     std::optional<Mlp> netX_;
     std::vector<Transition> replay_;
-    AdaDeltaOptions adadelta_;
 
     // Reused hot-loop buffers: the per-step feature batch (row-major
     // starts x featureDim_), the decode scratch feeding it, the network
@@ -606,7 +614,6 @@ class PMethodPolicy final : public SearchPolicy
                 pruneCandidates(run_, neighborhood_);
             run_.reval.evaluate(neighborhood_);
         }
-        run_.eval.chargeOverhead(run_.options.stepOverheadSeconds);
         return true;
     }
 
@@ -730,7 +737,7 @@ class AutoTvmPolicy final : public SearchPolicy
              measured_ + static_cast<int>(picks.size()) < options.trials;
              ++i) {
             size_t pick = i;
-            if (run_.rng.chance(options.epsilon))
+            if (run_.rng.chance(kEpsilon))
                 pick = run_.rng.index(candidates.size());
             const Point &p = candidates[pick];
             const PointKey key = p.key64();
@@ -752,7 +759,7 @@ class AutoTvmPolicy final : public SearchPolicy
                                                    trainX_.size()))});
         }
         WallMark mark = fitTimer_.start();
-        model_.fit(trainX_, trainY_, gbtOptions_, run_.rng);
+        model_.fit(trainX_, trainY_, GbtOptions{}, run_.rng);
         fitTimer_.lap(mark);
         run_.eval.chargeOverhead(kModelOverhead);
         if (run_.trace)
@@ -773,7 +780,6 @@ class AutoTvmPolicy final : public SearchPolicy
     static constexpr double kModelOverhead = 2.0; // s per round: fit+rank
 
     GbtModel model_;
-    GbtOptions gbtOptions_;
     std::vector<std::vector<double>> trainX_;
     std::vector<double> trainY_;
     int measured_ = 0;

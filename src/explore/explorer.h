@@ -46,28 +46,21 @@ struct ExploreOptions
     int startingPoints = 4;   ///< SA starting points per step
     int warmupPoints = 16;    ///< random seeds placed into H up front
     double saGamma = 2.0;     ///< SA selection temperature
-    double epsilon = 0.10;    ///< exploration rate for Q-method
-    double qAlpha = 0.7;      ///< discount on the target network's value
     int trainEvery = 5;       ///< Q-network update period (paper: 5)
-    int replayBatch = 32;     ///< samples per Q training round
-    int hidden = 64;          ///< Q-network hidden width (4 FC layers)
     uint64_t seed = 0xf1e27;
     /** Known-good points evaluated before exploration starts. */
     std::vector<Point> seedPoints;
     /** Stop early once best() reaches this value (0 = run all trials). */
     double targetGflops = 0.0;
-    /** Extra simulated seconds per step for method bookkeeping. */
-    double stepOverheadSeconds = 0.0;
     /**
      * Optional worker pool for parallel batched measurement (the serve
      * layer's Section 5.2 model). Batched stages (warmup, P-method
      * neighborhoods, AutoTVM measurement rounds) score candidates
      * concurrently but commit them to H in submission order, so results
-     * are identical to a sequential run for the same seed.
+     * are identical to a sequential run for the same seed. The simulated
+     * measurement width is the pool's size, or 1 without a pool.
      */
     ThreadPool *evalPool = nullptr;
-    /** Simulated measurement width (0 = pool size, or 1 without a pool). */
-    int measureParallelism = 0;
     /**
      * Fault-tolerance policy for measurements: retries with backoff,
      * per-trial deadline, repeated-measure median, quarantine. With no

@@ -99,8 +99,7 @@ tuneOp(const Operation &anchor, const Target &target,
              tint("trials", options.explore.trials)});
     }
     SpaceOptions space_options;
-    space_options.templateRestricted =
-        options.templateRestricted || options.method == Method::AutoTvm;
+    space_options.templateRestricted = options.method == Method::AutoTvm;
     const std::shared_ptr<const ScheduleSpace> stored =
         buildSpaceObserved(anchor, target, space_options, obs);
     const ScheduleSpace &space = *stored;

@@ -26,10 +26,11 @@ struct ScheduleCertificate;
 /** Tuning options. */
 struct TuneOptions
 {
+    /** Method::AutoTvm searches the template-restricted space
+     *  (SpaceOptions::templateRestricted), every other method the full
+     *  one. */
     Method method = Method::QMethod;
     ExploreOptions explore;
-    /** Use the template-restricted space (implied by Method::AutoTvm). */
-    bool templateRestricted = false;
     /**
      * Optional persistent tuning cache. A hit whose config is still
      * representable in the space skips exploration entirely; after a

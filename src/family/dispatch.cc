@@ -1,10 +1,13 @@
 #include "family/dispatch.h"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "schedule/serialize.h"
+#include "sim/perf_model.h"
 #include "support/hexfloat.h"
 #include "support/journal.h"
 #include "support/logging.h"
@@ -29,27 +32,56 @@ bucketingOf(const std::string &name, bool &ok)
     return Bucketing::Pow2;
 }
 
+/** Whether `e` may follow `entries` in a table over `var`. */
+bool
+fitsAfter(const std::vector<DispatchEntry> &entries, const ShapeVar &var,
+          const DispatchEntry &e)
+{
+    const int64_t first = entries.empty() ? var.lo : entries.back().hi + 1;
+    return e.lo >= first && e.hi >= e.lo && e.hi <= var.hi;
+}
+
 } // namespace
 
-void
+bool
+DispatchEntry::valid() const
+{
+    return std::isfinite(gflops) && gflops > kInvalidGflops;
+}
+
+bool
 DispatchTable::addEntry(DispatchEntry entry)
 {
-    const int64_t expected_lo =
-        entries_.empty() ? var_.lo : entries_.back().hi + 1;
-    FT_ASSERT(entry.lo == expected_lo, "dispatch entry [", entry.lo, ", ",
-              entry.hi, "] breaks the contiguous bucket partition "
-              "(expected lo ", expected_lo, ")");
-    FT_ASSERT(entry.hi >= entry.lo && entry.hi <= var_.hi,
-              "dispatch entry [", entry.lo, ", ", entry.hi,
-              "] exceeds the declared range of '", var_.name, "'");
+    FT_ASSERT(fitsAfter(entries_, var_, entry), "dispatch entry [", entry.lo,
+              ", ", entry.hi, "] overlaps an earlier bucket or leaves the "
+              "declared range of '", var_.name, "'");
+    // A failed search's best point is no schedule to serve.
+    if (!entry.valid())
+        return false;
     entries_.push_back(std::move(entry));
+    return true;
 }
 
 bool
 DispatchTable::total() const
 {
-    return !entries_.empty() && entries_.front().lo == var_.lo &&
-           entries_.back().hi == var_.hi;
+    int64_t next = var_.lo;
+    for (const DispatchEntry &e : entries_) {
+        if (e.lo != next)
+            return false;
+        next = e.hi + 1;
+    }
+    return !entries_.empty() && next == var_.hi + 1;
+}
+
+const DispatchEntry *
+DispatchTable::find(int64_t shape) const
+{
+    // Binary search over the ascending, disjoint entries.
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), shape,
+        [](const DispatchEntry &e, int64_t v) { return e.hi < v; });
+    return it != entries_.end() && it->contains(shape) ? &*it : nullptr;
 }
 
 const DispatchEntry &
@@ -62,22 +94,14 @@ DispatchTable::lookup(int64_t shape) const
             var_.name + "' [" + std::to_string(var_.lo) + ", " +
             std::to_string(var_.hi) + "]");
     }
-    // Binary search over the contiguous ascending partition.
-    size_t lo = 0, hi = entries_.size();
-    while (lo < hi) {
-        size_t mid = (lo + hi) / 2;
-        if (entries_[mid].hi < shape)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo >= entries_.size() || !entries_[lo].contains(shape)) {
+    const DispatchEntry *entry = find(shape);
+    if (!entry) {
         throw std::out_of_range(
             "dispatch lookup for '" + familyName_ + "': shape " +
             std::to_string(shape) +
             " has no bucket entry (table is not total)");
     }
-    return entries_[lo];
+    return *entry;
 }
 
 std::string
@@ -142,11 +166,12 @@ DispatchTable::deserialize(const std::string &text)
             if (!config)
                 return std::nullopt;
             e.config = std::move(*config);
-            const int64_t expected_lo =
-                out.entries_.empty() ? out.var_.lo
-                                     : out.entries_.back().hi + 1;
-            if (e.lo != expected_lo || e.hi < e.lo || e.hi > out.var_.hi)
+            if (!fitsAfter(out.entries_, out.var_, e))
                 return std::nullopt;
+            if (!e.valid()) {
+                warn("dropping invalid dispatch entry: ", line);
+                continue;
+            }
             out.entries_.push_back(std::move(e));
         } else {
             return std::nullopt;

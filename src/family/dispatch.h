@@ -6,8 +6,9 @@
  * schedule the family tuner found, and maps any concrete in-range shape
  * value to its bucket entry in O(log #buckets). Lookups outside the
  * declared range fail loudly — a dispatch table is a contract over
- * exactly the range it was tuned for. The text serialization
- * round-trips byte-identically (GFLOPS stored as hexfloats).
+ * exactly the range it was tuned for, and holds valid entries only.
+ * The text serialization round-trips byte-identically (GFLOPS stored as
+ * hexfloats).
  */
 #ifndef FLEXTENSOR_FAMILY_DISPATCH_H
 #define FLEXTENSOR_FAMILY_DISPATCH_H
@@ -33,6 +34,9 @@ struct DispatchEntry
     int trials = 0;      ///< exploration trials spent on this bucket
 
     bool contains(int64_t v) const { return v >= lo && v <= hi; }
+
+    /** A usable schedule: finite GFLOPS above kInvalidGflops. */
+    bool valid() const;
 };
 
 class DispatchTable
@@ -45,19 +49,23 @@ class DispatchTable
     {}
 
     /**
-     * Append one bucket entry. Entries must arrive in ascending shape
-     * order and form a contiguous partition starting at var().lo.
+     * Append one bucket entry, or refuse it (false) when it is not
+     * valid(). Entries must arrive in ascending shape order, disjoint
+     * and inside var(); a refused bucket leaves a gap.
      */
-    void addEntry(DispatchEntry entry);
+    bool addEntry(DispatchEntry entry);
+
+    /** The entry serving `shape`, or null when no entry covers it. */
+    const DispatchEntry *find(int64_t shape) const;
 
     /**
      * The entry serving `shape`. Throws std::out_of_range when the
-     * shape is outside the declared range (or the table is not total
-     * over it yet) — serving an untuned shape silently is a bug.
+     * shape is outside the declared range (or no entry covers it) —
+     * serving an untuned shape silently is a bug.
      */
     const DispatchEntry &lookup(int64_t shape) const;
 
-    /** Whether the entries cover the full declared range. */
+    /** Whether the entries cover the full declared range, gap-free. */
     bool total() const;
 
     const std::vector<DispatchEntry> &entries() const { return entries_; }
@@ -68,7 +76,8 @@ class DispatchTable
     /** Line-oriented text form; deserialize() inverts it byte-exactly. */
     std::string serialize() const;
 
-    /** Parse serialize() output. Returns nullopt on malformed input. */
+    /** Parse serialize() output, dropping entries that are not
+     *  valid(). Returns nullopt on malformed input. */
     static std::optional<DispatchTable> deserialize(const std::string &text);
 
     /**
@@ -90,7 +99,7 @@ class DispatchTable
     std::string familyName_;
     std::string device_;
     ShapeVar var_;
-    std::vector<DispatchEntry> entries_; ///< ascending, contiguous
+    std::vector<DispatchEntry> entries_; ///< ascending, disjoint, valid
 };
 
 } // namespace ft

@@ -3,6 +3,7 @@
 #include "analysis/verify/verify.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/library_model.h"
 #include "support/logging.h"
 
 namespace ft {
@@ -34,6 +35,36 @@ certifyFamilyInstance(const ShapeFamily &family, const OpConfig &generic,
     return verify::certifySchedule(s, target, &adapted);
 }
 
+namespace {
+
+/** Whether `config` serves every shape of `bucket`. */
+bool
+servesBucket(const ShapeFamily &family, const OpConfig &config,
+             const ShapeBucket &bucket, const Target &target)
+{
+    for (int64_t v = bucket.lo; v <= bucket.hi; ++v)
+        if (instanceGflopsFor(family, config, v, target) <= 0.0)
+            return false;
+    return true;
+}
+
+/** Joint score of `config` over sampled shapes, each weighted by its
+ *  value as tuneFamily weights the FamilyEvaluator's instances. */
+double
+jointGflops(const ShapeFamily &family, const OpConfig &config,
+            const std::vector<int64_t> &shapes, const Target &target)
+{
+    double total_weight = 0.0, total = 0.0;
+    for (int64_t v : shapes)
+        total_weight += static_cast<double>(v);
+    for (int64_t v : shapes)
+        total += static_cast<double>(v) / total_weight *
+                 instanceGflopsFor(family, config, v, target);
+    return total;
+}
+
+} // namespace
+
 FamilyTuneReport
 tuneFamily(const ShapeFamily &family, const Target &target,
            const FamilyTuneOptions &options)
@@ -59,12 +90,9 @@ tuneFamily(const ShapeFamily &family, const Target &target,
     // factors of nextPow2(hi), and per-instance overshoot lowers to a
     // guarded imperfect tile.
     const Operation generic = family.instanceAnchor(family.var.hi);
-    SpaceOptions space_options = options.space;
-    space_options.templateRestricted = options.space.templateRestricted ||
-                                       options.method == Method::AutoTvm;
-    if (static_cast<int>(space_options.spatialExtentOverride.size()) <=
-        family.dynamicAxis)
-        space_options.spatialExtentOverride.resize(family.dynamicAxis + 1, 0);
+    SpaceOptions space_options;
+    space_options.templateRestricted = options.method == Method::AutoTvm;
+    space_options.spatialExtentOverride.assign(family.dynamicAxis + 1, 0);
     space_options.spatialExtentOverride[family.dynamicAxis] =
         nextPow2(family.var.hi);
     const std::shared_ptr<const ScheduleSpace> stored =
@@ -119,19 +147,12 @@ tuneFamily(const ShapeFamily &family, const Target &target,
         bucket_report.bucket = bucket;
         bucket_report.config = space.decode(result.bestPoint);
         bucket_report.familyGflops = result.bestGflops;
-        bucket_report.repGflops = instanceGflopsFor(
-            family, bucket_report.config, bucket.hi, target);
+        bucket_report.valid =
+            result.bestGflops > kInvalidGflops &&
+            servesBucket(family, bucket_report.config, bucket, target);
         bucket_report.trials = result.trialsUsed;
         bucket_report.simSeconds = result.simSeconds;
-        if (options.certify) {
-            bucket_report.certificate =
-                std::make_shared<verify::ScheduleCertificate>(
-                    certifyFamilyInstance(family, bucket_report.config,
-                                          bucket.hi, target));
-        }
 
-        report.table.addEntry({bucket.lo, bucket.hi, bucket_report.config,
-                               result.bestGflops, result.trialsUsed});
         report.totalTrials += result.trialsUsed;
         report.simSeconds += result.simSeconds;
         carried.push_back(result.bestPoint);
@@ -142,6 +163,34 @@ tuneFamily(const ShapeFamily &family, const Target &target,
                             tint("trials", result.trialsUsed)});
         }
         report.buckets.push_back(std::move(bucket_report));
+    }
+
+    // A failed bucket falls back to the expert config at its upper
+    // shape when that serves every shape of it; only valid buckets enter
+    // the dispatch table.
+    for (FamilyBucketReport &b : report.buckets) {
+        if (!b.valid) {
+            OpConfig expert =
+                expertConfig(family.instanceAnchor(b.bucket.hi), target);
+            b.valid = b.fallback =
+                servesBucket(family, expert, b.bucket, target);
+            if (b.fallback) {
+                b.config = std::move(expert);
+                b.familyGflops = jointGflops(
+                    family, b.config,
+                    sampleBucket(b.bucket, options.samplesPerBucket), target);
+            }
+        }
+        b.repGflops =
+            instanceGflopsFor(family, b.config, b.bucket.hi, target);
+        if (options.certify) {
+            b.certificate = std::make_shared<verify::ScheduleCertificate>(
+                certifyFamilyInstance(family, b.config, b.bucket.hi, target));
+        }
+        if (b.valid) {
+            report.table.addEntry({b.bucket.lo, b.bucket.hi, b.config,
+                                   b.familyGflops, b.trials});
+        }
     }
 
     if (obs.trace) {

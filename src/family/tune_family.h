@@ -8,7 +8,9 @@
  * existing explorers per bucket with a FamilyEvaluator that scores each
  * candidate jointly on sampled instances of that bucket. The per-bucket
  * winners become DispatchTable entries; serve-time lookup adapts the
- * winning generic config's dynamic split to the concrete shape.
+ * winning generic config's dynamic split to the concrete shape. A
+ * bucket whose search finds no schedule serving every shape in it
+ * falls back to a config that does, or gets no entry at all.
  */
 #ifndef FLEXTENSOR_FAMILY_TUNE_FAMILY_H
 #define FLEXTENSOR_FAMILY_TUNE_FAMILY_H
@@ -27,13 +29,12 @@ namespace ft {
 /** Options for one family tuning run. */
 struct FamilyTuneOptions
 {
+    /** As TuneOptions::method: Method::AutoTvm searches the
+     *  template-restricted space. */
     Method method = Method::QMethod;
     ExploreOptions explore;
     /** Shape instances jointly scored per bucket (>= 1). */
     int samplesPerBucket = 2;
-    /** Extra space-construction options (extent overrides are set by
-     *  tuneFamily itself; other knobs pass through). */
-    SpaceOptions space;
     /**
      * Certify each bucket's winning generic schedule at the bucket's
      * representative (upper) shape — including the FT-DEP-005 guard
@@ -48,6 +49,12 @@ struct FamilyBucketReport
 {
     ShapeBucket bucket;
     OpConfig config;           ///< best generic schedule for the bucket
+    /** `config` passes the verifier and device model at every shape of
+     *  the bucket; only valid buckets get a dispatch entry. */
+    bool valid = false;
+    /** The search found no valid config, and `config` is the expert
+     *  config at the bucket's upper shape, which is valid. */
+    bool fallback = false;
     double familyGflops = 0.0; ///< joint score over sampled instances
     /** Modeled GFLOPS at the bucket's representative (upper) shape. */
     double repGflops = 0.0;
@@ -61,7 +68,7 @@ struct FamilyBucketReport
 /** Outcome of one tuneFamily() run. */
 struct FamilyTuneReport
 {
-    DispatchTable table; ///< total over the declared range on success
+    DispatchTable table; ///< the valid buckets' entries
     std::vector<FamilyBucketReport> buckets;
     int totalTrials = 0;
     double simSeconds = 0.0;

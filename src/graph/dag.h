@@ -65,13 +65,6 @@ struct DagNode
         return kind == NodeKind::Conv || kind == NodeKind::Dense;
     }
 
-    /** True for elementwise nodes that sink into their producer. */
-    bool isEltwise() const
-    {
-        return kind == NodeKind::Bias || kind == NodeKind::Relu ||
-               kind == NodeKind::Add;
-    }
-
     /** Output element count. */
     int64_t numel() const;
 

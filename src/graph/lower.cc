@@ -64,7 +64,7 @@ buildAnchorIr(const AnchorKey &key)
 SetupStore<AnchorKey, AnchorIr> &
 anchorStore()
 {
-    static SetupStore<AnchorKey, AnchorIr> store;
+    static SetupStore<AnchorKey, AnchorIr> store(kSetupStoreCapacity);
     return store;
 }
 

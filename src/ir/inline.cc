@@ -88,27 +88,6 @@ inlineAccessesTo(const Expr &expr, const Operation &producer)
     return rewrite(expr, {}, {}, bodies);
 }
 
-Operation
-inlineProducers(const Operation &op)
-{
-    FT_ASSERT(!op->isPlaceholder(), "cannot inline into a placeholder");
-    const auto *c = static_cast<const ComputeOp *>(op.get());
-
-    // Collect transitively inlinable producers with their own bodies
-    // already fully inlined (post-order guarantees producers first).
-    std::unordered_map<const OperationNode *, Expr> bodies;
-    for (const auto &node : postOrderTraverse(Tensor(op))) {
-        if (node.get() == op.get() || !canInline(node))
-            continue;
-        const auto *pc = static_cast<const ComputeOp *>(node.get());
-        bodies[node.get()] = rewrite(pc->body(), {}, {}, bodies);
-    }
-
-    Expr body = rewrite(c->body(), {}, {}, bodies);
-    return std::make_shared<ComputeOp>(c->name(), c->axis(),
-                                       c->reduceAxis(), std::move(body));
-}
-
 Tensor
 inlineGraph(const Tensor &root)
 {

@@ -28,13 +28,6 @@ bool canInline(const Operation &op);
 Expr inlineAccessesTo(const Expr &expr, const Operation &producer);
 
 /**
- * Inline every inlinable producer of `op` (transitively) and return the
- * rewritten operation. The result reads only placeholders and
- * non-inlinable compute nodes.
- */
-Operation inlineProducers(const Operation &op);
-
-/**
  * Rewrite a whole graph: inline every inlinable non-root node into its
  * consumers and return the new root tensor. The resulting mini-graph has
  * fewer nodes but identical semantics (verified by tests).

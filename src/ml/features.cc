@@ -139,12 +139,4 @@ costFeaturesInto(const Scheduled &sched, const Target &target,
                    : 0.0;
 }
 
-std::vector<double>
-costFeatures(const Scheduled &sched, const Target &target)
-{
-    std::vector<double> out;
-    costFeaturesInto(sched, target, out);
-    return out;
-}
-
 } // namespace ft

@@ -31,10 +31,6 @@ inline constexpr int kCostFeatureDim = 32;
 void costFeaturesInto(const Scheduled &sched, const Target &target,
                       std::vector<double> &out);
 
-/** Allocating convenience wrapper over costFeaturesInto(). */
-std::vector<double> costFeatures(const Scheduled &sched,
-                                 const Target &target);
-
 } // namespace ft
 
 #endif // FLEXTENSOR_ML_FEATURES_H

@@ -24,6 +24,11 @@ GbtModel::Tree::eval(const std::vector<double> &x) const
 
 namespace {
 
+constexpr int kMaxDepth = 4;
+constexpr double kLearningRate = 0.3;
+constexpr int kMinSamplesLeaf = 2;
+constexpr int kThresholdsPerFeature = 8;
+
 double
 meanOf(const std::vector<double> &v, const std::vector<int> &rows)
 {
@@ -39,14 +44,14 @@ int
 GbtModel::buildNode(Tree &tree, const std::vector<std::vector<double>> &x,
                     const std::vector<double> &residual,
                     const std::vector<int> &rows, int depth,
-                    const GbtOptions &options, Rng &rng) const
+                    Rng &rng) const
 {
     const int id = static_cast<int>(tree.nodes.size());
     tree.nodes.emplace_back();
     tree.nodes[id].value = meanOf(residual, rows);
 
-    if (depth >= options.maxDepth ||
-        static_cast<int>(rows.size()) < 2 * options.minSamplesLeaf) {
+    if (depth >= kMaxDepth ||
+        static_cast<int>(rows.size()) < 2 * kMinSamplesLeaf) {
         return id;
     }
 
@@ -73,11 +78,11 @@ GbtModel::buildNode(Tree &tree, const std::vector<std::vector<double>> &x,
             hi = std::max(hi, x[r][f]);
         }
         if (lo == hi) {
-            for (int t = 0; t < options.thresholdsPerFeature; ++t)
+            for (int t = 0; t < kThresholdsPerFeature; ++t)
                 rng.index(rows.size());
             continue;
         }
-        for (int t = 0; t < options.thresholdsPerFeature; ++t) {
+        for (int t = 0; t < kThresholdsPerFeature; ++t) {
             // Threshold from a random sample's feature value.
             int pivot = rows[rng.index(rows.size())];
             double threshold = x[pivot][f];
@@ -92,7 +97,7 @@ GbtModel::buildNode(Tree &tree, const std::vector<std::vector<double>> &x,
                     ++nr;
                 }
             }
-            if (nl < options.minSamplesLeaf || nr < options.minSamplesLeaf)
+            if (nl < kMinSamplesLeaf || nr < kMinSamplesLeaf)
                 continue;
             double ml = sl / nl, mr = sr / nr;
             double sse = 0.0;
@@ -119,9 +124,8 @@ GbtModel::buildNode(Tree &tree, const std::vector<std::vector<double>> &x,
     }
     tree.nodes[id].feature = best_feature;
     tree.nodes[id].threshold = best_threshold;
-    int l = buildNode(tree, x, residual, left_rows, depth + 1, options, rng);
-    int r = buildNode(tree, x, residual, right_rows, depth + 1, options,
-                      rng);
+    int l = buildNode(tree, x, residual, left_rows, depth + 1, rng);
+    int r = buildNode(tree, x, residual, right_rows, depth + 1, rng);
     tree.nodes[id].left = l;
     tree.nodes[id].right = r;
     return id;
@@ -130,11 +134,10 @@ GbtModel::buildNode(Tree &tree, const std::vector<std::vector<double>> &x,
 GbtModel::Tree
 GbtModel::buildTree(const std::vector<std::vector<double>> &x,
                     const std::vector<double> &residual,
-                    const std::vector<int> &rows, const GbtOptions &options,
-                    Rng &rng) const
+                    const std::vector<int> &rows, Rng &rng) const
 {
     Tree tree;
-    buildNode(tree, x, residual, rows, 0, options, rng);
+    buildNode(tree, x, residual, rows, 0, rng);
     return tree;
 }
 
@@ -144,7 +147,6 @@ GbtModel::boost(const std::vector<std::vector<double>> &x,
                 const std::vector<uint64_t> *group,
                 const GbtOptions &options, Rng &rng)
 {
-    learningRate_ = options.learningRate;
     std::vector<int> rows(x.size());
     std::iota(rows.begin(), rows.end(), 0);
 
@@ -205,9 +207,9 @@ GbtModel::boost(const std::vector<std::vector<double>> &x,
                 }
             }
         }
-        Tree tree = buildTree(x, residual, rows, options, rng);
+        Tree tree = buildTree(x, residual, rows, rng);
         for (size_t i = 0; i < x.size(); ++i)
-            pred[i] += learningRate_ * tree.eval(x[i]);
+            pred[i] += kLearningRate * tree.eval(x[i]);
         trees_.push_back(std::move(tree));
     }
     trained_ = true;
@@ -246,7 +248,7 @@ GbtModel::predict(const std::vector<double> &x) const
 {
     double p = bias_;
     for (const auto &tree : trees_)
-        p += learningRate_ * tree.eval(x);
+        p += kLearningRate * tree.eval(x);
     return p;
 }
 
@@ -255,7 +257,7 @@ GbtModel::serialize() const
 {
     std::ostringstream oss;
     oss << "gbt v1 " << (trained_ ? 1 : 0) << ' ' << hexDouble(bias_)
-        << ' ' << hexDouble(learningRate_) << ' ' << trees_.size() << '\n';
+        << ' ' << hexDouble(kLearningRate) << ' ' << trees_.size() << '\n';
     for (const Tree &tree : trees_) {
         oss << "tree " << tree.nodes.size() << '\n';
         for (const Node &n : tree.nodes) {
@@ -267,23 +269,29 @@ GbtModel::serialize() const
     return oss.str();
 }
 
-bool
-GbtModel::deserialize(std::string_view bytes)
+void
+GbtModel::reset()
 {
     trees_.clear();
     trained_ = false;
     bias_ = 0.0;
-    learningRate_ = 0.3;
+}
+
+bool
+GbtModel::deserialize(std::string_view bytes)
+{
+    reset();
 
     std::istringstream iss{std::string(bytes)};
     std::string magic, version;
     int trained_flag = 0;
+    double learning_rate = 0.0;
     size_t num_trees = 0;
     if (!(iss >> magic >> version >> trained_flag) || magic != "gbt" ||
         version != "v1" || !readDouble(iss, bias_) ||
-        !readDouble(iss, learningRate_) || !(iss >> num_trees)) {
-        bias_ = 0.0;
-        learningRate_ = 0.3;
+        !readDouble(iss, learning_rate) || learning_rate != kLearningRate ||
+        !(iss >> num_trees)) {
+        reset();
         return false;
     }
     trees_.reserve(num_trees);
@@ -291,9 +299,7 @@ GbtModel::deserialize(std::string_view bytes)
         std::string tag;
         size_t num_nodes = 0;
         if (!(iss >> tag >> num_nodes) || tag != "tree") {
-            trees_.clear();
-            bias_ = 0.0;
-            learningRate_ = 0.3;
+            reset();
             return false;
         }
         Tree tree;
@@ -304,9 +310,7 @@ GbtModel::deserialize(std::string_view bytes)
                 !readDouble(iss, node.threshold) ||
                 !readDouble(iss, node.value) ||
                 !(iss >> node.left >> node.right)) {
-                trees_.clear();
-                bias_ = 0.0;
-                learningRate_ = 0.3;
+                reset();
                 return false;
             }
             // Child indices must stay inside this tree and leaves must
@@ -315,9 +319,7 @@ GbtModel::deserialize(std::string_view bytes)
             const bool leaf = node.feature < 0;
             if (!leaf && (node.left < 0 || node.left >= limit ||
                           node.right < 0 || node.right >= limit)) {
-                trees_.clear();
-                bias_ = 0.0;
-                learningRate_ = 0.3;
+                reset();
                 return false;
             }
             tree.nodes.push_back(node);

@@ -21,14 +21,14 @@ namespace ft {
 
 class Rng;
 
-/** GBT hyperparameters. */
+/**
+ * GBT hyperparameters. The tree shape and shrinkage are fixed: depth 4,
+ * learning rate 0.3, at least 2 samples per leaf, and 8 random
+ * threshold probes per feature and node.
+ */
 struct GbtOptions
 {
     int trees = 40;
-    int maxDepth = 4;
-    double learningRate = 0.3;
-    int minSamplesLeaf = 2;
-    int thresholdsPerFeature = 8;
 };
 
 /** A boosted ensemble of regression trees over dense double features. */
@@ -66,11 +66,15 @@ class GbtModel
      */
     std::string serialize() const;
 
-    /** Rebuild from serialize() output; false on malformed input (the
-     *  model is left untrained). */
+    /** Rebuild from serialize() output; false on malformed input or a
+     *  learning rate other than the fixed 0.3 (the model is left
+     *  untrained). */
     bool deserialize(std::string_view bytes);
 
   private:
+    /** Back to the untrained, empty model deserialize() starts from. */
+    void reset();
+
     struct Node
     {
         int feature = -1;   ///< -1 for leaves
@@ -92,15 +96,12 @@ class GbtModel
 
     Tree buildTree(const std::vector<std::vector<double>> &x,
                    const std::vector<double> &residual,
-                   const std::vector<int> &rows, const GbtOptions &options,
-                   Rng &rng) const;
+                   const std::vector<int> &rows, Rng &rng) const;
     int buildNode(Tree &tree, const std::vector<std::vector<double>> &x,
                   const std::vector<double> &residual,
-                  const std::vector<int> &rows, int depth,
-                  const GbtOptions &options, Rng &rng) const;
+                  const std::vector<int> &rows, int depth, Rng &rng) const;
 
     double bias_ = 0.0;
-    double learningRate_ = 0.3;
     std::vector<Tree> trees_;
     bool trained_ = false;
 };

@@ -5,9 +5,10 @@
 #include <cstring>
 #include <memory>
 
+#include "support/hash.h"
 #include "support/logging.h"
 #include "support/rng.h"
-#include "support/thread_annotations.h"
+#include "support/setup_store.h"
 
 /**
  * Runtime-dispatched AVX2 clones for the hot kernels. "avx2"
@@ -222,13 +223,13 @@ Param::zeroGrad()
 
 FT_LANE_CLONES
 void
-Param::step(const AdaDeltaOptions &opt)
+Param::step()
 {
     // Purely elementwise, so the loop vectorizes; mlp.cc builds with
     // -fno-math-errno so the sqrt needs no errno branch, and the SIMD
     // sqrt and divide are correctly rounded like their scalar forms.
-    const float rho = static_cast<float>(opt.rho);
-    const float eps = static_cast<float>(opt.eps);
+    const float rho = static_cast<float>(0.95);
+    const float eps = static_cast<float>(1e-6);
     const size_t n = value.size();
     float *__restrict v = value.data();
     float *__restrict gr = grad.data();
@@ -403,22 +404,11 @@ Linear::zeroGrad()
 }
 
 void
-Linear::step(const AdaDeltaOptions &opt)
+Linear::step()
 {
-    w_.step(opt);
-    b_.step(opt);
+    w_.step();
+    b_.step();
     repack();
-}
-
-void
-Linear::copyValuesFrom(const Linear &other)
-{
-    FT_ASSERT(inDim_ == other.inDim_ && outDim_ == other.outDim_,
-              "layer shape mismatch");
-    w_.value = other.w_.value;
-    b_.value = other.b_.value;
-    packedW_ = other.packedW_;
-    packedB_ = other.packedB_;
 }
 
 std::size_t
@@ -445,48 +435,46 @@ Mlp::Mlp(const std::vector<int> &dims, Rng &rng)
 
 namespace {
 
-/** One memoized He-init: its key (dims, state before) and outcome. */
-struct InitMemoEntry
+/** A He-init's inputs: the dims and the complete generator state. */
+struct InitKey
 {
     std::vector<int> dims;
     RngState before;
-    RngState after;
-    std::shared_ptr<const Mlp> net;
-};
 
-/** Bitwise state equality: a spare differing in any bit is a miss. */
-bool
-sameState(const RngState &a, const RngState &b)
-{
-    return std::memcmp(a.s, b.s, sizeof a.s) == 0 &&
-           a.haveSpare == b.haveSpare &&
-           std::memcmp(&a.spare, &b.spare, sizeof a.spare) == 0;
-}
-
-constexpr size_t kInitMemoEntries = 8;
-
-/** The process-wide memo; full, it overwrites its oldest entry. */
-struct InitMemo
-{
-    Mutex mu;
-    std::vector<InitMemoEntry> entries FT_GUARDED_BY(mu);
-    size_t oldest FT_GUARDED_BY(mu) = 0;
-
-    const InitMemoEntry *find(const std::vector<int> &dims,
-                              const RngState &before) FT_REQUIRES(mu)
+    /** Bitwise state equality: a spare differing in any bit is a miss. */
+    bool operator==(const InitKey &o) const
     {
-        for (const InitMemoEntry &entry : entries)
-            if (entry.dims == dims && sameState(entry.before, before))
-                return &entry;
-        return nullptr;
+        return dims == o.dims &&
+               std::memcmp(before.s, o.before.s, sizeof before.s) == 0 &&
+               before.haveSpare == o.before.haveSpare &&
+               std::memcmp(&before.spare, &o.before.spare,
+                           sizeof before.spare) == 0;
+    }
+
+    /** The generator words; operator== compares the rest. */
+    uint64_t hash() const
+    {
+        Fnv1a h;
+        for (uint64_t w : before.s)
+            h.word(w);
+        return h.value();
     }
 };
 
-InitMemo &
-initMemo()
+/** A He-init's outcome: the network and the state the draws left. */
+struct InitValue
 {
-    static InitMemo memo;
-    return memo;
+    RngState after;
+    Mlp net;
+};
+
+/** The process-wide memo: few entries, since only runs of one request
+ *  meet the same (dims, state) pair. */
+SetupStore<InitKey, InitValue> &
+initStore()
+{
+    static SetupStore<InitKey, InitValue> store(8);
+    return store;
 }
 
 } // namespace
@@ -495,37 +483,19 @@ Mlp
 initMlpMemoized(const std::vector<int> &dims, Rng &rng, bool *reused)
 {
     // One memo for the process, so searches on different threads share
-    // their inits; the lock covers lookup and insert, never the draws
-    // or the copy handed back.
-    InitMemo &memo = initMemo();
-    const RngState before = rng.state();
-    std::shared_ptr<const Mlp> net;
-    {
-        MutexLock lock(memo.mu);
-        if (const InitMemoEntry *hit = memo.find(dims, before)) {
-            net = hit->net;
-            rng.setState(hit->after);
-        }
-    }
+    // their inits; a search that misses while another draws the same
+    // init waits for it instead of drawing again.
+    bool drew = false;
+    const auto init = initStore().get(InitKey{dims, rng.state()}, [&] {
+        drew = true;
+        Rng draw = rng;
+        Mlp net(dims, draw);
+        return InitValue{draw.state(), std::move(net)};
+    });
+    rng.setState(init->after);
     if (reused)
-        *reused = net != nullptr;
-    if (net)
-        return *net;
-    net = std::make_shared<const Mlp>(dims, rng);
-    InitMemoEntry entry{dims, before, rng.state(), net};
-    {
-        MutexLock lock(memo.mu);
-        // Skipped when another thread drew the same init meanwhile.
-        if (!memo.find(dims, before)) {
-            if (memo.entries.size() < kInitMemoEntries) {
-                memo.entries.push_back(std::move(entry));
-            } else {
-                memo.entries[memo.oldest] = std::move(entry);
-                memo.oldest = (memo.oldest + 1) % kInitMemoEntries;
-            }
-        }
-    }
-    return *net;
+        *reused = !drew;
+    return init->net;
 }
 
 int
@@ -694,18 +664,10 @@ Mlp::zeroGrad()
 }
 
 void
-Mlp::step(const AdaDeltaOptions &opt)
+Mlp::step()
 {
     for (auto &l : layers_)
-        l.step(opt);
-}
-
-void
-Mlp::copyValuesFrom(const Mlp &other)
-{
-    FT_ASSERT(layers_.size() == other.layers_.size(), "depth mismatch");
-    for (size_t l = 0; l < layers_.size(); ++l)
-        layers_[l].copyValuesFrom(other.layers_[l]);
+        l.step();
 }
 
 std::vector<float>

@@ -21,13 +21,6 @@ namespace ft {
 
 class Rng;
 
-/** AdaDelta hyperparameters (Zeiler 2012). */
-struct AdaDeltaOptions
-{
-    double rho = 0.95;
-    double eps = 1e-6;
-};
-
 /**
  * Caller-owned working buffers for the batched/scratch Mlp passes.
  * Reusing one of these across calls makes inference and training
@@ -57,8 +50,11 @@ struct Param
     /** Zero the gradient buffer. */
     void zeroGrad();
 
-    /** Apply one AdaDelta update and clear the gradient. */
-    void step(const AdaDeltaOptions &opt);
+    /**
+     * Apply one AdaDelta update (Zeiler 2012, rho 0.95, eps 1e-6) and
+     * clear the gradient.
+     */
+    void step();
 };
 
 /**
@@ -68,7 +64,7 @@ struct Param
  * layout. forwardBatch() reads a packed transposed copy instead (in x
  * outputs padded to a multiple of 8, zero-filled, with the bias padded
  * the same way), refreshed wherever the values change: construction,
- * step(), copyValuesFrom() and restoreState().
+ * step() and restoreState().
  */
 class Linear
 {
@@ -121,10 +117,7 @@ class Linear
                        MlpScratch &scratch);
 
     void zeroGrad();
-    void step(const AdaDeltaOptions &opt);
-
-    /** Copy parameter values (not optimizer state) from another layer. */
-    void copyValuesFrom(const Linear &other);
+    void step();
 
     /** Raw parameter tensors {weights, bias} for checkpointing. */
     std::array<const Param *, 2> params() const { return {&w_, &b_}; }
@@ -199,10 +192,7 @@ class Mlp
                                const float *targets, MlpScratch &scratch);
 
     void zeroGrad();
-    void step(const AdaDeltaOptions &opt);
-
-    /** Copy parameter values from another network (target-net sync). */
-    void copyValuesFrom(const Mlp &other);
+    void step();
 
     /**
      * Flatten every parameter's values and AdaDelta accumulators
@@ -226,7 +216,9 @@ class Mlp
  * network and sets `rng` to the state the first init left: values,
  * packed copies and the stream continue bit-identically to a fresh
  * init. `*reused` (when non-null) reports whether the memo answered.
- * Safe from any thread: searches on different threads share the memo.
+ * Safe from any thread: searches on different threads share the memo
+ * (a SetupStore of 8 entries), and a search that misses while another
+ * draws the same init waits for that draw instead of repeating it.
  */
 Mlp initMlpMemoized(const std::vector<int> &dims, Rng &rng,
                     bool *reused = nullptr);

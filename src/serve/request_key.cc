@@ -47,18 +47,18 @@ RequestKey::text(const std::string &s)
 RequestKey &
 RequestKey::fields(const ExploreOptions &e)
 {
-    // evalPool and obs are left out: they never change a result.
+    // evalPool and obs are left out: a service runs every request on
+    // its own pool (whose size is the simulated measurement width), and
+    // sinks never change a result.
     word(e.trials).word(e.startingPoints).word(e.warmupPoints);
-    real(e.saGamma).real(e.epsilon).real(e.qAlpha);
-    word(e.trainEvery).word(e.replayBatch).word(e.hidden).word(e.seed);
+    real(e.saGamma).word(e.trainEvery).word(e.seed);
     word(e.seedPoints.size());
     for (const Point &p : e.seedPoints) {
         word(p.idx.size());
         for (int64_t v : p.idx)
             word(v);
     }
-    real(e.targetGflops).real(e.stepOverheadSeconds);
-    word(e.measureParallelism);
+    real(e.targetGflops);
     // A disabled injector is a transparent layer, like no injector.
     const ResilienceOptions &r = e.resilience;
     const bool faults = r.injector && r.injector->profile().enabled();
@@ -81,23 +81,14 @@ RequestKey &
 RequestKey::fields(const TuneOptions &o)
 {
     word(static_cast<uint64_t>(o.method));
-    word(o.templateRestricted).word(o.certify).word(o.cache != nullptr);
+    word(o.certify).word(o.cache != nullptr);
     return fields(o.explore);
 }
 
 RequestKey &
 RequestKey::fields(const FamilyTuneOptions &o)
 {
-    const SpaceOptions &s = o.space;
     word(static_cast<uint64_t>(o.method)).word(o.samplesPerBucket);
-    word(s.templateRestricted).word(s.pow2Splits);
-    word(s.exploreReorderUnroll).word(s.exploreCacheAt);
-    for (const auto *extents :
-         {&s.spatialExtentOverride, &s.reduceExtentOverride}) {
-        word(extents->size());
-        for (int64_t v : *extents)
-            word(v);
-    }
     word(o.certify);
     return fields(o.explore);
 }

@@ -73,8 +73,6 @@ void
 TuningService::prepare(ExploreOptions &explore)
 {
     explore.evalPool = &evalPool_;
-    if (explore.measureParallelism == 0)
-        explore.measureParallelism = evalPool_.numThreads();
     // One shared model across every request: each run's trials train
     // it, later runs warm-start from the earlier ones.
     if (costModel_ && !explore.costModel)
@@ -279,10 +277,15 @@ TuningService::fromDispatch(const ShapeFamily &family, int64_t shape,
         RequestKey::dispatch(family.name, target.deviceName());
     MutexLock lock(mu_);
     auto it = dispatch_.find(slot);
-    if (it == dispatch_.end() || !it->second.var().contains(shape))
+    if (it == dispatch_.end())
+        return std::nullopt;
+    // Tables hold valid entries only; a shape no entry covers (its
+    // bucket failed, or was dropped on load) is not answered here.
+    const DispatchEntry *entry = it->second.find(shape);
+    if (!entry)
         return std::nullopt;
     dispatchHits_.add();
-    return serveFrom(it->second.lookup(shape), family, shape, true);
+    return serveFrom(*entry, family, shape, true);
 }
 
 FamilyServeResult

@@ -279,7 +279,10 @@ class TuningService
      * Serve one concrete shape of a family: a published dispatch table
      * answers immediately (a dispatch hit); otherwise the family is
      * tuned first (coalescing with concurrent requests) and the fresh
-     * table answers. The shape must be inside the declared range.
+     * table answers. The shape must be inside the declared range. Only
+     * valid entries answer: when the shape's bucket found no schedule
+     * serving all its shapes, even by fallback, this throws
+     * std::out_of_range instead of serving a failed search.
      */
     FamilyServeResult serveShape(const ShapeFamily &family, int64_t shape,
                                  const Target &target,

@@ -25,15 +25,13 @@ struct SpaceKey
         Fnv1a h;
         h.word(static_cast<uint64_t>(kind));
         for (const auto *extents :
-             {&spatial, &reduce, &options.spatialExtentOverride,
-              &options.reduceExtentOverride}) {
+             {&spatial, &reduce, &options.spatialExtentOverride}) {
             h.word(extents->size());
             for (int64_t e : *extents)
                 h.word(static_cast<uint64_t>(e));
         }
         h.word(options.templateRestricted | (options.pow2Splits << 1) |
-               (options.exploreReorderUnroll << 2) |
-               (options.exploreCacheAt << 3));
+               (options.exploreCacheAt << 2));
         return h.value();
     }
 };
@@ -41,7 +39,7 @@ struct SpaceKey
 SetupStore<SpaceKey, ScheduleSpace> &
 spaceStore()
 {
-    static SetupStore<SpaceKey, ScheduleSpace> store;
+    static SetupStore<SpaceKey, ScheduleSpace> store(kSetupStoreCapacity);
     return store;
 }
 
@@ -65,30 +63,21 @@ buildSpace(const Operation &anchor, const Target &target,
 
     ScheduleSpace space(defaultConfig(anchor, target));
     const bool pow2 = options.templateRestricted || options.pow2Splits;
-    const bool knobs =
-        options.exploreReorderUnroll && !options.templateRestricted;
-
-    auto extentOf = [](const std::vector<int64_t> &overrides, size_t i,
-                       int64_t declared) {
-        return i < overrides.size() && overrides[i] > 0 ? overrides[i]
-                                                        : declared;
-    };
+    const std::vector<int64_t> &overrides = options.spatialExtentOverride;
     for (size_t i = 0; i < op->axis().size(); ++i) {
+        const int64_t extent = i < overrides.size() && overrides[i] > 0
+                                   ? overrides[i]
+                                   : op->axis()[i]->extent;
         space.add(std::make_unique<SplitSubSpace>(
-            KnobRole::SpatialSplit, static_cast<int>(i),
-            extentOf(options.spatialExtentOverride, i,
-                     op->axis()[i]->extent),
-            sl, pow2));
+            KnobRole::SpatialSplit, static_cast<int>(i), extent, sl, pow2));
     }
     for (size_t i = 0; i < op->reduceAxis().size(); ++i) {
         space.add(std::make_unique<SplitSubSpace>(
             KnobRole::ReduceSplit, static_cast<int>(i),
-            extentOf(options.reduceExtentOverride, i,
-                     op->reduceAxis()[i]->extent),
-            rl, pow2));
+            op->reduceAxis()[i]->extent, rl, pow2));
     }
 
-    if (knobs) {
+    if (!options.templateRestricted) {
         std::vector<int64_t> reorders;
         for (int r = 0; r < kNumReorderChoices; ++r)
             reorders.push_back(r);

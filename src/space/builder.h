@@ -25,16 +25,13 @@ struct SpaceOptions
     /**
      * Build the restricted, AutoTVM-style template space instead of the
      * full FlexTensor space: power-of-two split factors only and no
-     * reorder/unroll exploration. Used by the baseline in explore/autotvm.
-     * Implies pow2Splits and disables reorder/unroll knobs.
+     * reorder/unroll exploration (the full space always has those
+     * knobs). Used by the AutoTVM baseline. Implies pow2Splits.
      */
     bool templateRestricted = false;
 
     /** Restrict split factors to powers of two (ablation knob). */
     bool pow2Splits = false;
-
-    /** Include the reorder/unroll knobs (ablation knob). */
-    bool exploreReorderUnroll = true;
 
     /**
      * Also explore the GPU compute_at staging depth (off by default: the
@@ -45,16 +42,14 @@ struct SpaceOptions
 
     /**
      * Shape-generic spaces: when non-empty, entry i (> 0) replaces the
-     * extent of spatial/reduce axis i when enumerating split factors.
-     * The family layer passes the padded (next power of two) upper
-     * bound of a dynamic dimension here, so one split sub-space stays
-     * valid across the whole declared shape range — the divisibility
-     * filter is relaxed to the padded extent, and per-instance
-     * overshoot lowers to an imperfect tile the verifier's interval
-     * prover gates instead.
+     * extent of spatial axis i when enumerating split factors. The
+     * family layer passes the padded (next power of two) upper bound of
+     * a dynamic dimension here, so one split sub-space stays valid
+     * across the whole declared shape range — the divisibility filter
+     * is relaxed to the padded extent, and per-instance overshoot lowers
+     * to an imperfect tile the verifier's interval prover gates instead.
      */
     std::vector<int64_t> spatialExtentOverride;
-    std::vector<int64_t> reduceExtentOverride;
 
     /** Every field compares, so each one separates stored spaces. */
     bool operator==(const SpaceOptions &) const = default;

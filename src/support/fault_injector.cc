@@ -29,19 +29,6 @@ toUnit(uint64_t h)
 
 } // namespace
 
-std::string
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::None: return "none";
-      case FaultKind::Transient: return "transient";
-      case FaultKind::Permanent: return "permanent";
-      case FaultKind::Timeout: return "timeout";
-      case FaultKind::Outlier: return "outlier";
-    }
-    return "?";
-}
-
 std::optional<FaultProfile>
 parseFaultProfile(const std::string &spec)
 {

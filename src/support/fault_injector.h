@@ -36,9 +36,6 @@ namespace ft {
 /** Failure mode assigned to a measured point. */
 enum class FaultKind { None, Transient, Permanent, Timeout, Outlier };
 
-/** Human-readable fault-kind name. */
-std::string faultKindName(FaultKind kind);
-
 /** Per-mode probabilities and fault shape parameters. */
 struct FaultProfile
 {

@@ -216,7 +216,6 @@ void
 JournalWriter::append(std::string_view payload)
 {
     buf_ += journalFrame(payload);
-    ++records_;
 }
 
 bool

@@ -93,8 +93,6 @@ class JournalWriter
     /** The serialized journal so far (header + frames). */
     const std::string &bytes() const { return buf_; }
 
-    size_t recordCount() const { return records_; }
-
     /**
      * Write the journal to `path` via temp file + atomic rename, the
      * same crash-safe pattern as TuningCache::save. Returns false on
@@ -104,7 +102,6 @@ class JournalWriter
 
   private:
     std::string buf_;
-    size_t records_ = 0;
 };
 
 /** Render one frame (frame line + payload + newline). */

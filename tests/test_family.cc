@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -13,6 +15,9 @@
 #include "ops/ops.h"
 #include "serve/service.h"
 #include "sim/hw_spec.h"
+#include "sim/library_model.h"
+#include "support/hexfloat.h"
+#include "support/journal.h"
 #include "support/math_util.h"
 
 namespace ft {
@@ -186,7 +191,8 @@ TEST(DispatchTableTest, OutOfRangeLookupsFailLoudly)
     first.lo = 1;
     first.hi = 1;
     first.config.spatialSplits = {{1, 1, 1, 1}};
-    partial.addEntry(first);
+    first.gflops = 1.0;
+    ASSERT_TRUE(partial.addEntry(first));
     EXPECT_FALSE(partial.total());
     EXPECT_NO_THROW(partial.lookup(1));
     EXPECT_THROW(partial.lookup(2), std::out_of_range);
@@ -210,6 +216,98 @@ TEST(DispatchTableTest, SerializeRoundTripsByteIdentically)
     EXPECT_FALSE(DispatchTable::deserialize("garbage").has_value());
     EXPECT_FALSE(DispatchTable::deserialize("dispatch v1\nentry 1 2 0x1p0 1 x")
                      .has_value());
+}
+
+/** tableOverRange's text with the entry of `bucket` scored kInvalidGflops. */
+std::string
+textWithInvalidEntry(const DispatchTable &table, size_t bucket)
+{
+    std::string text = table.serialize();
+    const std::string from = hexDouble(table.entries()[bucket].gflops);
+    const size_t at = text.find(" " + from + " ");
+    EXPECT_NE(at, std::string::npos);
+    return text.replace(at + 1, from.size(), hexDouble(kInvalidGflops));
+}
+
+TEST(DispatchTableTest, InvalidEntriesAreRefusedAndDroppedOnLoad)
+{
+    const DispatchTable full = tableOverRange(1, 8); // [1] [2] [3,4] [5,8]
+    DispatchTable table("gemm_test", "V100", full.var());
+    for (size_t i = 0; i < full.entries().size(); ++i) {
+        DispatchEntry entry = full.entries()[i];
+        if (i == 1)
+            entry.gflops = kInvalidGflops;
+        if (i == 2)
+            entry.gflops = std::numeric_limits<double>::quiet_NaN();
+        EXPECT_EQ(table.addEntry(entry), i != 1 && i != 2) << i;
+    }
+    // The refused buckets leave a gap no lookup answers from.
+    EXPECT_FALSE(table.total());
+    ASSERT_EQ(table.entries().size(), 2u);
+    EXPECT_NE(table.find(1), nullptr);
+    for (int64_t v : {2, 3, 4}) {
+        EXPECT_EQ(table.find(v), nullptr) << v;
+        EXPECT_THROW(table.lookup(v), std::out_of_range) << v;
+    }
+    EXPECT_EQ(table.find(5)->lo, 5);
+    EXPECT_EQ(table.find(0), nullptr);
+
+    // The loader drops an invalid entry the same way.
+    auto parsed = DispatchTable::deserialize(textWithInvalidEntry(full, 1));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->entries().size(), full.entries().size() - 1);
+    EXPECT_FALSE(parsed->total());
+    EXPECT_EQ(parsed->find(2), nullptr);
+    for (const DispatchEntry &e : parsed->entries())
+        EXPECT_TRUE(e.valid()) << e.lo;
+}
+
+/**
+ * A family search that finds no schedule must not publish one: 1 trial
+ * and 1 warmup point of random search over gemm m in [1, 64] leave some
+ * buckets with nothing that verifies (17 of the 84 below). Each such
+ * bucket falls back to the expert config at its upper shape, and every
+ * published entry serves every shape of its bucket.
+ */
+TEST(FamilyTuneTest, FailedBucketsNeverReachTheDispatchTable)
+{
+    const ShapeFamily family = gemmOverM(1024, 1024, batchVar(1, 64));
+    int fallbacks = 0;
+    for (const Target &target :
+         {Target::forGpu(v100()), Target::forCpu(xeonE5())}) {
+        for (uint64_t seed = 1; seed <= 6; ++seed) {
+            SCOPED_TRACE(target.deviceName() + " seed " +
+                         std::to_string(seed));
+            FamilyTuneOptions options;
+            options.method = Method::Random;
+            options.explore.trials = 1;
+            options.explore.warmupPoints = 1;
+            options.explore.seed = seed;
+            const FamilyTuneReport report =
+                tuneFamily(family, target, options);
+            for (const FamilyBucketReport &b : report.buckets) {
+                EXPECT_TRUE(b.valid) << b.bucket.lo;
+                if (!b.fallback)
+                    continue;
+                ++fallbacks;
+                EXPECT_EQ(serializeConfig(b.config),
+                          serializeConfig(expertConfig(
+                              family.instanceAnchor(b.bucket.hi), target)));
+                EXPECT_GT(b.familyGflops, kInvalidGflops);
+                EXPECT_GT(b.repGflops, 0.0);
+            }
+            EXPECT_TRUE(report.table.total());
+            for (const DispatchEntry &e : report.table.entries()) {
+                EXPECT_TRUE(e.valid()) << e.lo;
+                for (int64_t v = e.lo; v <= e.hi; ++v) {
+                    EXPECT_GT(instanceGflopsFor(family, e.config, v, target),
+                              0.0)
+                        << "shape " << v;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(fallbacks, 17);
 }
 
 TEST(FamilyTuneTest, TuneFamilyProducesATotalTable)
@@ -309,6 +407,42 @@ TEST(FamilyServiceTest, ServeShapeHitsDispatchTableAfterTuning)
     EXPECT_FALSE(
         service.dispatchTableFor("no_such_family", target.deviceName())
             .has_value());
+}
+
+/**
+ * A persisted table whose entry is invalid loads without it: the
+ * service answers the other buckets from the table and tunes the
+ * family for a shape of the dropped one instead of serving it.
+ */
+TEST(FamilyServiceTest, DispatchNeverAnswersFromADroppedEntry)
+{
+    const ShapeFamily family = smallGemmFamily(1, 8);
+    const Target target = Target::forGpu(v100());
+    const std::string dir =
+        ::testing::TempDir() + "ft_family_dropped_entry";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const DispatchTable source = tableOverRange(1, 8);
+    DispatchTable table(family.name, target.deviceName(), family.var);
+    for (const DispatchEntry &e : source.entries())
+        table.addEntry(e);
+    JournalWriter writer("dispatch");
+    writer.append(textWithInvalidEntry(table, 1)); // bucket [2, 2]
+    ASSERT_TRUE(writer.commit(dir + "/stale.dispatch"));
+
+    ServiceOptions service_options;
+    service_options.dispatchDir = dir;
+    TuningService service(service_options);
+    EXPECT_TRUE(service.serveShape(family, 1, target, quickOptions())
+                    .fromDispatch);
+    const FamilyServeResult fresh =
+        service.serveShape(family, 2, target, quickOptions());
+    EXPECT_FALSE(fresh.fromDispatch);
+    EXPECT_GT(fresh.gflops, kInvalidGflops);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.dispatchHits, 1u);
+    EXPECT_EQ(stats.tuningRuns, 1u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(FamilyServiceTest, TuneFamilyPublishesAndCountsRequests)

@@ -240,8 +240,9 @@ INSTANTIATE_TEST_SUITE_P(Fuzz, ScheduleFuzzTest,
                          ::testing::ValuesIn(kFuzzCases), fuzzName);
 
 /**
- * Imperfect-tile fuzzing over a shape-generic padded space: every axis
- * extent is overridden to its next power of two, so random points
+ * Imperfect-tile fuzzing over a shape-generic padded space: every
+ * spatial axis extent is overridden to its next power of two (the
+ * override the family layer has), so random points
  * routinely pick splits whose product overshoots the true extent —
  * exactly the regime the family layer tunes in.
  */
@@ -257,15 +258,13 @@ TEST_P(ImperfectTileFuzzTest, GuardedOvershootIsProvenAndExact)
     MiniGraph g(out);
     Operation anchor = anchorOp(g);
 
-    // Pad every non-divisible extent up to a power of two; split factor
+    // Pad every spatial extent up to a power of two; split factor
     // enumeration then ignores true-extent divisibility, the same way
     // the family layer's dynamic-axis override does.
     SpaceOptions space_options;
     const auto *compute = static_cast<const ComputeOp *>(anchor.get());
     for (const auto &iv : compute->axis())
         space_options.spatialExtentOverride.push_back(nextPow2(iv->extent));
-    for (const auto &iv : compute->reduceAxis())
-        space_options.reduceExtentOverride.push_back(nextPow2(iv->extent));
     ScheduleSpace space = buildSpace(anchor, target, space_options);
 
     Rng rng(0x1f22u + static_cast<uint64_t>(fc.target));

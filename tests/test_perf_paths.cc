@@ -102,7 +102,6 @@ TEST(PerfPaths, AccumulateGradScratchMatchesLegacy)
     Mlp legacy({8, 16, 16, 4}, rng_a);
     Mlp scratched({8, 16, 16, 4}, rng_b);
     MlpScratch scratch;
-    AdaDeltaOptions opt;
     for (int step = 0; step < 5; ++step) {
         std::vector<float> x = randomVec(rng_x, 8);
         int action = step % 4;
@@ -112,8 +111,8 @@ TEST(PerfPaths, AccumulateGradScratchMatchesLegacy)
         double loss_a = legacy.accumulateGrad(x, action, target);
         double loss_b = scratched.accumulateGrad(x, action, target, scratch);
         EXPECT_EQ(loss_a, loss_b) << "step=" << step;
-        legacy.step(opt);
-        scratched.step(opt);
+        legacy.step();
+        scratched.step();
     }
     std::vector<float> probe = randomVec(rng_x, 8);
     std::vector<float> out_a = legacy.forward(probe);
@@ -234,7 +233,6 @@ TEST(PerfPaths, AccumulateGradBatchStepMatchesScalarAtQShapes)
     // batch runs on weights the first step changed (the packed copy
     // must have been refreshed).
     Rng rng(808);
-    AdaDeltaOptions opt;
     int seed = 1;
     for (const auto &dims : kQShapes) {
         for (int m : kBatchSizes) {
@@ -267,8 +265,8 @@ TEST(PerfPaths, AccumulateGradBatchStepMatchesScalarAtQShapes)
                 EXPECT_EQ(loss_want, loss_got)
                     << "in=" << dims.front() << " m=" << m
                     << " round=" << round;
-                scalar.step(opt);
-                batched.step(opt);
+                scalar.step();
+                batched.step();
                 EXPECT_EQ(firstBitMismatch(scalar.checkpointState(),
                                            batched.checkpointState()),
                           -1)
@@ -281,14 +279,13 @@ TEST(PerfPaths, AccumulateGradBatchStepMatchesScalarAtQShapes)
     }
 }
 
-TEST(PerfPaths, PackedWeightsFollowCopyAndRestore)
+TEST(PerfPaths, PackedWeightsFollowRestore)
 {
     // Train a network so its values differ from any fresh init, then
-    // move them into fresh networks through both value paths. Batched
-    // forwards read the packed copy, so they only agree with the
-    // trained network's scalar forward if each path refreshed it.
+    // restore them into a fresh network. Batched forwards read the
+    // packed copy, so they only agree with the trained network's
+    // scalar forward if the restore refreshed it.
     Rng rng(909);
-    AdaDeltaOptions opt;
     for (const auto &dims : kQShapes) {
         Mlp trained(dims, rng);
         MlpScratch scratch;
@@ -302,25 +299,18 @@ TEST(PerfPaths, PackedWeightsFollowCopyAndRestore)
             trained.zeroGrad();
             trained.accumulateGradBatch(x.data(), m, actions.data(),
                                         targets.data(), scratch);
-            trained.step(opt);
+            trained.step();
         }
         const float *y = trained.forwardBatch(x.data(), m, scratch);
         std::vector<float> want(y, y + static_cast<size_t>(m) * dims.back());
 
-        Mlp copied(dims, rng);
-        copied.copyValuesFrom(trained);
         Mlp restored(dims, rng);
         ASSERT_TRUE(restored.restoreCheckpointState(trained.checkpointState()));
-        for (const Mlp *net : {&copied, &restored}) {
-            MlpScratch own;
-            const float *got = net->forwardBatch(x.data(), m, own);
-            EXPECT_EQ(firstBitMismatch(want.data(), got, want.size()), -1)
-                << "in=" << dims.front()
-                << (net == &copied ? " copyValuesFrom" : " restore");
-            expectBatchMatchesScalar(*net, x, m,
-                                     net == &copied ? "copyValuesFrom"
-                                                    : "restore");
-        }
+        MlpScratch own;
+        const float *got = restored.forwardBatch(x.data(), m, own);
+        EXPECT_EQ(firstBitMismatch(want.data(), got, want.size()), -1)
+            << "in=" << dims.front() << " restore";
+        expectBatchMatchesScalar(restored, x, m, "restore");
     }
 }
 

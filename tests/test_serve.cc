@@ -533,40 +533,22 @@ TEST(TuningService, EveryResultShapingFieldSeparatesRequests)
          [](FamilyTuneOptions &o) { o.method = Method::PMethod; }},
         {"certify", [](TuneOptions &o) { o.certify = true; },
          [](FamilyTuneOptions &o) { o.certify = true; }},
-        {"templateRestricted",
-         [](TuneOptions &o) { o.templateRestricted = true; },
-         [](FamilyTuneOptions &o) { o.space.templateRestricted = true; }},
         {"cache", [&](TuneOptions &o) { o.cache = &store; }, nullptr},
         {"samplesPerBucket", nullptr,
          [](FamilyTuneOptions &o) { o.samplesPerBucket = 1; }},
-        {"pow2Splits", nullptr,
-         [](FamilyTuneOptions &o) { o.space.pow2Splits = true; }},
-        {"exploreReorderUnroll", nullptr,
-         [](FamilyTuneOptions &o) { o.space.exploreReorderUnroll = false; }},
-        {"exploreCacheAt", nullptr,
-         [](FamilyTuneOptions &o) { o.space.exploreCacheAt = true; }},
         exploreCase("trials", [](ExploreOptions &e) { e.trials += 1; }),
         exploreCase("startingPoints",
                     [](ExploreOptions &e) { e.startingPoints = 2; }),
         exploreCase("warmupPoints",
                     [](ExploreOptions &e) { e.warmupPoints += 1; }),
         exploreCase("saGamma", [](ExploreOptions &e) { e.saGamma = 0.5; }),
-        exploreCase("epsilon", [](ExploreOptions &e) { e.epsilon = 0.9; }),
-        exploreCase("qAlpha", [](ExploreOptions &e) { e.qAlpha = 0.2; }),
         exploreCase("trainEvery",
                     [](ExploreOptions &e) { e.trainEvery = 2; }),
-        exploreCase("replayBatch",
-                    [](ExploreOptions &e) { e.replayBatch = 8; }),
-        exploreCase("hidden", [](ExploreOptions &e) { e.hidden = 16; }),
         exploreCase("seed", [](ExploreOptions &e) { e.seed += 1; }),
         exploreCase("seedPoints",
                     [&](ExploreOptions &e) { e.seedPoints = {seed}; }),
         exploreCase("targetGflops",
                     [](ExploreOptions &e) { e.targetGflops = 1e9; }),
-        exploreCase("stepOverheadSeconds",
-                    [](ExploreOptions &e) { e.stepOverheadSeconds = 0.5; }),
-        exploreCase("measureParallelism",
-                    [](ExploreOptions &e) { e.measureParallelism = 3; }),
         exploreCase("faultProfile", [&](ExploreOptions &e) {
             e.resilience.injector = &faults;
         }),
@@ -660,8 +642,8 @@ TEST(TuningService, QHyperparametersChangeTheServedAnswer)
     options.explore.trials = 20;
 
     service.tune(out, target, options);
-    options.explore.epsilon = 0.9;
-    options.explore.hidden = 16;
+    options.explore.trainEvery = 2;
+    options.explore.saGamma = 0.5;
     TuneReport served = service.tune(out, target, options);
     TuneReport direct = ft::tune(out, target, options);
     EXPECT_FALSE(served.fromCache);

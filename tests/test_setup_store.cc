@@ -12,14 +12,21 @@
  *  - the stores never hold more than kSetupStoreCapacity entries, and
  *    an evicted entry comes back identical;
  *  - two inputs share an entry only when every value the builder reads
- *    agrees.
+ *    agrees;
+ *  - concurrent misses on one key run one build, and a build that
+ *    throws stores nothing.
  *
  * Each test lowers layers of its own (names and shapes no other test
  * uses), so its first call is cold in any test order.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -372,13 +379,9 @@ TEST(SetupStore, KeysSeparateEveryInputTheBuildersRead)
         {"templateRestricted",
          [](SpaceOptions &o) { o.templateRestricted = true; }},
         {"pow2Splits", [](SpaceOptions &o) { o.pow2Splits = true; }},
-        {"exploreReorderUnroll",
-         [](SpaceOptions &o) { o.exploreReorderUnroll = false; }},
         {"exploreCacheAt", [](SpaceOptions &o) { o.exploreCacheAt = true; }},
         {"spatialExtentOverride",
          [](SpaceOptions &o) { o.spatialExtentOverride = {2}; }},
-        {"reduceExtentOverride",
-         [](SpaceOptions &o) { o.reduceExtentOverride = {0, 4}; }},
     };
     for (const OptionVariant &v : optionVariants) {
         SpaceOptions options;
@@ -387,6 +390,88 @@ TEST(SetupStore, KeysSeparateEveryInputTheBuildersRead)
                   baseSpace.get())
             << v.what;
     }
+}
+
+/** A key for the store's own tests. */
+struct IntKey
+{
+    int v = 0;
+    bool operator==(const IntKey &) const = default;
+    uint64_t hash() const { return static_cast<uint64_t>(v); }
+};
+
+/**
+ * Threads that miss on one key at once run one build between them. The
+ * builder holds on until every thread is inside it, or 300 ms pass: a
+ * store whose concurrent misses each build runs four builds here; one
+ * whose later misses wait on the in-flight entry runs one, and every
+ * caller gets its object.
+ */
+TEST(SetupStore, ConcurrentMissesOnOneKeyBuildOnce)
+{
+    constexpr int kThreads = 4;
+    SetupStore<IntKey, int> store(8);
+    std::mutex mu;
+    std::condition_variable cv;
+    int inside = 0;
+    std::atomic<int> builds{0};
+    std::vector<SetupStore<IntKey, int>::Handle> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            got[t] = store.get(IntKey{7}, [&] {
+                builds.fetch_add(1);
+                std::unique_lock<std::mutex> lock(mu);
+                ++inside;
+                cv.notify_all();
+                cv.wait_for(lock, std::chrono::milliseconds(300),
+                            [&] { return inside == kThreads; });
+                return 42;
+            });
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(builds.load(), 1);
+    for (const auto &handle : got) {
+        ASSERT_NE(handle, nullptr);
+        EXPECT_EQ(handle.get(), got[0].get());
+        EXPECT_EQ(*handle, 42);
+    }
+    EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(SetupStore, AThrowingBuildStoresNothing)
+{
+    SetupStore<IntKey, int> store(8);
+    EXPECT_THROW(store.get(IntKey{1},
+                           []() -> int { throw std::runtime_error("x"); }),
+                 std::runtime_error);
+    EXPECT_EQ(store.size(), 0u);
+    EXPECT_EQ(*store.get(IntKey{1}, [] { return 5; }), 5);
+    EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(SetupStore, EvictsTheLeastRecentlyUsedEntry)
+{
+    SetupStore<IntKey, int> store(2);
+    int builds = 0;
+    auto get = [&](int v) {
+        return *store.get(IntKey{v}, [&] {
+            ++builds;
+            return v;
+        });
+    };
+    get(1);
+    get(2);
+    get(1); // 2 is now the least recently used
+    get(3);
+    EXPECT_EQ(store.size(), 2u);
+    EXPECT_EQ(builds, 3);
+    get(1);
+    EXPECT_EQ(builds, 3);
+    EXPECT_EQ(get(2), 2);
+    EXPECT_EQ(builds, 4);
 }
 
 } // namespace

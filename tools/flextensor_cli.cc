@@ -654,16 +654,26 @@ runFamily(int argc, char **argv)
     FamilyTuneReport report = tuneFamily(family, target, options);
     for (const FamilyBucketReport &bucket : report.buckets) {
         std::printf("bucket [%3lld, %3lld]  family %8.1f GFLOPS  "
-                    "@hi %8.1f GFLOPS  %4d trials\n",
+                    "@hi %8.1f GFLOPS  %4d trials%s\n",
                     (long long)bucket.bucket.lo, (long long)bucket.bucket.hi,
-                    bucket.familyGflops, bucket.repGflops, bucket.trials);
+                    bucket.familyGflops, bucket.repGflops, bucket.trials,
+                    bucket.fallback ? "  (expert fallback)"
+                    : bucket.valid  ? ""
+                                    : "  (no valid schedule)");
     }
     std::printf("\n%zu buckets, %d total trials, space %.2e, table %s\n",
                 report.buckets.size(), report.totalTrials, report.spaceSize,
                 report.table.total() ? "total" : "PARTIAL");
 
     for (int64_t shape : lookups) {
-        const DispatchEntry &entry = report.table.lookup(shape);
+        const DispatchEntry *found = report.table.find(shape);
+        if (!found) {
+            std::printf("lookup %lld -> no valid entry%s\n",
+                        (long long)shape,
+                        var.contains(shape) ? "" : " (outside the range)");
+            continue;
+        }
+        const DispatchEntry &entry = *found;
         OpConfig adapted = entry.config;
         adaptSplitToExtent(adapted, family.dynamicAxis, shape);
         std::printf("lookup %lld -> bucket [%lld, %lld]  %.1f GFLOPS  %s\n",
